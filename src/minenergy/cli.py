@@ -327,9 +327,23 @@ def build_parser():
     return parser
 
 
+def _attach_negative_targets(argv):
+    """Spell ``--target -0.3,1.2`` as ``--target=-0.3,1.2``: argparse reads
+    a separate value that starts with a minus sign as an option."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] == "--target" and len(arg) > 1 and arg[0] == "-"
+                and (arg[1].isdigit() or arg[1] == ".")):
+            out[-1] = f"--target={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_targets(argv))
     try:
         if args.command == "all" and args.target is None:
             problem = load_model(args.model)

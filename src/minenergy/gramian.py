@@ -15,7 +15,6 @@ import scipy.linalg as sla
 
 from .errors import HorizonNotPositive, NotInH, NotStable, RankDeficient
 from .operators import (
-    DEFAULT_REL_TOL,
     Propagator,
     PseudoInverse,
     expm,
@@ -42,14 +41,13 @@ class Gramian:
 class HSpace:
     """Square-root factorization of the infinite-horizon Gramian.
 
-    sqrt_Q is the symmetric PSD square root, sqrt_pinv its pseudoinverse
-    (built from the same eigendecomposition so rank decisions agree), and
-    kernel_basis an orthonormal basis of the unreachable subspace.
+    sqrt_Q is the symmetric PSD square root and sqrt_pinv its
+    pseudoinverse, both built from the eigendecomposition and rank
+    decision of the Gramian's own pseudoinverse.
     """
 
     sqrt_Q: np.ndarray
     sqrt_pinv: PseudoInverse
-    kernel_basis: np.ndarray
 
     @property
     def dim(self):
@@ -62,6 +60,11 @@ class HSpace:
     @property
     def full_rank(self):
         return self.rank == self.dim
+
+    @property
+    def kernel_basis(self):
+        """Orthonormal basis of the unreachable subspace."""
+        return self.sqrt_pinv.eigvecs[:, ~self.sqrt_pinv.keep]
 
     @property
     def q_matrix(self):
@@ -92,9 +95,9 @@ class NullControllabilityReport(NamedTuple):
     T0: float
 
 
-def _as_gramian(matrix, horizon, rel_tol=DEFAULT_REL_TOL):
+def _as_gramian(matrix, horizon):
     matrix = symmetrize(matrix)
-    pinv = pseudo_inverse(matrix, rel_tol)
+    pinv = pseudo_inverse(matrix)
     return Gramian(horizon=float(horizon), matrix=matrix, rank=pinv.rank, pinv=pinv)
 
 
@@ -169,33 +172,23 @@ def lyapunov_residual(p, g):
     return res / max(scale, 1e-300)
 
 
-def h_space(p, rel_tol=DEFAULT_REL_TOL):
-    """Factor the infinite-horizon Gramian into its reachability space."""
-    q = gramian_infinite(p).matrix
-    w, v = np.linalg.eigh(q)
-    w = np.clip(w, 0.0, None)
-    wmax = w.max(initial=0.0)
-    keep = w > rel_tol * wmax if wmax > 0.0 else np.zeros_like(w, bool)
-    sqrt_w = np.sqrt(w)
-    sqrt_q = symmetrize((v * sqrt_w) @ v.T)
-    inv_sqrt = np.zeros_like(w)
-    inv_sqrt[keep] = 1.0 / sqrt_w[keep]
-    sqrt_pinv = PseudoInverse(
-        source=sqrt_q,
-        rank=int(keep.sum()),
-        tolerance=float(rel_tol),
-        inverse_on_range=symmetrize((v * inv_sqrt) @ v.T),
-        range_projector=symmetrize((v * keep.astype(float)) @ v.T),
-    )
-    kernel_basis = v[:, ~keep]
-    return HSpace(sqrt_Q=sqrt_q, sqrt_pinv=sqrt_pinv, kernel_basis=kernel_basis)
+def h_space(p):
+    """Factor the infinite-horizon Gramian into its reachability space.
+
+    The square root reuses the eigendecomposition and the rank decision
+    of the Gramian's pseudoinverse, so the space has the Gramian's rank.
+    """
+    pinv = gramian_infinite(p).pinv
+    v, keep = pinv.eigvecs, pinv.keep
+    sqrt_w = np.sqrt(np.clip(pinv.eigvals, 0.0, None))
+    return HSpace(sqrt_Q=symmetrize((v * sqrt_w) @ v.T),
+                  sqrt_pinv=PseudoInverse.from_eigh(sqrt_w, v, keep))
 
 
 def h_basis(h):
-    """Orthonormal ambient-coordinate basis of the reachability subspace."""
-    w, v = np.linalg.eigh(h.sqrt_Q)
-    keep = w > h.sqrt_pinv.tolerance * w.max(initial=0.0)
-    return v[:, keep]
+    """Orthonormal ambient-coordinate basis of the reachability subspace,
+    one column per unit of ``h.rank``."""
+    return h.sqrt_pinv.eigvecs[:, h.sqrt_pinv.keep]
 
 
 def h_inner(h, x, y, tol=1e-8):
@@ -284,13 +277,3 @@ def t_max(p, x_norm, t0=0.0, eps=TAIL_EPS):
     t = np.log(x_norm * p.bound_M / eps) / p.decay_omega
     return float(max(t0, t, 1.0))
 
-
-def gramian_report(p, g):
-    """Report dictionary for one Gramian: horizon, rank, Lyapunov residual
-    of the infinite-horizon companion."""
-    q_inf = gramian_infinite(p)
-    return {
-        "horizon": g.horizon if np.isfinite(g.horizon) else "+inf",
-        "rank": g.rank,
-        "lyapunov_residual": lyapunov_residual(p, q_inf),
-    }

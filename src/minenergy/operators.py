@@ -82,16 +82,33 @@ class ControlProblem:
 class PseudoInverse:
     """Rank-revealing pseudoinverse of a symmetric PSD matrix.
 
-    ``inverse_on_range`` inverts on the retained singular subspace and
-    annihilates the kernel; ``range_projector`` is the orthogonal projector
-    onto the retained subspace.
+    ``eigvals`` and ``eigvecs`` are the eigendecomposition the rank was
+    decided on and ``keep`` marks the retained eigenpairs.
+    ``inverse_on_range`` inverts on the retained subspace and annihilates
+    the kernel; ``range_projector`` is the orthogonal projector onto the
+    retained subspace.
     """
 
-    source: np.ndarray
-    rank: int
-    tolerance: float
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    keep: np.ndarray
     inverse_on_range: np.ndarray
     range_projector: np.ndarray
+
+    @classmethod
+    def from_eigh(cls, w, v, keep):
+        """Pseudoinverse of v diag(w) v* that inverts the pairs in ``keep``."""
+        inv = np.zeros_like(w)
+        inv[keep] = 1.0 / w[keep]
+        return cls(
+            eigvals=w, eigvecs=v, keep=keep,
+            inverse_on_range=symmetrize((v * inv) @ v.T),
+            range_projector=symmetrize((v * keep.astype(float)) @ v.T),
+        )
+
+    @property
+    def rank(self):
+        return int(self.keep.sum())
 
     def apply(self, x):
         return self.inverse_on_range @ x
@@ -169,8 +186,10 @@ def make_spectral_model(lambdas, b_diag):
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     b_diag = np.atleast_1d(np.asarray(b_diag, dtype=float))
-    if lambdas.shape != b_diag.shape or lambdas.ndim != 1:
-        raise ParseError("lambdas and b_diag must be vectors of equal length")
+    if lambdas.shape != b_diag.shape or lambdas.ndim != 1 or lambdas.size == 0:
+        raise ParseError(
+            "lambdas and b_diag must be nonempty vectors of equal length"
+        )
     if np.any(b_diag < 0.0):
         raise NegativeWeight("b_diag entries must be nonnegative")
     if np.any(lambdas >= 0.0):
@@ -267,15 +286,7 @@ def pseudo_inverse(Msym, rel_tol=DEFAULT_REL_TOL):
     sigma = np.abs(w)
     smax = sigma.max(initial=0.0)
     keep = sigma > rel_tol * smax if smax > 0.0 else np.zeros_like(sigma, bool)
-    inv = np.zeros_like(sigma)
-    inv[keep] = 1.0 / w[keep]
-    return PseudoInverse(
-        source=Msym,
-        rank=int(keep.sum()),
-        tolerance=float(rel_tol),
-        inverse_on_range=symmetrize((v * inv) @ v.T),
-        range_projector=symmetrize((v * keep.astype(float)) @ v.T),
-    )
+    return PseudoInverse.from_eigh(w, v, keep)
 
 
 def apply_control_weight(p, C):
@@ -294,6 +305,18 @@ def apply_control_weight(p, C):
     return make_dense_model(p.A, p.B @ c_inv_sqrt)
 
 
+def _finite_field(doc, key):
+    """A document field as a float array; ParseError unless every entry is
+    a finite number."""
+    try:
+        arr = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{key} must be numeric: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{key} has a non-finite entry")
+    return arr
+
+
 def model_from_dict(doc):
     """Build a ControlProblem from an ingestion document.
 
@@ -302,22 +325,30 @@ def model_from_dict(doc):
         {"type": "dense", "A": [[...]], "B": [[...]]}
         {"type": "spectral", "lambdas": [...], "b_diag": [...]}
 
-    with an optional ``"weight_C": [[...]]`` applied afterwards.
+    with an optional m-by-m ``"weight_C": [[...]]`` applied afterwards.
+    Non-numeric or non-finite entries raise ParseError.
     """
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
     kind = doc.get("type")
     try:
         if kind == "dense":
-            problem = make_dense_model(doc["A"], doc["B"])
+            problem = make_dense_model(_finite_field(doc, "A"),
+                                       _finite_field(doc, "B"))
         elif kind == "spectral":
-            problem = make_spectral_model(doc["lambdas"], doc["b_diag"])
+            problem = make_spectral_model(_finite_field(doc, "lambdas"),
+                                          _finite_field(doc, "b_diag"))
         else:
             raise ParseError(f"unknown model type {kind!r}")
     except KeyError as exc:
         raise ParseError(f"model document is missing field {exc}") from exc
     if "weight_C" in doc:
-        problem = apply_control_weight(problem, np.asarray(doc["weight_C"], float))
+        C = _finite_field(doc, "weight_C")
+        if C.shape != (problem.m, problem.m):
+            raise ParseError(
+                f"weight_C must be {problem.m}x{problem.m}, got shape {C.shape}"
+            )
+        problem = apply_control_weight(problem, C)
     return problem
 
 

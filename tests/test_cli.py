@@ -150,6 +150,20 @@ class TestAuxiliaryCommand:
         assert report["time_reversal_discrepancy"] <= 1e-6
 
 
+class TestNegativeTarget:
+    @pytest.mark.parametrize("command", ["synthesize", "auxiliary", "landau"])
+    def test_separate_value_equals_attached(self, command, model_file, tmp_path):
+        extra = (["--modes", "2"] if command == "landau"
+                 else ["--model", model_file(SPECTRAL)])
+        reports = []
+        for sub, target in (("a", ["--target", "-0.3,1.2"]),
+                            ("b", ["--target=-0.3,1.2"])):
+            out = tmp_path / sub
+            assert run(command, *extra, *target, "--out", out) == 0
+            reports.append(sorted(p.read_bytes() for p in out.iterdir()))
+        assert reports[0] == reports[1]
+
+
 class TestAllCommand:
     def test_spectral_battery(self, model_file, tmp_path):
         assert run("all", "--model", model_file(SPECTRAL), "--out", tmp_path) == 0
@@ -202,3 +216,15 @@ class TestExitCodeContract:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("gramian", "--model", bad, "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "dense", "A": [[math.nan]], "B": [[1.0]]},
+        {"type": "dense", "A": [["x"]], "B": [[1.0]]},
+        {"type": "dense", "A": [[-1.0]], "B": [["y"]]},
+        {"type": "spectral", "lambdas": [-1.0, -math.inf], "b_diag": [1.0, 1.0]},
+        dict(SPECTRAL, weight_C=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        {"type": "spectral", "lambdas": [], "b_diag": []},
+    ], ids=["nan_in_A", "string_in_A", "string_in_B", "inf_in_lambdas",
+            "weight_C_2x3", "empty_spectral"])
+    def test_malformed_model_is_two(self, doc, model_file, tmp_path):
+        assert run("gramian", "--model", model_file(doc), "--out", tmp_path) == 2

@@ -27,7 +27,7 @@ from minenergy.errors import (
     NotReachable,
     NotReachableFromH,
 )
-from minenergy.gramian import gramian_finite, h_space, t_max
+from minenergy.gramian import gramian_finite, h_basis, h_space, t_max
 from minenergy.operators import expm, make_spectral_model
 
 from conftest import random_problem, smooth_signal_values
@@ -329,10 +329,17 @@ class TestAuxiliary:
             v = value_finite(p, 1.5, x)
             assert -1e-12 <= aux.value <= v + 1e-9 * (1.0 + v)
 
-    def test_rank_deficient_membership(self):
-        p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
+    # 1e-13 puts the Gramian's eigenvalue ratio below the rank cutoff but
+    # the square root's above it; both must see the same rank
+    @pytest.mark.parametrize("weight", [0.0, 1e-13])
+    def test_rank_deficient_membership(self, weight):
+        p = make_spectral_model([-1.0, -2.0], [1.0, weight])
+        h = h_space(p)
+        assert h.rank == 1
+        assert h_basis(h).shape[1] == h.rank
         aux = value_auxiliary(p, AuxiliaryCost(np.eye(2)), 1.0, [0.5, 0.0])
         assert aux.value > 0.0
+        assert_allclose(aux.value, 0.25, rtol=1e-10)  # the scalar case at x=1/2
         with pytest.raises(NotReachableFromH):
             value_auxiliary(p, AuxiliaryCost(np.eye(2)), 1.0, [0.0, 1.0])
 
