@@ -139,22 +139,23 @@ def cmd_verify(args):
         h = h_space(problem)
         gram = gramian_finite(problem, args.t) if args.comparison else None
         for cand in enumerate_commuting_solutions(problem, args.max_solutions):
-            residual = are_residual_H(problem, h, cand)
-            gap = maximality_check(h, cand)
-            entry = {
-                "matrix": cand.matrix.tolist(),
-                "residual": residual,
-                "maximality_gap": gap,
-                "comparison_margin": None,
-            }
-            ok = ok and residual <= SOLUTION_RESIDUAL_TOL and gap >= -1e-10
             if args.comparison:
                 rep = comparison_check(problem, cand, args.t,
                                        samples=args.samples, seed=args.seed,
                                        hspace=h, gramian=gram)
-                entry["comparison_margin"] = rep.comparison_margin
-                ok = ok and rep.comparison_margin >= -1e-8
-            certificate["solutions"].append(entry)
+                residual, gap = rep.residual_norm, rep.maximality_gap
+                margin = rep.comparison_margin
+                ok = ok and margin >= -1e-8
+            else:
+                residual = are_residual_H(problem, h, cand)
+                gap, margin = maximality_check(h, cand), None
+            certificate["solutions"].append({
+                "matrix": cand.matrix.tolist(),
+                "residual": residual,
+                "maximality_gap": gap,
+                "comparison_margin": margin,
+            })
+            ok = ok and residual <= SOLUTION_RESIDUAL_TOL and gap >= -1e-10
     certificate.update(_provenance(problem, args.seed))
     write_report(out / "certificate.json", certificate)
     return 0 if ok else 1

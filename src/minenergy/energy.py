@@ -140,13 +140,16 @@ def value_finite(p, t, x, gramian=None, tol=1e-8):
     """Minimum energy that steers rest to x over a horizon of length t.
 
     Equals half the squared Gramian-metric norm of the target; raises
-    NotReachable (value +inf) when x lies outside the reachable set.
+    NotReachable (value +inf) when x lies outside the reachable set.  A
+    (k, n) stack of targets gives an array of k values and raises if any
+    row is unreachable.
     """
     x = np.asarray(x, dtype=float)
     g = gramian if gramian is not None else gramian_finite(p, t)
-    if not reachable_membership(g, x, tol):
+    if not np.all(reachable_membership(g, x, tol)):
         raise NotReachable("target is outside the reachable set for this horizon")
-    return 0.5 * float(x @ g.pinv.apply(x))
+    value = 0.5 * np.sum(x.T * g.pinv.apply(x.T), axis=0)
+    return value if x.ndim > 1 else float(value)
 
 
 def value_infinite(p, x, hspace=None, tol=1e-8):
@@ -335,23 +338,29 @@ def value_auxiliary(p, N, t, x, gramian=None, hspace=None):
     convex quadratic on the reachability space, minimized by one
     symmetric positive-definite solve.  Raises NotReachableFromH when no
     admissible initial point makes x reachable.
+
+    ``x`` is one target of shape (n,) or a (k, n) stack of targets.  A
+    stack shares the flow, the reduced matrices and one Cholesky
+    factorization; its value is a length-k array and its ``argmin_z`` is
+    (k, n), and it raises if any row is outside the reachability space.
     """
     x = np.asarray(x, dtype=float)
     h = hspace if hspace is not None else h_space(p)
     g = gramian if gramian is not None else gramian_finite(p, t)
-    if not h.contains(x, 1e-8):
+    if not np.all(h.contains(x, 1e-8)):
         raise NotReachableFromH("target is outside the reachability space")
     theta = h_basis(h)                       # reachable subspace is flow-invariant
     e_tilde = theta.T @ expm(p.A, t) @ theta
     g_tilde = theta.T @ g.pinv.inverse_on_range @ theta
     s_tilde = theta.T @ N.form_matrix(h) @ theta
-    x_tilde = theta.T @ x
+    x_tilde = theta.T @ x.T                  # one column per target
     lhs = symmetrize(e_tilde.T @ g_tilde @ e_tilde + s_tilde)
     rhs = e_tilde.T @ g_tilde @ x_tilde
     c = sla.solve(lhs, rhs, assume_a="pos")
     mismatch = x_tilde - e_tilde @ c
-    value = 0.5 * float(mismatch @ g_tilde @ mismatch) + 0.5 * float(c @ s_tilde @ c)
-    return AuxiliaryValue(value=value, argmin_z=theta @ c)
+    value = 0.5 * np.sum(mismatch * (g_tilde @ mismatch) + c * (s_tilde @ c), axis=0)
+    return AuxiliaryValue(value=value if x.ndim > 1 else float(value),
+                          argmin_z=(theta @ c).T)
 
 
 def _reverse_signal(u):

@@ -76,6 +76,7 @@ class HSpace:
         return s @ s
 
     def contains(self, x, tol=1e-8):
+        """Membership of x, or of each row of a (k, n) stack."""
         return self.sqrt_pinv.in_range(x, tol)
 
     def project(self, x):
@@ -207,7 +208,8 @@ def h_inner(h, x, y, tol=1e-8):
 
 
 def reachable_membership(g, x, tol=1e-8):
-    """True iff x lies in the reachable set of the Gramian's horizon."""
+    """True iff x lies in the reachable set of the Gramian's horizon; one
+    answer per row of a (k, n) stack."""
     return g.pinv.in_range(x, tol)
 
 

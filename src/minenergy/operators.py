@@ -52,10 +52,6 @@ class SpectralModel:
     lambdas: np.ndarray
     b_diag: np.ndarray
 
-    @property
-    def coercive(self):
-        return float(np.min(self.b_diag)) > 0.0
-
 
 @dataclass(frozen=True)
 class ControlProblem:
@@ -114,12 +110,11 @@ class PseudoInverse:
         return self.inverse_on_range @ x
 
     def in_range(self, x, tol=1e-8):
-        """True iff the component of x outside the range is <= tol * ||x||."""
+        """True iff the component of x outside the range is <= tol * ||x||,
+        so a zero vector passes; one answer per row of a (k, n) stack."""
         x = np.asarray(x, dtype=float)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return True
-        return np.linalg.norm(x - self.range_projector @ x) <= tol * nx
+        off = x - x @ self.range_projector    # the projector is symmetric
+        return np.linalg.norm(off, axis=-1) <= tol * np.linalg.norm(x, axis=-1)
 
 
 def _stability_metadata(A):
@@ -200,12 +195,12 @@ def make_spectral_model(lambdas, b_diag):
     A = np.diag(lambdas)
     B = np.diag(np.sqrt(b_diag))
     problem = make_dense_model(A, B)
-    spectral = SpectralModel(lambdas=lambdas, b_diag=b_diag)
     return ControlProblem(
         A=problem.A, B=problem.B, n=problem.n, m=problem.m,
         spectral_abscissa=problem.spectral_abscissa, bound_M=1.0,
         decay_omega=problem.decay_omega, spectral_radius=problem.spectral_radius,
-        commuting=True, coercive=spectral.coercive, spectral=spectral,
+        commuting=True, coercive=problem.coercive,
+        spectral=SpectralModel(lambdas=lambdas, b_diag=b_diag),
     )
 
 

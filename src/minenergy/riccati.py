@@ -211,24 +211,23 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     half <P x, x>_H <= V^P(t, x) <= V(t, x) for a verified solution.
 
     Requires a coercive BB* (so the chain holds from horizon t on, with
-    no controllability waiting time).  The returned report carries the
-    worst sampled margin of the left inequality.
+    no controllability waiting time) and at least one sample.  The
+    returned report carries the worst sampled margin of the left
+    inequality.
     """
     _require_form(P, "H_form")
+    if samples < 1:
+        raise BadParameterError(f"comparison needs at least one sample, got {samples}")
     if not p.coercive:
         raise NotCoercive("comparison certificate needs a coercive BB*")
     h = hspace if hspace is not None else _full_rank_h(p)
     g = gramian if gramian is not None else gramian_finite(p, t)
     cost = AuxiliaryCost(P.matrix)
-    form = cost.form_matrix(h)
-    rng = np.random.default_rng(seed)
-    margin = np.inf
-    for _ in range(samples):
-        x = rng.standard_normal(p.n)
-        lhs = 0.5 * float(x @ form @ x)
-        v_aux = value_auxiliary(p, cost, t, x, gramian=g, hspace=h).value
-        v_fin = value_finite(p, t, x, gramian=g)
-        margin = min(margin, v_aux - lhs, v_fin - v_aux)
+    xs = np.random.default_rng(seed).standard_normal((samples, p.n))
+    lhs = 0.5 * np.sum((xs @ cost.form_matrix(h)) * xs, axis=1)
+    v_aux = value_auxiliary(p, cost, t, xs, gramian=g, hspace=h).value
+    v_fin = value_finite(p, t, xs, gramian=g)
+    margin = min(np.min(v_aux - lhs), np.min(v_fin - v_aux))
     residual = are_residual_H(p, h, P)
     return SolutionReport(
         residual_norm=residual,

@@ -77,6 +77,13 @@ class TestVerifyCommand:
         assert run("verify", "--model", model_file(RANK_DEFICIENT),
                    "--comparison", "--out", tmp_path) == 4
 
+    def test_comparison_on_nearly_singular_input_refused(self, model_file,
+                                                         tmp_path, capsys):
+        doc = {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1.0, 1e-13]}
+        assert run("verify", "--model", model_file(doc), "--comparison",
+                   "--out", tmp_path) == 4
+        assert "comparison certificates need a coercive BB*" in capsys.readouterr().err
+
     def test_heat_model_certificate(self, model_file, tmp_path):
         k = np.arange(1, 9)
         doc = {"type": "spectral",
@@ -208,6 +215,11 @@ class TestExitCodeContract:
     def test_unreachable_is_five(self, model_file, tmp_path):
         assert run("synthesize", "--model", model_file(RANK_DEFICIENT),
                    "--target", "0,1", "--out", tmp_path) == 5
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_too_few_samples_is_three(self, samples, model_file, tmp_path):
+        assert run("verify", "--model", model_file(SPECTRAL), "--comparison",
+                   "--samples", samples, "--out", tmp_path) == 3
 
     def test_domain_is_six(self, tmp_path):
         assert run("landau", "--rho-minus", "1.5", "--out", tmp_path) == 6

@@ -373,6 +373,46 @@ class TestAuxiliary:
             assert f >= aux.value - 1e-10
 
 
+class TestStackedTargets:
+    """A (k, n) stack of targets is k one-target problems solved at once."""
+
+    @pytest.mark.parametrize("kind", ["spectral", "dense", "rank_deficient"])
+    @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
+    def test_agrees_with_row_by_row(self, rng, kind, t):
+        if kind == "spectral":
+            p = make_spectral_model([-0.4, -1.1, -1.1, -2.8], [0.6, 1.4, 1.0, 1.8])
+        elif kind == "dense":
+            p = random_problem(rng, n=5, symmetric=False)
+        else:
+            p = make_spectral_model([-1.0, -2.0, -0.5], [1.0, 0.0, 2.0])
+        h = h_space(p)
+        g = gramian_finite(p, t)
+        r = rng.standard_normal((p.n, p.n))
+        cost = AuxiliaryCost(h.q_matrix @ (r @ r.T / p.n))
+        xs = h.project(rng.standard_normal((7, p.n)).T).T
+        xs[3] = 0.0
+        aux = value_auxiliary(p, cost, t, xs, gramian=g, hspace=h)
+        fin = value_finite(p, t, xs, gramian=g)
+        assert aux.value.shape == (7,) and fin.shape == (7,)
+        assert aux.argmin_z.shape == (7, p.n)
+        for k, x in enumerate(xs):
+            one = value_auxiliary(p, cost, t, x, gramian=g, hspace=h)
+            v = value_finite(p, t, x, gramian=g)
+            assert isinstance(one.value, float) and isinstance(v, float)
+            assert one.argmin_z.shape == (p.n,)
+            assert abs(aux.value[k] - one.value) <= 1e-12 * (1.0 + abs(one.value))
+            assert abs(fin[k] - v) <= 1e-12 * (1.0 + abs(v))
+            assert_allclose(aux.argmin_z[k], one.argmin_z, rtol=1e-10, atol=1e-12)
+
+    def test_one_bad_row_raises(self):
+        p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
+        xs = np.array([[0.5, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotReachableFromH):
+            value_auxiliary(p, AuxiliaryCost(np.eye(2)), 1.0, xs)
+        with pytest.raises(NotReachable):
+            value_finite(p, 1.0, xs)
+
+
 class TestTimeReversal:
     def test_zero_control(self, rng):
         p = random_problem(rng, n=3)

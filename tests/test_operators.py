@@ -98,6 +98,12 @@ class TestMakeSpectralModel:
         with pytest.raises(NotStable):
             make_spectral_model([0.0], [1.0])
 
+    def test_tiny_weight_not_coercive(self):
+        # the dense rule min > 1e-10 * max(max, 1) decides, not min > 0
+        p = make_spectral_model([-1.0, -2.0], [1.0, 1e-13])
+        assert not p.coercive
+        assert p.coercive == make_dense_model(p.A, p.B).coercive
+
 
 class TestExpm:
     def test_scalar(self):
@@ -161,6 +167,12 @@ class TestPseudoInverse:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             pseudo_inverse(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_in_range_one_answer_per_row(self):
+        pi = pseudo_inverse(np.diag([2.0, 0.0]), 1e-8)
+        stack = np.array([[0.0, 0.0], [3.0, 1e-12], [1.0, 1.0]])
+        assert pi.in_range(stack).tolist() == [True, True, False]
+        assert [bool(pi.in_range(row)) for row in stack] == [True, True, False]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6),

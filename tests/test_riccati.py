@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from minenergy.energy import AuxiliaryCost, value_auxiliary, value_finite
 from minenergy.errors import (
+    BadParameterError,
     NotCoercive,
     NotCommutingModel,
     NotSpectral,
@@ -13,7 +15,7 @@ from minenergy.errors import (
     TooManySolutions,
     WrongForm,
 )
-from minenergy.gramian import h_space
+from minenergy.gramian import gramian_finite, h_space
 from minenergy.operators import make_dense_model, make_spectral_model
 from minenergy.riccati import (
     CandidateSolution,
@@ -265,6 +267,32 @@ class TestComparison:
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
         with pytest.raises(NotCoercive):
             comparison_check(p, CandidateSolution("H_form", np.zeros((2, 2))), 1.0)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fewer_than_one_sample_rejected(self, spectral_problem, samples):
+        with pytest.raises(BadParameterError):
+            comparison_check(spectral_problem,
+                             CandidateSolution("H_form", np.eye(2)), 1.0,
+                             samples=samples)
+
+    def test_margin_matches_one_target_loop(self):
+        p = make_spectral_model([-0.5, -1.0, -1.7, -2.6], [0.7, 1.3, 1.0, 1.9])
+        h = h_space(p)
+        g = gramian_finite(p, 2.0)
+        seed = 0x5EED
+        for cand in enumerate_commuting_solutions(p)[::3]:
+            rep = comparison_check(p, cand, 2.0, samples=20, seed=seed,
+                                   hspace=h, gramian=g)
+            cost = AuxiliaryCost(cand.matrix)
+            form = cost.form_matrix(h)
+            rng = np.random.default_rng(seed)
+            margin = np.inf
+            for _ in range(20):
+                x = rng.standard_normal(p.n)
+                v_aux = value_auxiliary(p, cost, 2.0, x, gramian=g, hspace=h).value
+                v_fin = value_finite(p, 2.0, x, gramian=g)
+                margin = min(margin, v_aux - 0.5 * float(x @ form @ x), v_fin - v_aux)
+            assert abs(rep.comparison_margin - margin) <= 1e-9
 
 
 class TestDifferentialResidual:
