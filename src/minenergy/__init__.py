@@ -31,7 +31,6 @@ from .energy import (
     value_infinite,
 )
 from .gramian import (
-    A0Operator,
     Gramian,
     HSpace,
     a0_operator,

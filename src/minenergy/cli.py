@@ -32,6 +32,7 @@ from .errors import (
     BadParameterError,
     HorizonNotPositive,
     NotCoercive,
+    NotSpectral,
     ParseError,
     ToolkitError,
     UnreachableError,
@@ -118,8 +119,14 @@ def cmd_gramian(args):
 def cmd_verify(args):
     problem = load_model(args.model)
     out = _outdir(args)
-    if args.comparison and not problem.coercive:
-        raise NotCoercive("comparison certificates need a coercive BB*")
+    if args.comparison:
+        if args.samples < 1:
+            raise BadParameterError(
+                f"comparison needs at least one sample, got {args.samples}")
+        if not problem.coercive:
+            raise NotCoercive("comparison certificates need a coercive BB*")
+        if problem.spectral is None:
+            raise NotSpectral("comparison certificates need a spectral-diagonal model")
     x_rep, h_rep = verify_canonical_solutions(problem)
     ok = x_rep.is_solution and h_rep.is_solution
     certificate = {

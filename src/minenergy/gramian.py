@@ -8,10 +8,12 @@ infinite-horizon Gramian.
 """
 
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.polynomial.polynomial import polypow
 
 from .errors import HorizonNotPositive, NotInH, NotStable, RankDeficient
 from .operators import (
@@ -25,6 +27,16 @@ from .quadrature import legendre_panels
 
 #: truncation floor used when converting infinite time integrals to finite ones
 TAIL_EPS = 1e-12
+
+#: RK4 steps evaluated per pair of matrix products by the matrix-ODE route
+RK4_BLOCK = 8
+
+#: stability polynomial R(z) of one classical RK4 step, lowest degree first
+RK4_STEP = np.array([1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0])
+
+#: binomial table binom(i + j, j) up to the degree of R^RK4_BLOCK
+_BINOM = np.array([[comb(i + j, j) for j in range(4 * RK4_BLOCK + 1)]
+                   for i in range(4 * RK4_BLOCK + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -83,14 +95,6 @@ class HSpace:
         return self.sqrt_pinv.range_projector @ np.asarray(x, dtype=float)
 
 
-@dataclass(frozen=True)
-class A0Operator:
-    """Restriction of the state operator to the reachability space,
-    expressed in ambient coordinates.  Equals A itself at full rank."""
-
-    matrix: np.ndarray
-
-
 class NullControllabilityReport(NamedTuple):
     holds: bool
     T0: float
@@ -110,24 +114,61 @@ def _gramian_quadrature(p, t):
     return np.einsum("t,tim,tjm->ij", wts, X, X)
 
 
+def _lyapunov_poly(powers, c):
+    """The map Q -> c(hL) Q for the polynomial with coefficients c (lowest
+    degree first) in the Lyapunov operator hL Q = X Q + Q X*, given the
+    stack powers[i] = X^i, i <= deg c.
+
+    Left and right products by X commute, so
+    c(hL) Q = sum_j X^j Q S_j*  with  S_j = c^(j)(X) / j!
+    = sum_i binom(i + j, j) c_(i+j) X^i.  The map evaluates that sum as
+    two matrix products: Q times each S_j*, written straight into the
+    vertical stack [Q S_0*; ...; Q S_d*], then [X^0 ... X^d] times that
+    stack.
+    """
+    k = len(c)
+    n = powers.shape[1]
+    coef = sla.hankel(c) * _BINOM[:k, :k]
+    s_stack = (coef @ powers[:k].reshape(k, -1)).reshape(k, n, n).transpose(0, 2, 1)
+    x_row = powers[:k].transpose(1, 0, 2).reshape(n, -1)
+    return lambda Q: x_row @ np.matmul(Q, s_stack).reshape(-1, n)
+
+
 def _gramian_matrix_ode(p, t):
-    """Integrate Q' = A Q + Q A* + B B*, Q(0) = 0, with classical RK4."""
+    """Integrate Q' = A Q + Q A* + B B*, Q(0) = 0, with classical RK4.
+
+    The step is h = t / ceil(t ||A||_2 / 1e-2).  With L Q = A Q + Q A*,
+    one step of this linear equation is Q <- R(hL) Q + h phi(hL) BB*,
+    where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and phi(z) = (R(z) - 1)/z.
+    So m = RK4_BLOCK steps are the increment
+    Q <- Q + [(R^m - 1)(hL) Q + ((R^m - 1)/z)(hL) hBB*],
+    evaluated exactly (R^m is not truncated) with two matrix products per
+    block by ``_lyapunov_poly``; the steps left over by the blocks run
+    first, as one block from Q = 0.  The increment form matters: applying
+    R^m(hL) to Q directly drifts about 1e-9 relative from the step-by-step
+    iterate over 1e5 steps, while the increment stays within about 1e-11.
+    """
     a_norm = np.linalg.norm(p.A, 2)
     h_max = 1e-2 / max(a_norm, 1e-12)
     steps = max(1, int(np.ceil(t / h_max)))
     h = t / steps
-    A, BBt = p.A, p.BBt
-    Q = np.zeros_like(A)
-
-    def f(q):
-        return A @ q + q @ A.T + BBt
-
-    for _ in range(steps):
-        k1 = f(Q)
-        k2 = f(Q + 0.5 * h * k1)
-        k3 = f(Q + 0.5 * h * k2)
-        k4 = f(Q + h * k3)
-        Q = Q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    blocks, rem = divmod(steps, RK4_BLOCK)
+    X = h * p.A
+    powers = [np.eye(p.n)]
+    for _ in range(4 * min(steps, RK4_BLOCK)):
+        powers.append(powers[-1] @ X)
+    powers = np.stack(powers)
+    hBBt = h * p.BBt
+    Q = np.zeros_like(p.A)
+    if rem:
+        Q = _lyapunov_poly(powers, polypow(RK4_STEP, rem)[1:])(hBBt)
+    if blocks:
+        r = polypow(RK4_STEP, RK4_BLOCK)
+        drive = _lyapunov_poly(powers, r[1:])(hBBt)
+        r[0] = 0.0
+        step = _lyapunov_poly(powers, r)
+        for _ in range(blocks):
+            Q = Q + (step(Q) + drive)
     return Q
 
 
@@ -245,8 +286,8 @@ def a0_operator(p, h):
     """Ambient-coordinate matrix of the state operator restricted to the
     reachability space (the subspace is flow-invariant)."""
     if h.full_rank:
-        return A0Operator(matrix=p.A.copy())
-    return A0Operator(matrix=p.A @ h.sqrt_pinv.range_projector)
+        return p.A.copy()
+    return p.A @ h.sqrt_pinv.range_projector
 
 
 def a0_star_matrix(p, h):

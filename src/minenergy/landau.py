@@ -103,12 +103,6 @@ def synthesize_profile(model, y0_coords, times, xi_points=512):
     return xi, profiles
 
 
-def lg_gramian_diagonal(model):
-    """Diagonal of the infinite-horizon Gramian: 1 / (k^2 pi^2)."""
-    h = h_space(model.problem)
-    return np.diag(h.q_matrix)
-
-
 def inverse_gramian_identity(model):
     """Which multiple of the state operator the inverse Gramian equals.
 

@@ -13,6 +13,8 @@ from minenergy.serialize import fmt
 SCALAR = {"type": "dense", "A": [[-1.0]], "B": [[1.0]]}
 SPECTRAL = {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1.0, 1.0]}
 RANK_DEFICIENT = {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1.0, 0.0]}
+DENSE_COERCIVE = {"type": "dense", "A": [[-1.0, 0.3], [0.0, -2.0]],
+                  "B": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 @pytest.fixture
@@ -83,6 +85,12 @@ class TestVerifyCommand:
         assert run("verify", "--model", model_file(doc), "--comparison",
                    "--out", tmp_path) == 4
         assert "comparison certificates need a coercive BB*" in capsys.readouterr().err
+
+    def test_comparison_on_dense_model_refused(self, model_file, tmp_path, capsys):
+        path = model_file(DENSE_COERCIVE)
+        assert run("verify", "--model", path, "--comparison", "--out", tmp_path) == 4
+        assert "spectral-diagonal model" in capsys.readouterr().err
+        assert run("verify", "--model", path, "--out", tmp_path) == 0
 
     def test_heat_model_certificate(self, model_file, tmp_path):
         k = np.arange(1, 9)
@@ -219,6 +227,12 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_too_few_samples_is_three(self, samples, model_file, tmp_path):
         assert run("verify", "--model", model_file(SPECTRAL), "--comparison",
+                   "--samples", samples, "--out", tmp_path) == 3
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_too_few_samples_on_dense_model_is_three(self, samples, model_file,
+                                                     tmp_path):
+        assert run("verify", "--model", model_file(DENSE_COERCIVE), "--comparison",
                    "--samples", samples, "--out", tmp_path) == 3
 
     def test_domain_is_six(self, tmp_path):

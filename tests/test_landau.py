@@ -4,13 +4,12 @@ from numpy.testing import assert_allclose
 
 from minenergy.energy import optimal_trajectory_infinite
 from minenergy.errors import BadBoundary, LengthMismatch, OutOfDomain
-from minenergy.gramian import null_controllability_check
+from minenergy.gramian import h_space, null_controllability_check
 from minenergy.landau import (
     build_lg_model,
     inverse_gramian_identity,
     l2_norm_sq,
     lg_equilibrium,
-    lg_gramian_diagonal,
     lg_value_check,
     synthesize_profile,
 )
@@ -21,12 +20,14 @@ class TestBuild:
     def test_single_mode(self):
         m = build_lg_model(1, 0.2, 0.8)
         assert_allclose(m.problem.spectral.lambdas, [-np.pi ** 2 / 2.0], rtol=1e-14)
-        assert_allclose(lg_gramian_diagonal(m), [1.0 / np.pi ** 2], rtol=1e-12)
+        assert_allclose(np.diag(h_space(m.problem).q_matrix), [1.0 / np.pi ** 2],
+                        rtol=1e-12)
 
     def test_three_modes(self):
         m = build_lg_model(3, 0.2, 0.8)
         k = np.array([1.0, 2.0, 3.0])
-        assert_allclose(lg_gramian_diagonal(m), 1.0 / (k * np.pi) ** 2, rtol=1e-12)
+        assert_allclose(np.diag(h_space(m.problem).q_matrix), 1.0 / (k * np.pi) ** 2,
+                        rtol=1e-12)
 
     def test_coercive_null_controllable(self):
         m = build_lg_model(4, 0.3, 0.7)
