@@ -217,11 +217,12 @@ def cmd_auxiliary(args):
         raise HorizonNotPositive(f"horizon must be positive, got {args.t}")
     h = h_space(problem)
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
-    aux = value_auxiliary(problem, cost, args.t, x, hspace=h)
-    v_fin = value_finite(problem, args.t, x)
+    g = gramian_finite(problem, args.t)
+    aux = value_auxiliary(problem, cost, args.t, x, gramian=g, hspace=h)
+    v_fin = value_finite(problem, args.t, x, gramian=g)
     remainder = x - expm(problem.A, args.t) @ aux.argmin_z
     grid = default_grid(problem, -args.t, target_points=1024)
-    u = steering_control_finite(problem, args.t, remainder, grid)
+    u = steering_control_finite(problem, args.t, remainder, grid, gramian=g)
     reversal = time_reversal_check(problem, cost, aux.argmin_z, u, hspace=h)
     achieved = 0.5 * cost.quad(h, aux.argmin_z) + energy_of(u)
     sandwich_ok = bool(aux.value <= v_fin + 1e-9 * (1.0 + abs(v_fin)))

@@ -227,13 +227,14 @@ def _simulate_panels(A, B, z, u):
     e_pair = prop.at(offs.ravel()).reshape(q, q, *A.shape)
     e_from_start = e_pair[:, 0]
     ewb = w_pref[:, :, None, None] * (e_pair @ B)        # (q, q, n, m)
+    n, m = B.shape
+    ewb_mat = ewb.transpose(0, 2, 1, 3).reshape(q * n, q * m)  # rows (j, a), cols (k, b)
 
     vals = u.values[: panels * (q - 1) + 1]
     idx = (np.arange(panels)[:, None] * (q - 1)) + np.arange(q)[None, :]
-    u_panels = vals[idx]                                  # (panels, q, m)
-    forced = np.einsum("jkab,pkb->pja", ewb, u_panels)
+    u_panels = vals[idx].reshape(panels, q * m)          # rows p, cols (k, b)
+    forced = (u_panels @ ewb_mat.T).reshape(panels, q, n)
 
-    n = A.shape[0]
     states = np.empty((pts.size, n))
     y = np.asarray(z, dtype=float)
     states[0] = y

@@ -47,11 +47,13 @@ def model_hash(problem):
 
 
 def _write_rows(path, header, rows):
+    """Header through csv.writer, body in bulk.  csv.writer never quotes a
+    float repr, so comma-joined fmt cells ending in CRLF are the bytes it
+    would write."""
+    body = np.asarray(rows, dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in body)
 
 
 def matrix_csv(path, matrix):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +18,14 @@ from minenergy.gramian import (
     semigroup_transpose_identity,
     t_max,
 )
-from minenergy.operators import make_dense_model, make_spectral_model, pseudo_inverse
+from minenergy.operators import (
+    Propagator,
+    make_dense_model,
+    make_spectral_model,
+    pseudo_inverse,
+    symmetrize,
+)
+from minenergy.quadrature import legendre_panels
 
 from conftest import random_problem
 
@@ -80,6 +89,77 @@ class TestMatrixOdeBlocks:
         assert p.n == 5 and np.linalg.norm(p.A, 2) > 350.0
         assert rk4_steps(p, 5.0) % 8 != 0
         assert loop_disagreement(p, 5.0) <= 1e-10
+
+
+def stacked_quadrature(p, t):
+    """The quadrature as one stacked sum over every node's propagator."""
+    width = min(1.0, 1.0 / p.decay_omega, 4.0 / max(p.spectral_radius, 1e-12))
+    pts, wts = legendre_panels(0.0, t, width)
+    prop = Propagator(p.A)
+    X = prop.at(pts) @ p.B                  # (T, n, m)
+    return np.einsum("t,tim,tjm->ij", wts, X, X)
+
+
+def panel_count(p, t):
+    width = min(1.0, 1.0 / p.decay_omega, 4.0 / max(p.spectral_radius, 1e-12))
+    return legendre_panels(0.0, t, width)[0].size // 32
+
+
+def quadrature_problem(kind, rng):
+    """A random symmetric or non-normal model, or ("pade") a near-defective
+    one whose eigenvector basis is too ill-conditioned for spectral
+    synthesis, so Propagator takes per-value Pade exponentials."""
+    if kind != "pade":
+        return random_problem(rng, n=6, symmetric=kind == "symmetric")
+    p = make_dense_model([[-1.0, 1.0, 0.0], [0.0, -1.0 - 1e-7, 1.0], [0.0, 0.0, -2.0]],
+                         [[0.3], [0.0], [1.0]])
+    assert np.linalg.cond(np.linalg.eig(p.A)[1]) > Propagator._COND_MAX
+    return p
+
+
+def stacked_disagreement(p, t):
+    ref = symmetrize(stacked_quadrature(p, t))
+    got = gramian_finite(p, t).matrix
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestQuadraturePanels:
+    """Carrying one panel by F = e^{DA} computes the stacked quadrature sum."""
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 5.0, 95.0])
+    @pytest.mark.parametrize("kind", ["symmetric", "non-normal", "pade"])
+    def test_agrees_with_stacked_sum(self, kind, t, rng):
+        p = quadrature_problem(kind, rng)
+        assert stacked_disagreement(p, t) <= 1e-10
+
+    def test_stiff_model(self):
+        # Criterion 1's model 43 at t=5, its worst (model, horizon) pair:
+        # ||A||_2 > 350 against a spectral radius below 3, so carrying the
+        # panel by powers of F meets the largest transient growth.
+        rng = np.random.default_rng(0x5EED + 1)
+        p = [random_problem(rng) for _ in range(44)][-1]
+        assert np.linalg.norm(p.A, 2) > 350.0 and panel_count(p, 5.0) > 1
+        assert stacked_disagreement(p, 5.0) <= 1e-10
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("kind", ["symmetric", "non-normal", "pade"])
+    def test_one_panel_bit_identical(self, kind, t, rng):
+        p = quadrature_problem(kind, rng)
+        assert panel_count(p, t) == 1
+        ref = symmetrize(stacked_quadrature(p, t))
+        assert np.array_equal(gramian_finite(p, t).matrix, ref)
+
+    def test_long_horizon_memory(self, rng):
+        # The stacked sum holds 3,040 propagators here, about 50 MB.
+        p = random_problem(rng, n=32)
+        assert panel_count(p, 95.0) == 95
+        tracemalloc.start()
+        try:
+            gramian_finite(p, 95.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestGramianFinite:

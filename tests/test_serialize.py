@@ -1,0 +1,46 @@
+import csv
+
+import numpy as np
+import pytest
+
+from minenergy.serialize import _write_rows, fmt
+
+SPECIAL = [0.0, -0.0, 5e-324, 1e-320, 1e16, 1e22, np.nan, np.inf, -np.inf]
+
+
+def csv_writer_rows(path, header, rows):
+    """One csv.writer row per array row, each cell rendered by fmt."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def assert_same_bytes(tmp_path, rows):
+    rows = np.asarray(rows)
+    header = ["r"] + [f"y_{j + 1}" for j in range(rows.shape[1] - 1)]
+    _write_rows(tmp_path / "got.csv", header, rows)
+    csv_writer_rows(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestWriteRows:
+    """The bulk writer emits exactly what csv.writer with fmt cells emits."""
+
+    @pytest.mark.parametrize("cols", [1, 33])
+    def test_random_floats(self, cols, rng, tmp_path):
+        rows = rng.standard_normal((50, cols)) * 10.0 ** rng.integers(-300, 300, (50, cols))
+        assert_same_bytes(tmp_path, rows)
+
+    def test_integer_array(self, tmp_path):
+        assert_same_bytes(tmp_path, np.arange(-12, 12).reshape(8, 3))
+
+    @pytest.mark.parametrize("cols", [1, 9])
+    def test_special_values(self, cols, tmp_path):
+        values = np.array(SPECIAL * cols).reshape(cols, -1).T
+        assert values.shape == (len(SPECIAL), cols)
+        assert_same_bytes(tmp_path, values)
+
+    def test_no_rows(self, tmp_path):
+        assert_same_bytes(tmp_path, np.empty((0, 3)))
