@@ -15,7 +15,13 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.polynomial import polypow
 
-from .errors import HorizonNotPositive, NotInH, NotStable, RankDeficient
+from .errors import (
+    BadParameterError,
+    HorizonNotPositive,
+    NotInH,
+    NotStable,
+    RankDeficient,
+)
 from .operators import (
     Propagator,
     PseudoInverse,
@@ -28,15 +34,43 @@ from .quadrature import legendre_panels
 #: truncation floor used when converting infinite time integrals to finite ones
 TAIL_EPS = 1e-12
 
+#: bound rho on ||hA||_2 that the RK4 route's step rule guarantees
+RK4_STEP_NORM = 1e-2
+
 #: RK4 steps evaluated per pair of matrix products by the matrix-ODE route
-RK4_BLOCK = 8
+RK4_BLOCK = 32
 
 #: stability polynomial R(z) of one classical RK4 step, lowest degree first
 RK4_STEP = np.array([1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0])
 
-#: binomial table binom(i + j, j) up to the degree of R^RK4_BLOCK
-_BINOM = np.array([[comb(i + j, j) for j in range(4 * RK4_BLOCK + 1)]
-                   for i in range(4 * RK4_BLOCK + 1)], dtype=float)
+#: dropped-tail bound of a truncated step polynomial: a hundredth of the
+#: unit roundoff 2^-53
+RK4_TAIL_TOL = 2.0 ** -53 / 100.0
+
+
+def _truncated_power(m):
+    """Leading coefficients of R^m, lowest degree first, whose dropped tail
+    is negligible.
+
+    ||hL|| <= 2 rho with rho = RK4_STEP_NORM, so ||(hL)^k Q|| <= (2 rho)^k ||Q||
+    and dropping c_k for k > K changes R^m(hL) Q by at most
+    sum_{k>K} |c_k| (2 rho)^k ||Q||; K is the smallest degree for which that
+    sum is below RK4_TAIL_TOL.  R has nonnegative coefficients, so R^m is
+    below R^RK4_BLOCK coefficientwise for m < RK4_BLOCK and keeps no more
+    coefficients.
+    """
+    c = polypow(RK4_STEP, m)
+    terms = np.abs(c) * (2.0 * RK4_STEP_NORM) ** np.arange(c.size)
+    tail = np.cumsum(terms[::-1])[::-1]        # tail[k] = sum_{j >= k} terms[j]
+    return c[:np.count_nonzero(tail >= RK4_TAIL_TOL)]
+
+
+#: R^RK4_BLOCK truncated by ``_truncated_power``: 18 of its 129 coefficients
+RK4_BLOCK_POLY = _truncated_power(RK4_BLOCK)
+
+#: binomial table binom(i + j, j) up to the degree of RK4_BLOCK_POLY
+_BINOM = np.array([[comb(i + j, j) for j in range(RK4_BLOCK_POLY.size)]
+                   for i in range(RK4_BLOCK_POLY.size)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -133,7 +167,9 @@ def _gramian_quadrature(p, t):
 def _lyapunov_poly(powers, c):
     """The map Q -> c(hL) Q for the polynomial with coefficients c (lowest
     degree first) in the Lyapunov operator hL Q = X Q + Q X*, given the
-    stack powers[i] = X^i, i <= deg c.
+    stack powers[i] = X^i, i <= deg c.  c is one of the RK4 route's
+    truncated step polynomials, so it has at most RK4_BLOCK_POLY.size
+    coefficients, the size of ``_BINOM``.
 
     Left and right products by X commute, so
     c(hL) Q = sum_j X^j Q S_j*  with  S_j = c^(j)(X) / j!
@@ -153,34 +189,37 @@ def _lyapunov_poly(powers, c):
 def _gramian_matrix_ode(p, t):
     """Integrate Q' = A Q + Q A* + B B*, Q(0) = 0, with classical RK4.
 
-    The step is h = t / ceil(t ||A||_2 / 1e-2).  With L Q = A Q + Q A*,
-    one step of this linear equation is Q <- R(hL) Q + h phi(hL) BB*,
-    where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and phi(z) = (R(z) - 1)/z.
-    So m = RK4_BLOCK steps are the increment
+    The step is h = t / ceil(t ||A||_2 / rho), rho = RK4_STEP_NORM.  With
+    L Q = A Q + Q A*, one step of this linear equation is
+    Q <- R(hL) Q + h phi(hL) BB*, where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+    and phi(z) = (R(z) - 1)/z.  So m = RK4_BLOCK steps are the increment
     Q <- Q + [(R^m - 1)(hL) Q + ((R^m - 1)/z)(hL) hBB*],
-    evaluated exactly (R^m is not truncated) with two matrix products per
-    block by ``_lyapunov_poly``; the steps left over by the blocks run
-    first, as one block from Q = 0.  The increment form matters: applying
-    R^m(hL) to Q directly drifts about 1e-9 relative from the step-by-step
-    iterate over 1e5 steps, while the increment stays within about 1e-11.
+    evaluated with two matrix products per block by ``_lyapunov_poly``,
+    with R^m cut after the degree at which its tail falls below a hundredth
+    of the unit roundoff (``_truncated_power``); the steps left over by the
+    blocks run first, as one block from Q = 0 cut by the same rule.  The
+    increment form matters: applying R^m(hL) to Q directly drifts about
+    1e-9 relative from the step-by-step iterate over 1e5 steps, while the
+    increment stays within about 1e-11.
     """
     a_norm = np.linalg.norm(p.A, 2)
-    h_max = 1e-2 / max(a_norm, 1e-12)
+    h_max = RK4_STEP_NORM / max(a_norm, 1e-12)
     steps = max(1, int(np.ceil(t / h_max)))
     h = t / steps
     blocks, rem = divmod(steps, RK4_BLOCK)
+    r_rem = _truncated_power(rem) if rem else None
     X = h * p.A
     powers = [np.eye(p.n)]
-    for _ in range(4 * min(steps, RK4_BLOCK)):
+    for _ in range((RK4_BLOCK_POLY if blocks else r_rem).size - 1):
         powers.append(powers[-1] @ X)
     powers = np.stack(powers)
     hBBt = h * p.BBt
     Q = np.zeros_like(p.A)
     if rem:
-        Q = _lyapunov_poly(powers, polypow(RK4_STEP, rem)[1:])(hBBt)
+        Q = _lyapunov_poly(powers, r_rem[1:])(hBBt)
     if blocks:
-        r = polypow(RK4_STEP, RK4_BLOCK)
-        drive = _lyapunov_poly(powers, r[1:])(hBBt)
+        drive = _lyapunov_poly(powers, RK4_BLOCK_POLY[1:])(hBBt)
+        r = RK4_BLOCK_POLY.copy()
         r[0] = 0.0
         step = _lyapunov_poly(powers, r)
         for _ in range(blocks):
@@ -201,10 +240,13 @@ def gramian_finite(p, t, method="quadrature"):
     nodes, so they can differ between numpy builds.  The guarantees that
     are checked are the 1e-8 relative agreement between the two routes
     and the 1e-10 relative residual of the Lyapunov equation at the
-    infinite-horizon Gramian.
+    infinite-horizon Gramian.  A non-finite horizon is refused: both
+    routes count panels or steps in proportion to t.
     """
     if not t > 0.0:
         raise HorizonNotPositive(f"horizon must be positive, got {t}")
+    if not np.isfinite(t):
+        raise BadParameterError(f"horizon must be finite, got {t}")
     if method == "quadrature":
         matrix = _gramian_quadrature(p, float(t))
     elif method == "matrix_ode":

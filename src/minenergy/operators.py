@@ -247,11 +247,15 @@ class Propagator:
                 self._spectral = False
 
     def at(self, ts):
-        """Stack of propagators e^{t A} for each t in ts, shape (T, n, n)."""
+        """Stack of propagators e^{t A} for each t in ts, shape (T, n, n).
+
+        The spectral path is one batched product (V diag(e^{t w})) V^-1;
+        each slice is the product a single-value call computes, bit for bit.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self._spectral:
             phases = np.exp(np.outer(ts, self._w))
-            out = np.einsum("ik,tk,kj->tij", self._v, phases, self._vinv)
+            out = (self._v * phases[:, None, :]) @ self._vinv
             return np.ascontiguousarray(out.real)
         return np.stack([sla.expm(t * self.A) for t in ts])
 

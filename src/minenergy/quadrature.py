@@ -17,6 +17,14 @@ from numpy.polynomial import legendre
 
 
 @lru_cache(maxsize=None)
+def _legendre_rule_cached(q):
+    x, w = legendre.leggauss(q)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=None)
 def _lobatto_rule_cached(q):
     if q < 2:
         raise ValueError("Lobatto rule needs at least 2 nodes")
@@ -71,7 +79,7 @@ def legendre_panels(t0, t1, max_width, nodes=32):
     if length <= 0:
         raise ValueError("empty integration interval")
     panels = max(1, int(np.ceil(length / max_width)))
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_rule_cached(int(nodes))
     edges = np.linspace(t0, t1, panels + 1)
     half = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[1:] + edges[:-1]) / 2.0

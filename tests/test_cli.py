@@ -235,6 +235,17 @@ class TestExitCodeContract:
         assert run("verify", "--model", model_file(DENSE_COERCIVE), "--comparison",
                    "--samples", samples, "--out", tmp_path) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["gramian"],
+        ["auxiliary", "--target", "1,0"],
+        ["synthesize", "--target", "1,0"],
+        ["verify", "--comparison"],
+        ["all"],
+    ], ids=lambda argv: argv[0])
+    def test_infinite_horizon_is_three(self, argv, model_file, tmp_path):
+        assert run(*argv, "--model", model_file(SPECTRAL), "--t", "inf",
+                   "--out", tmp_path) == 3
+
     def test_domain_is_six(self, tmp_path):
         assert run("landau", "--rho-minus", "1.5", "--out", tmp_path) == 6
 

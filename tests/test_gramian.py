@@ -2,11 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polypow
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from minenergy.errors import HorizonNotPositive, NotInH, RankDeficient
+from minenergy.errors import BadParameterError, HorizonNotPositive, NotInH, RankDeficient
 from minenergy.gramian import (
+    _BINOM,
+    RK4_BLOCK,
+    RK4_BLOCK_POLY,
+    RK4_STEP,
+    RK4_STEP_NORM,
+    _truncated_power,
     a0_operator,
     gramian_finite,
     gramian_infinite,
@@ -72,7 +79,7 @@ def loop_disagreement(p, t):
 class TestMatrixOdeBlocks:
     """The blocked RK4 route computes the step-by-step RK4 iterate."""
 
-    @pytest.mark.parametrize("steps", [1, 5, 8, 16, 19])
+    @pytest.mark.parametrize("steps", [1, 5, 8, 16, 19, 31, 32, 33, 64, 97])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_agrees_with_step_loop(self, steps, symmetric, rng):
         p = random_problem(rng, n=4, symmetric=symmetric)
@@ -81,14 +88,47 @@ class TestMatrixOdeBlocks:
         assert loop_disagreement(p, t) <= 1e-10
 
     def test_stiff_model_long_horizon(self):
-        # Criterion 1's model 43: 176,000 steps.  Applying R^8(hL) to Q
+        # Criterion 1's model 43: 176,157 steps.  Applying R^8(hL) to Q
         # directly instead of adding the block increment to Q drifts
         # 1.7e-9 from the loop here; the increment form stays near 1e-11.
         rng = np.random.default_rng(0x5EED + 1)
         p = [random_problem(rng) for _ in range(44)][-1]
         assert p.n == 5 and np.linalg.norm(p.A, 2) > 350.0
-        assert rk4_steps(p, 5.0) % 8 != 0
+        assert rk4_steps(p, 5.0) % RK4_BLOCK != 0
         assert loop_disagreement(p, 5.0) <= 1e-10
+
+
+class TestBlockTruncation:
+    """The block polynomial R^RK4_BLOCK keeps exactly the terms whose dropped
+    tail, bounded with ||hL|| <= 2 rho, is below a hundredth of the unit
+    roundoff."""
+
+    TOL = 2.0 ** -53 / 100.0
+
+    @staticmethod
+    def scaled_terms(c):
+        return np.abs(c) * (2.0 * RK4_STEP_NORM) ** np.arange(c.size)
+
+    def test_block_polynomial(self):
+        full = polypow(RK4_STEP, RK4_BLOCK)
+        k = RK4_BLOCK_POLY.size
+        assert k < full.size
+        assert np.array_equal(RK4_BLOCK_POLY, full[:k])
+        terms = self.scaled_terms(full)
+        assert terms[k:].sum() < self.TOL
+        assert terms[k - 1] >= self.TOL
+
+    def test_remainder_no_longer_than_block(self):
+        assert _truncated_power(1).size == RK4_STEP.size
+        for m in range(1, RK4_BLOCK):
+            full = polypow(RK4_STEP, m)
+            c = _truncated_power(m)
+            assert c.size <= RK4_BLOCK_POLY.size
+            assert np.array_equal(c, full[:c.size])
+            assert self.scaled_terms(full)[c.size:].sum() < self.TOL
+
+    def test_binomial_table_has_kept_length(self):
+        assert _BINOM.shape == (RK4_BLOCK_POLY.size, RK4_BLOCK_POLY.size)
 
 
 def stacked_quadrature(p, t):
@@ -181,6 +221,11 @@ class TestGramianFinite:
     def test_horizon_must_be_positive(self, scalar_problem):
         with pytest.raises(HorizonNotPositive):
             gramian_finite(scalar_problem, 0.0)
+
+    @pytest.mark.parametrize("method", ["quadrature", "matrix_ode"])
+    def test_horizon_must_be_finite(self, method, scalar_problem):
+        with pytest.raises(BadParameterError):
+            gramian_finite(scalar_problem, np.inf, method)
 
     def test_methods_agree(self, rng):
         for _ in range(3):
