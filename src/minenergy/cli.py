@@ -44,7 +44,7 @@ from .landau import (
     lg_value_check,
     synthesize_profile,
 )
-from .operators import expm, load_model
+from .operators import load_model
 from .riccati import (
     DEFAULT_SEED,
     SOLUTION_RESIDUAL_TOL,
@@ -220,7 +220,7 @@ def cmd_auxiliary(args):
     g = gramian_finite(problem, args.t)
     aux = value_auxiliary(problem, cost, args.t, x, gramian=g, hspace=h)
     v_fin = value_finite(problem, args.t, x, gramian=g)
-    remainder = x - expm(problem.A, args.t) @ aux.argmin_z
+    remainder = x - problem.propagator.at(args.t)[0] @ aux.argmin_z
     grid = default_grid(problem, -args.t, target_points=1024)
     u = steering_control_finite(problem, args.t, remainder, grid, gramian=g)
     reversal = time_reversal_check(problem, cost, aux.argmin_z, u, hspace=h)

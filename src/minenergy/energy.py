@@ -28,7 +28,7 @@ from .gramian import (
     h_space,
     reachable_membership,
 )
-from .operators import Propagator, expm, symmetrize
+from .operators import Propagator, symmetrize
 from .quadrature import PanelGrid, lobatto_prefix_weights, lobatto_rule, panel_grid
 
 
@@ -351,7 +351,7 @@ def value_auxiliary(p, N, t, x, gramian=None, hspace=None):
     if not np.all(h.contains(x, 1e-8)):
         raise NotReachableFromH("target is outside the reachability space")
     theta = h_basis(h)                       # reachable subspace is flow-invariant
-    e_tilde = theta.T @ expm(p.A, t) @ theta
+    e_tilde = theta.T @ p.propagator.at(t)[0] @ theta
     g_tilde = theta.T @ g.pinv.inverse_on_range @ theta
     s_tilde = theta.T @ N.form_matrix(h) @ theta
     x_tilde = theta.T @ x.T                  # one column per target

@@ -8,6 +8,7 @@ infinite-horizon Gramian.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -23,10 +24,10 @@ from .errors import (
     RankDeficient,
 )
 from .operators import (
-    Propagator,
     PseudoInverse,
     expm,
     pseudo_inverse,
+    read_only,
     symmetrize,
 )
 from .quadrature import legendre_panels
@@ -48,9 +49,10 @@ RK4_STEP = np.array([1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0])
 RK4_TAIL_TOL = 2.0 ** -53 / 100.0
 
 
+@lru_cache(maxsize=RK4_BLOCK)
 def _truncated_power(m):
     """Leading coefficients of R^m, lowest degree first, whose dropped tail
-    is negligible.
+    is negligible; memoized, as a read-only array.
 
     ||hL|| <= 2 rho with rho = RK4_STEP_NORM, so ||(hL)^k Q|| <= (2 rho)^k ||Q||
     and dropping c_k for k > K changes R^m(hL) Q by at most
@@ -62,7 +64,7 @@ def _truncated_power(m):
     c = polypow(RK4_STEP, m)
     terms = np.abs(c) * (2.0 * RK4_STEP_NORM) ** np.arange(c.size)
     tail = np.cumsum(terms[::-1])[::-1]        # tail[k] = sum_{j >= k} terms[j]
-    return c[:np.count_nonzero(tail >= RK4_TAIL_TOL)]
+    return read_only(c[:np.count_nonzero(tail >= RK4_TAIL_TOL)])
 
 
 #: R^RK4_BLOCK truncated by ``_truncated_power``: 18 of its 129 coefficients
@@ -75,12 +77,22 @@ _BINOM = np.array([[comb(i + j, j) for j in range(RK4_BLOCK_POLY.size)]
 
 @dataclass(frozen=True)
 class Gramian:
-    """Symmetric PSD controllability operator for one horizon."""
+    """Symmetric PSD controllability operator for one horizon.
+
+    The pseudoinverse, and the rank decided with it, are computed on first
+    access and kept.
+    """
 
     horizon: float
     matrix: np.ndarray
-    rank: int
-    pinv: PseudoInverse
+
+    @cached_property
+    def pinv(self):
+        return pseudo_inverse(self.matrix)
+
+    @cached_property
+    def rank(self):
+        return self.pinv.rank
 
 
 @dataclass(frozen=True)
@@ -89,7 +101,8 @@ class HSpace:
 
     sqrt_Q is the symmetric PSD square root and sqrt_pinv its
     pseudoinverse, both built from the eigendecomposition and rank
-    decision of the Gramian's own pseudoinverse.
+    decision of the Gramian's own pseudoinverse.  The full square, its
+    pseudoinverse and the rank test are computed on first access and kept.
     """
 
     sqrt_Q: np.ndarray
@@ -103,7 +116,7 @@ class HSpace:
     def rank(self):
         return self.sqrt_pinv.rank
 
-    @property
+    @cached_property
     def full_rank(self):
         return self.rank == self.dim
 
@@ -112,14 +125,14 @@ class HSpace:
         """Orthonormal basis of the unreachable subspace."""
         return self.sqrt_pinv.eigvecs[:, ~self.sqrt_pinv.keep]
 
-    @property
+    @cached_property
     def q_matrix(self):
-        return self.sqrt_Q @ self.sqrt_Q
+        return read_only(self.sqrt_Q @ self.sqrt_Q)
 
-    @property
+    @cached_property
     def q_pinv_matrix(self):
         s = self.sqrt_pinv.inverse_on_range
-        return s @ s
+        return read_only(s @ s)
 
     def contains(self, x, tol=1e-8):
         """Membership of x, or of each row of a (k, n) stack."""
@@ -135,9 +148,7 @@ class NullControllabilityReport(NamedTuple):
 
 
 def _as_gramian(matrix, horizon):
-    matrix = symmetrize(matrix)
-    pinv = pseudo_inverse(matrix)
-    return Gramian(horizon=float(horizon), matrix=matrix, rank=pinv.rank, pinv=pinv)
+    return Gramian(horizon=float(horizon), matrix=read_only(symmetrize(matrix)))
 
 
 def _gramian_quadrature(p, t):
@@ -156,7 +167,7 @@ def _gramian_quadrature(p, t):
     panels = max(1, int(np.ceil(t / width)))
     delta = t / panels
     pts, wts = legendre_panels(0.0, delta, delta)
-    props = Propagator(p.A).at(np.append(pts, delta))
+    props = p.propagator.at(np.append(pts, delta))
     X, F = props[:-1] @ p.B, props[-1]      # (32, n, m), (n, n)
     Q = q_panel = np.einsum("t,tim,tjm->ij", wts, X, X)
     for _ in range(panels - 1):
@@ -202,9 +213,12 @@ def _gramian_matrix_ode(p, t):
     1e-9 relative from the step-by-step iterate over 1e5 steps, while the
     increment stays within about 1e-11.
     """
-    a_norm = np.linalg.norm(p.A, 2)
-    h_max = RK4_STEP_NORM / max(a_norm, 1e-12)
-    steps = max(1, int(np.ceil(t / h_max)))
+    h_max = RK4_STEP_NORM / max(p.a_norm2, 1e-12)
+    ratio = t / h_max
+    if not np.isfinite(ratio):
+        raise BadParameterError(
+            f"horizon {t} needs more RK4 steps than a float can count")
+    steps = max(1, int(np.ceil(ratio)))
     h = t / steps
     blocks, rem = divmod(steps, RK4_BLOCK)
     r_rem = _truncated_power(rem) if rem else None
@@ -257,7 +271,12 @@ def gramian_finite(p, t, method="quadrature"):
 
 
 def gramian_infinite(p):
-    """Unique PSD solution of A Q + Q A* = -B B* for a stable model."""
+    """Unique PSD solution of A Q + Q A* = -B B* for a stable model,
+    solved once per model: every call on one model returns one object."""
+    return p.gramian_infinite
+
+
+def _solve_gramian_infinite(p):
     if p.spectral_abscissa >= 0.0:
         raise NotStable("infinite-horizon Gramian needs a stable model")
     Q = sla.solve_continuous_lyapunov(p.A, -p.BBt)
@@ -274,15 +293,20 @@ def lyapunov_residual(p, g):
 
 
 def h_space(p):
-    """Factor the infinite-horizon Gramian into its reachability space.
+    """Factor the infinite-horizon Gramian into its reachability space,
+    once per model: every call on one model returns one object.
 
     The square root reuses the eigendecomposition and the rank decision
     of the Gramian's pseudoinverse, so the space has the Gramian's rank.
     """
+    return p.h_space
+
+
+def _factor_h_space(p):
     pinv = gramian_infinite(p).pinv
     v, keep = pinv.eigvecs, pinv.keep
     sqrt_w = np.sqrt(np.clip(pinv.eigvals, 0.0, None))
-    return HSpace(sqrt_Q=symmetrize((v * sqrt_w) @ v.T),
+    return HSpace(sqrt_Q=read_only(symmetrize((v * sqrt_w) @ v.T)),
                   sqrt_pinv=PseudoInverse.from_eigh(sqrt_w, v, keep))
 
 
@@ -325,7 +349,7 @@ def null_controllability_check(p, t, tol=1e-8):
     if not t > 0.0:
         raise HorizonNotPositive(f"horizon must be positive, got {t}")
     g = gramian_finite(p, t)
-    flow = expm(p.A, t)
+    flow = p.propagator.at(t)[0]
     defect = np.linalg.norm(flow - g.pinv.range_projector @ flow, 2)
     holds = defect <= tol * np.linalg.norm(flow, 2)
     if p.coercive:
@@ -368,7 +392,7 @@ def semigroup_transpose_identity(p, h, s):
     a0s = a0_star_matrix(p, h)
     q = h.q_matrix
     lhs = expm(a0s, s) @ q
-    rhs = q @ expm(p.A.T, s)
+    rhs = q @ p.propagator.at(s)[0].T
     return float(np.linalg.norm(lhs - rhs, "fro"))
 
 

@@ -9,6 +9,7 @@ input-weight vectors, which the commuting-case machinery relies on.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -53,9 +54,21 @@ class SpectralModel:
     b_diag: np.ndarray
 
 
+def read_only(a):
+    """Mark an array read-only and return it."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class ControlProblem:
-    """State operator A, control operator B, and stability metadata."""
+    """State operator A, control operator B, and stability metadata.
+
+    A model is immutable: A and B are read-only, and every factorization
+    derived from them is computed on first use and kept on the model, so
+    the propagator, the spectral norm of A, BB*, the infinite-horizon
+    Gramian and the reachability space are computed once per model.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -69,9 +82,31 @@ class ControlProblem:
     coercive: bool = False
     spectral: SpectralModel | None = field(default=None, compare=False)
 
-    @property
+    @cached_property
     def BBt(self):
-        return self.B @ self.B.T
+        return read_only(self.B @ self.B.T)
+
+    @cached_property
+    def propagator(self):
+        """The Propagator of A, factored once."""
+        return Propagator(self.A)
+
+    @cached_property
+    def a_norm2(self):
+        """Spectral norm ||A||_2."""
+        return float(np.linalg.norm(self.A, 2))
+
+    @cached_property
+    def gramian_infinite(self):
+        """Infinite-horizon Gramian; see ``gramian.gramian_infinite``."""
+        from .gramian import _solve_gramian_infinite  # gramian imports this module
+        return _solve_gramian_infinite(self)
+
+    @cached_property
+    def h_space(self):
+        """Reachability space; see ``gramian.h_space``."""
+        from .gramian import _factor_h_space  # gramian imports this module
+        return _factor_h_space(self)
 
 
 @dataclass(frozen=True)
@@ -82,7 +117,7 @@ class PseudoInverse:
     decided on and ``keep`` marks the retained eigenpairs.
     ``inverse_on_range`` inverts on the retained subspace and annihilates
     the kernel; ``range_projector`` is the orthogonal projector onto the
-    retained subspace.
+    retained subspace.  All five arrays are read-only.
     """
 
     eigvals: np.ndarray
@@ -93,13 +128,14 @@ class PseudoInverse:
 
     @classmethod
     def from_eigh(cls, w, v, keep):
-        """Pseudoinverse of v diag(w) v* that inverts the pairs in ``keep``."""
+        """Pseudoinverse of v diag(w) v* that inverts the pairs in ``keep``;
+        marks w, v and keep read-only."""
         inv = np.zeros_like(w)
         inv[keep] = 1.0 / w[keep]
         return cls(
-            eigvals=w, eigvecs=v, keep=keep,
-            inverse_on_range=symmetrize((v * inv) @ v.T),
-            range_projector=symmetrize((v * keep.astype(float)) @ v.T),
+            eigvals=read_only(w), eigvecs=read_only(v), keep=read_only(keep),
+            inverse_on_range=read_only(symmetrize((v * inv) @ v.T)),
+            range_projector=read_only(symmetrize((v * keep.astype(float)) @ v.T)),
         )
 
     @property
@@ -151,11 +187,12 @@ def _commutation_flags(A, B):
 def make_dense_model(A, B):
     """Build a control problem from dense state and control operators.
 
-    Raises NotStable when some eigenvalue of A has nonnegative real part,
+    A and B are copied and the model keeps them read-only.  Raises
+    NotStable when some eigenvalue of A has nonnegative real part,
     NotDiagonalizable when A is numerically defective.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A = np.array(A, dtype=float)
+    B = np.array(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParseError(f"A must be square, got shape {A.shape}")
     if B.ndim == 1:
@@ -167,7 +204,7 @@ def make_dense_model(A, B):
     abscissa, omega, bound_m, radius = _stability_metadata(A)
     commuting, coercive = _commutation_flags(A, B)
     return ControlProblem(
-        A=A, B=B, n=A.shape[0], m=B.shape[1],
+        A=read_only(A), B=read_only(B), n=A.shape[0], m=B.shape[1],
         spectral_abscissa=abscissa, bound_M=bound_m, decay_omega=omega,
         spectral_radius=radius, commuting=commuting, coercive=coercive,
     )
@@ -205,27 +242,23 @@ def make_spectral_model(lambdas, b_diag):
 
 
 def expm(A, t):
-    """Matrix exponential e^{tA}.
-
-    Symmetric input goes through an eigendecomposition, which keeps the
-    result symmetric; anything else uses the scaling-and-squaring Pade
-    method.  t may be negative.
+    """Matrix exponential e^{tA} by the scaling-and-squaring Pade method;
+    t may be negative.  A model's own flow comes from its memoized
+    ``propagator`` instead.
     """
     A = np.asarray(A, dtype=float)
     t = float(t)
     if t == 0.0:
         return np.eye(A.shape[0])
-    if is_symmetric(A, 1e-12):
-        w, v = np.linalg.eigh(symmetrize(A))
-        return (v * np.exp(t * w)) @ v.T
     return sla.expm(t * A)
 
 
 class Propagator:
     """Batch evaluator of e^{tA} for many t on a fixed diagonalizable A.
 
-    Factors A once; falls back to per-value Pade exponentials when the
-    eigenvector basis is too ill-conditioned for spectral synthesis.
+    Factors A once, into read-only arrays; falls back to per-value Pade
+    exponentials when the eigenvector basis is too ill-conditioned for
+    spectral synthesis.
     """
 
     _COND_MAX = 1e6
@@ -245,6 +278,9 @@ class Propagator:
                 self._spectral = True
             else:
                 self._spectral = False
+        if self._spectral:
+            for a in (self._w, self._v, self._vinv):
+                read_only(a)
 
     def at(self, ts):
         """Stack of propagators e^{t A} for each t in ts, shape (T, n, n).

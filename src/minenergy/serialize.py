@@ -49,11 +49,13 @@ def model_hash(problem):
 def _write_rows(path, header, rows):
     """Header through csv.writer, body in bulk.  csv.writer never quotes a
     float repr, so comma-joined fmt cells ending in CRLF are the bytes it
-    would write."""
-    body = np.asarray(rows, dtype=float).tolist()
+    would write.  Rows become Python floats one at a time, so the body is
+    never held as one list of lists."""
+    body = np.asarray(rows, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in body)
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in map(np.ndarray.tolist, body))
 
 
 def matrix_csv(path, matrix):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.polynomial.polynomial import polypow
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -130,6 +131,13 @@ class TestBlockTruncation:
     def test_binomial_table_has_kept_length(self):
         assert _BINOM.shape == (RK4_BLOCK_POLY.size, RK4_BLOCK_POLY.size)
 
+    def test_powers_memoized_read_only(self):
+        for m in (1, 7, RK4_BLOCK):
+            c = _truncated_power(m)
+            assert c is _truncated_power(m)
+            with pytest.raises(ValueError):
+                c[0] = 2.0
+
 
 def stacked_quadrature(p, t):
     """The quadrature as one stacked sum over every node's propagator."""
@@ -227,6 +235,11 @@ class TestGramianFinite:
         with pytest.raises(BadParameterError):
             gramian_finite(scalar_problem, np.inf, method)
 
+    def test_step_count_overflow_refused(self, scalar_problem):
+        # 1e308 / h_max is not a finite float, so no step count exists
+        with pytest.raises(BadParameterError):
+            gramian_finite(scalar_problem, 1e308, "matrix_ode")
+
     def test_methods_agree(self, rng):
         for _ in range(3):
             p = random_problem(rng, n=6)
@@ -284,6 +297,78 @@ class TestGramianInfinite:
         for _ in range(10):
             p = random_problem(rng)
             assert lyapunov_residual(p, gramian_infinite(p)) <= 1e-10
+
+
+class TestModelMemo:
+    """A model factors itself once: its infinite-horizon Gramian, its
+    reachability space and its propagator are kept on the model object."""
+
+    def test_one_object_per_model(self, rng):
+        p = random_problem(rng, n=4)
+        assert gramian_infinite(p) is gramian_infinite(p)
+        assert h_space(p) is h_space(p)
+        assert p.propagator is p.propagator
+        assert h_space(random_problem(rng, n=4)) is not h_space(p)
+
+    def test_one_lyapunov_solve_across_horizons(self, rng, monkeypatch):
+        solve, calls = sla.solve_continuous_lyapunov, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "solve_continuous_lyapunov", counted)
+        p = random_problem(rng, n=4)
+        for t in (0.1, 1.0, 5.0):
+            assert lyapunov_residual(p, gramian_infinite(p)) <= 1e-10
+            assert h_space(p).full_rank
+            gramian_finite(p, t, "quadrature")
+            gramian_finite(p, t, "matrix_ode")
+        assert len(calls) == 1
+
+    def test_pinv_computed_on_first_access(self, spectral_problem):
+        g = gramian_finite(spectral_problem, 1.0)
+        assert g.matrix.shape == (2, 2)
+        assert "pinv" not in vars(g) and "rank" not in vars(g)
+        assert g.rank == 2
+        assert "pinv" in vars(g)
+        assert g.pinv is g.pinv
+
+    def test_memoized_arrays_read_only(self, rng):
+        p = random_problem(rng, n=3, input_rank=2)
+        q_inf, g, h = gramian_infinite(p), gramian_finite(p, 1.0), h_space(p)
+        arrays = [p.A, p.B, p.BBt, q_inf.matrix, g.matrix, h.sqrt_Q,
+                  h.q_matrix, h.q_pinv_matrix]
+        for pinv in (q_inf.pinv, g.pinv, h.sqrt_pinv):
+            arrays += [pinv.eigvals, pinv.eigvecs, pinv.keep,
+                       pinv.inverse_on_range, pinv.range_projector]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_memo_bit_equal_to_fresh_model(self, rng, symmetric):
+        p = random_problem(rng, n=5, symmetric=symmetric)
+        for t in (0.5, 2.0):                        # fill every memo first
+            h_space(p)
+            gramian_finite(p, t, "matrix_ode")
+            null_controllability_check(p, t)
+        fresh = make_dense_model(p.A, p.B)
+        for t in (0.5, 2.0):
+            for method in ("quadrature", "matrix_ode"):
+                a, b = gramian_finite(p, t, method), gramian_finite(fresh, t, method)
+                assert np.array_equal(a.matrix, b.matrix)
+                assert np.array_equal(a.pinv.inverse_on_range,
+                                      b.pinv.inverse_on_range)
+        assert np.array_equal(gramian_infinite(p).matrix, gramian_infinite(fresh).matrix)
+        assert np.array_equal(gramian_infinite(p).pinv.inverse_on_range,
+                              pseudo_inverse(gramian_infinite(fresh).matrix).inverse_on_range)
+        for name in ("sqrt_Q", "q_matrix", "q_pinv_matrix"):
+            assert np.array_equal(getattr(h_space(p), name), getattr(h_space(fresh), name))
+        ts = [0.0, 0.5, 2.0]
+        assert np.array_equal(p.propagator.at(ts), Propagator(fresh.A).at(ts))
+        assert np.array_equal(p.BBt, fresh.B @ fresh.B.T)
+        assert p.a_norm2 == np.linalg.norm(fresh.A, 2)
 
 
 class TestHSpace:

@@ -42,6 +42,16 @@ class TestMakeDenseModel:
         with pytest.raises(NotStable):
             make_dense_model([[0.0]], [[1.0]])
 
+    def test_operators_copied_read_only(self):
+        A = np.array([[-1.0, 0.3], [0.0, -2.0]])
+        B = np.array([1.0, 0.5])
+        p = make_dense_model(A, B)
+        A[0, 0], B[0] = -5.0, 7.0          # the caller's arrays stay writable
+        assert p.A[0, 0] == -1.0 and p.B[0, 0] == 1.0
+        for a in (p.A, p.B):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
     def test_unstable_rejected(self):
         with pytest.raises(NotStable):
             make_dense_model(np.diag([-1.0, 0.5]), np.eye(2))
