@@ -7,6 +7,7 @@ hash, and the seed, and are byte-identical across runs of one config.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -275,7 +276,10 @@ def cmd_all(args):
     return status
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing does not
+    change it, and each ``parse_args`` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="minenergy",
         description="Minimum-energy steering experiments and certificates",

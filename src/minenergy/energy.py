@@ -28,7 +28,7 @@ from .gramian import (
     h_space,
     reachable_membership,
 )
-from .operators import Propagator, symmetrize
+from .operators import Propagator, read_only, symmetrize
 from .quadrature import PanelGrid, lobatto_prefix_weights, lobatto_rule, panel_grid
 
 
@@ -173,7 +173,7 @@ def optimal_control_infinite(p, x, grid, hspace=None):
     h = hspace if hspace is not None else h_space(p)
     q = _range_coordinates(h, x)
     pts, wts, nodes = _grid_arrays(grid)
-    rows = Propagator(p.A.T).apply(-pts, q)
+    rows = p.adjoint_propagator.apply(-pts, q)
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
 
@@ -183,7 +183,7 @@ def optimal_trajectory_infinite(p, x, grid, hspace=None):
     h = hspace if hspace is not None else h_space(p)
     q = _range_coordinates(h, x)
     pts, _, _ = _grid_arrays(grid)
-    rows = Propagator(p.A.T).apply(-pts, q)
+    rows = p.adjoint_propagator.apply(-pts, q)
     return Trajectory(grid=pts, states=rows @ h.q_matrix)
 
 
@@ -196,7 +196,7 @@ def steering_control_finite(p, t, x, grid, gramian=None):
         raise NotReachable("target is outside the reachable set for this horizon")
     q = g.pinv.apply(x)
     pts, wts, nodes = _grid_arrays(grid)
-    rows = Propagator(p.A.T).apply(-pts, q)
+    rows = p.adjoint_propagator.apply(-pts, q)
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
 
@@ -206,7 +206,7 @@ def energy_of(u):
     return 0.5 * float(u.quad_weights @ np.sum(u.values ** 2, axis=1))
 
 
-def _simulate_panels(A, B, z, u):
+def _simulate_panels(prop, B, z, u):
     """Mild solution on a uniform Gauss-Lobatto panel grid.
 
     Within each panel the control is represented by its nodal interpolant
@@ -223,8 +223,7 @@ def _simulate_panels(A, B, z, u):
 
     # reference propagators for intra-panel offsets, reused by every panel
     offs = (x_ref[:, None] - x_ref[None, :]) * (width / 2.0)
-    prop = Propagator(A)
-    e_pair = prop.at(offs.ravel()).reshape(q, q, *A.shape)
+    e_pair = prop.at(offs.ravel()).reshape(q, q, prop.n, prop.n)
     e_from_start = e_pair[:, 0]
     ewb = w_pref[:, :, None, None] * (e_pair @ B)        # (q, q, n, m)
     n, m = B.shape
@@ -246,16 +245,15 @@ def _simulate_panels(A, B, z, u):
     return states
 
 
-def _simulate_generic(A, B, z, u):
+def _simulate_generic(prop, B, z, u):
     """Fallback mild-solution integrator for arbitrary grids: interval-wise
     Simpson rule with linear interpolation of the control."""
     pts = u.grid
     hs = np.diff(pts)
-    prop = Propagator(A)
     e_full = prop.at(hs)
     e_half = prop.at(hs / 2.0)
     bu = u.values @ B.T
-    states = np.empty((pts.size, A.shape[0]))
+    states = np.empty((pts.size, prop.n))
     y = np.asarray(z, dtype=float)
     states[0] = y
     for k, h in enumerate(hs):
@@ -273,7 +271,9 @@ def _locate(pts, value, what):
     return idx
 
 
-def _simulate_core(A, B, z, u, s, t):
+def _simulate_core(prop, B, z, u, s, t):
+    """Mild solution of y' = Ay + Bu on [s, t], with prop the Propagator
+    of A."""
     pts = u.grid
     if pts[0] > s + 1e-9 or pts[-1] < t - 1e-9:
         raise GridMismatch("control grid does not cover the requested window")
@@ -289,16 +289,16 @@ def _simulate_core(A, B, z, u, s, t):
                  and (pts.size - 1) % (q - 1) == 0 and pts.size > 1)
     window = _Window(grid=pts, values=values, panel_nodes=q if on_panels else None)
     if on_panels:
-        states = _simulate_panels(A, B, z, window)
+        states = _simulate_panels(prop, B, z, window)
     else:
-        states = _simulate_generic(A, B, z, window)
+        states = _simulate_generic(prop, B, z, window)
     return Trajectory(grid=pts, states=states)
 
 
 def simulate_mild(p, z, u, s, t):
     """Evaluate the variation-of-constants state path from z at time s
     under the sampled control u, up to time t."""
-    return _simulate_core(p.A, p.B, np.asarray(z, dtype=float), u, s, t)
+    return _simulate_core(p.propagator, p.B, np.asarray(z, dtype=float), u, s, t)
 
 
 def feedback_residual(p, traj, u, hspace=None):
@@ -331,6 +331,52 @@ def bcle_residual(p, traj, hspace=None):
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
+class AuxiliaryFlow(NamedTuple):
+    """The part of the auxiliary problem that no penalty enters, for one
+    model, horizon, Gramian and target stack, in the coordinates of the
+    orthonormal reachability basis theta (the subspace is flow-invariant):
+    the reduced flow E = theta* e^{tA} theta, the reduced inverse Gramian
+    G = theta* Q_t^{-1} theta, the reduced targets X = theta* x* (one
+    column per target), and E*GE and E*GX.  Every array is read-only."""
+
+    theta: np.ndarray
+    e_tilde: np.ndarray
+    g_tilde: np.ndarray
+    x_tilde: np.ndarray
+    etge: np.ndarray
+    etgx: np.ndarray
+
+
+def auxiliary_flow(p, t, x, gramian, hspace):
+    """The penalty-free stage of ``value_auxiliary`` for the target x, of
+    shape (n,), or the (k, n) stack x.  Raises NotReachableFromH when a
+    target is outside the reachability space."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(hspace.contains(x, 1e-8)):
+        raise NotReachableFromH("target is outside the reachability space")
+    theta = h_basis(hspace)
+    e_tilde = theta.T @ p.propagator.at(t)[0] @ theta
+    g_tilde = theta.T @ gramian.pinv.inverse_on_range @ theta
+    x_tilde = theta.T @ x.T
+    etg = e_tilde.T @ g_tilde
+    return AuxiliaryFlow(*(read_only(a) for a in (
+        theta, e_tilde, g_tilde, x_tilde, etg @ e_tilde, etg @ x_tilde)))
+
+
+def auxiliary_minimum(flow, form):
+    """The penalized stage of ``value_auxiliary``: minimize over z in the
+    reachability space by one symmetric positive-definite solve, with
+    ``form`` the ambient penalty matrix S of ``AuxiliaryCost.form_matrix``."""
+    s_tilde = flow.theta.T @ form @ flow.theta
+    lhs = symmetrize(flow.etge + s_tilde)
+    c = sla.solve(lhs, flow.etgx, assume_a="pos")
+    mismatch = flow.x_tilde - flow.e_tilde @ c
+    value = 0.5 * np.sum(mismatch * (flow.g_tilde @ mismatch) + c * (s_tilde @ c),
+                         axis=0)
+    return AuxiliaryValue(value=value if flow.x_tilde.ndim > 1 else float(value),
+                          argmin_z=(flow.theta @ c).T)
+
+
 def value_auxiliary(p, N, t, x, gramian=None, hspace=None):
     """Minimum of the steering energy plus a quadratic penalty on the
     free initial state.
@@ -344,24 +390,13 @@ def value_auxiliary(p, N, t, x, gramian=None, hspace=None):
     stack shares the flow, the reduced matrices and one Cholesky
     factorization; its value is a length-k array and its ``argmin_z`` is
     (k, n), and it raises if any row is outside the reachability space.
+    The work runs in two stages, ``auxiliary_flow`` (no penalty enters)
+    and ``auxiliary_minimum``, so that callers with many penalties and
+    one target stack can share the first.
     """
-    x = np.asarray(x, dtype=float)
     h = hspace if hspace is not None else h_space(p)
     g = gramian if gramian is not None else gramian_finite(p, t)
-    if not np.all(h.contains(x, 1e-8)):
-        raise NotReachableFromH("target is outside the reachability space")
-    theta = h_basis(h)                       # reachable subspace is flow-invariant
-    e_tilde = theta.T @ p.propagator.at(t)[0] @ theta
-    g_tilde = theta.T @ g.pinv.inverse_on_range @ theta
-    s_tilde = theta.T @ N.form_matrix(h) @ theta
-    x_tilde = theta.T @ x.T                  # one column per target
-    lhs = symmetrize(e_tilde.T @ g_tilde @ e_tilde + s_tilde)
-    rhs = e_tilde.T @ g_tilde @ x_tilde
-    c = sla.solve(lhs, rhs, assume_a="pos")
-    mismatch = x_tilde - e_tilde @ c
-    value = 0.5 * np.sum(mismatch * (g_tilde @ mismatch) + c * (s_tilde @ c), axis=0)
-    return AuxiliaryValue(value=value if x.ndim > 1 else float(value),
-                          argmin_z=(theta @ c).T)
+    return auxiliary_minimum(auxiliary_flow(p, t, x, g, h), N.form_matrix(h))
 
 
 def _reverse_signal(u):
@@ -391,7 +426,7 @@ def time_reversal_check(p, N, z, u, hspace=None):
     cost_fwd = 0.5 * N.quad(h, z) + energy_of(u)
 
     v = _reverse_signal(u)
-    reverse = _simulate_core(-p.A, p.B, x, v, 0.0, t)
+    reverse = _simulate_core(Propagator(-p.A), p.B, x, v, 0.0, t)
     w_end = reverse.states[-1]
     cost_rev = 0.5 * N.quad(h, w_end) + energy_of(v)
     return float(abs(cost_fwd - cost_rev) + np.linalg.norm(w_end - z))

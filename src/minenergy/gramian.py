@@ -80,7 +80,9 @@ class Gramian:
     """Symmetric PSD controllability operator for one horizon.
 
     The pseudoinverse, and the rank decided with it, are computed on first
-    access and kept.
+    access and kept.  ``comparison_stages`` keeps the candidate-independent
+    stages of ``riccati.comparison_check`` for this Gramian, so they live
+    exactly as long as it does.
     """
 
     horizon: float
@@ -93,6 +95,10 @@ class Gramian:
     @cached_property
     def rank(self):
         return self.pinv.rank
+
+    @cached_property
+    def comparison_stages(self):
+        return {}
 
 
 @dataclass(frozen=True)

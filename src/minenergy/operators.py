@@ -66,8 +66,9 @@ class ControlProblem:
 
     A model is immutable: A and B are read-only, and every factorization
     derived from them is computed on first use and kept on the model, so
-    the propagator, the spectral norm of A, BB*, the infinite-horizon
-    Gramian and the reachability space are computed once per model.
+    the propagators of A and A*, the spectral norm of A, BB*, the
+    infinite-horizon Gramian and the reachability space are computed once
+    per model.
     """
 
     A: np.ndarray
@@ -90,6 +91,11 @@ class ControlProblem:
     def propagator(self):
         """The Propagator of A, factored once."""
         return Propagator(self.A)
+
+    @cached_property
+    def adjoint_propagator(self):
+        """The Propagator of A*, factored once."""
+        return Propagator(self.A.T)
 
     @cached_property
     def a_norm2(self):

@@ -12,10 +12,18 @@ coercive BB*, the solution set is exactly the orthogonal projections
 
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
-from .energy import AuxiliaryCost, value_auxiliary, value_finite
+from .energy import (
+    AuxiliaryCost,
+    AuxiliaryFlow,
+    auxiliary_flow,
+    auxiliary_minimum,
+    value_finite,
+)
 from .errors import (
     BadParameterError,
     NotCoercive,
@@ -27,8 +35,8 @@ from .errors import (
     TooManySolutions,
     WrongForm,
 )
-from .gramian import gramian_finite, h_space
-from .operators import is_symmetric, symmetrize
+from .gramian import HSpace, gramian_finite, h_space
+from .operators import ControlProblem, is_symmetric, read_only, symmetrize
 
 DEFAULT_SEED = 0x5EED
 
@@ -205,6 +213,38 @@ def maximality_check(h, P):
     return float(np.linalg.eigvalsh(symmetrize(gap)).min())
 
 
+class ComparisonStage(NamedTuple):
+    """The candidate-independent part of ``comparison_check`` for one
+    model, reachability space, Gramian, horizon, sample count and seed:
+    the seeded sample stack, the penalty-free stage of the auxiliary
+    problem on it and the finite-horizon values V(t, x).  The arrays are
+    read-only.  The stage holds its model and space, so the identities
+    that key it stay theirs while it exists."""
+
+    model: ControlProblem
+    space: HSpace
+    samples: np.ndarray
+    flow: AuxiliaryFlow
+    v_finite: np.ndarray
+
+
+def _comparison_stage(p, h, g, t, samples, seed):
+    """The comparison stage, built once per key and kept on the Gramian g.
+    Any other seed that ``default_rng`` takes (None, a Generator) may draw
+    differently on each call, so its stage is not kept."""
+    key = ((id(p), id(h), float(t), int(samples), int(seed))
+           if isinstance(seed, Integral) else None)
+    stage = g.comparison_stages.get(key)
+    if stage is None:
+        xs = read_only(np.random.default_rng(seed).standard_normal((samples, p.n)))
+        flow = auxiliary_flow(p, t, xs, g, h)
+        v_fin = read_only(value_finite(p, t, xs, gramian=g))
+        stage = ComparisonStage(p, h, xs, flow, v_fin)
+        if key is not None:
+            g.comparison_stages[key] = stage
+    return stage
+
+
 def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
                      gramian=None):
     """Sampled certificate of the comparison chain
@@ -214,6 +254,12 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     no controllability waiting time) and at least one sample.  The
     returned report carries the worst sampled margin of the left
     inequality.
+
+    The samples, their membership checks, V(t, x) and the penalty-free
+    stage of V^P are the same for every candidate; they are computed once
+    per (model, space, Gramian, horizon, samples, seed) and kept on the
+    Gramian, so a caller that passes one ``gramian`` for many candidates
+    pays only for each candidate's penalty and solve.
     """
     _require_form(P, "H_form")
     if samples < 1:
@@ -222,12 +268,12 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
         raise NotCoercive("comparison certificate needs a coercive BB*")
     h = hspace if hspace is not None else _full_rank_h(p)
     g = gramian if gramian is not None else gramian_finite(p, t)
-    cost = AuxiliaryCost(P.matrix)
-    xs = np.random.default_rng(seed).standard_normal((samples, p.n))
-    lhs = 0.5 * np.sum((xs @ cost.form_matrix(h)) * xs, axis=1)
-    v_aux = value_auxiliary(p, cost, t, xs, gramian=g, hspace=h).value
-    v_fin = value_finite(p, t, xs, gramian=g)
-    margin = min(np.min(v_aux - lhs), np.min(v_fin - v_aux))
+    stage = _comparison_stage(p, h, g, t, samples, seed)
+    xs = stage.samples
+    form = AuxiliaryCost(P.matrix).form_matrix(h)
+    lhs = 0.5 * np.sum((xs @ form) * xs, axis=1)
+    v_aux = auxiliary_minimum(stage.flow, form).value
+    margin = min(np.min(v_aux - lhs), np.min(stage.v_finite - v_aux))
     residual = are_residual_H(p, h, P)
     return SolutionReport(
         residual_norm=residual,

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from minenergy.cli import main
-from minenergy.gramian import gramian_finite
-from minenergy.operators import load_model
+from minenergy import riccati
+from minenergy.cli import build_parser, main
+from minenergy.gramian import gramian_finite, t_max
+from minenergy.operators import Propagator, load_model
 from minenergy.serialize import fmt
 
 SCALAR = {"type": "dense", "A": [[-1.0]], "B": [[1.0]]}
@@ -109,6 +110,37 @@ class TestVerifyCommand:
             assert entry["comparison_margin"] >= -1e-8
 
 
+class TestComparisonWorkCounts:
+    def test_one_draw_and_two_propagators_per_model(self, model_file, tmp_path,
+                                                    monkeypatch):
+        # the samples, V(t, x) and the reduced flow are shared by all 256
+        # candidates: one draw, one value_finite, and two propagator calls
+        # (the Gramian's quadrature and e^{tA})
+        counts = {"default_rng": 0, "Propagator.at": 0, "value_finite": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            counted("default_rng", np.random.default_rng))
+        monkeypatch.setattr(Propagator, "at", counted("Propagator.at", Propagator.at))
+        monkeypatch.setattr(riccati, "value_finite",
+                            counted("value_finite", riccati.value_finite))
+        doc = {"type": "spectral",
+               "lambdas": [-0.3, -0.55, -0.8, -1.2, -1.6, -2.1, -2.7, -3.4],
+               "b_diag": [0.6, 1.3, 0.9, 1.7, 1.1, 0.8, 1.5, 1.2]}
+        assert run("verify", "--model", model_file(doc), "--comparison",
+                   "--t", "2", "--out", tmp_path) == 0
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert len(cert["solutions"]) == 256
+        assert counts["default_rng"] == 1
+        assert counts["value_finite"] == 1
+        assert counts["Propagator.at"] <= 2
+
+
 class TestSynthesizeCommand:
     def test_scalar_report(self, model_file, tmp_path):
         out = tmp_path / "out"
@@ -134,6 +166,21 @@ class TestSynthesizeCommand:
         assert code == 5
         report = json.loads((tmp_path / "synthesis_report.json").read_text())
         assert report["V_inf"] == "+inf"
+
+
+class TestParserReuse:
+    def test_options_do_not_leak_between_calls(self, model_file, tmp_path):
+        assert build_parser() is build_parser()
+        path = model_file(SCALAR)
+        out = tmp_path / "out"
+        assert run("synthesize", "--model", path, "--target", "1", "--t", "3",
+                   "--seed", "7", "--out", out) == 0
+        report = json.loads((out / "synthesis_report.json").read_text())
+        assert report["t"] == 3.0 and report["seed"] == 7
+        assert run("synthesize", "--model", path, "--target", "1", "--out", out) == 0
+        report = json.loads((out / "synthesis_report.json").read_text())
+        assert report["t"] == t_max(load_model(path), 1.0)
+        assert report["seed"] == riccati.DEFAULT_SEED
 
 
 class TestLandauCommand:

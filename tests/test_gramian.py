@@ -367,6 +367,8 @@ class TestModelMemo:
             assert np.array_equal(getattr(h_space(p), name), getattr(h_space(fresh), name))
         ts = [0.0, 0.5, 2.0]
         assert np.array_equal(p.propagator.at(ts), Propagator(fresh.A).at(ts))
+        assert p.adjoint_propagator is p.adjoint_propagator
+        assert np.array_equal(p.adjoint_propagator.at(ts), Propagator(fresh.A.T).at(ts))
         assert np.array_equal(p.BBt, fresh.B @ fresh.B.T)
         assert p.a_norm2 == np.linalg.norm(fresh.A, 2)
 

@@ -9,15 +9,18 @@ from minenergy.errors import (
     BadParameterError,
     NotCoercive,
     NotCommutingModel,
+    NotReachable,
+    NotReachableFromH,
     NotSpectral,
     OutOfRange,
     RankDeficient,
     TooManySolutions,
     WrongForm,
 )
-from minenergy.gramian import gramian_finite, h_space
+from minenergy.gramian import Gramian, HSpace, gramian_finite, h_space
 from minenergy.operators import make_dense_model, make_spectral_model
 from minenergy.riccati import (
+    DEFAULT_SEED,
     CandidateSolution,
     are_residual_H,
     are_residual_X,
@@ -293,6 +296,96 @@ class TestComparison:
                 v_fin = value_finite(p, 2.0, x, gramian=g)
                 margin = min(margin, v_aux - 0.5 * float(x @ form @ x), v_fin - v_aux)
             assert abs(rep.comparison_margin - margin) <= 1e-9
+
+
+EIGHT_WEIGHTS = [0.6, 1.3, 0.9, 1.7, 1.1, 0.8, 1.5, 1.2]
+EIGHT_DISTINCT = [-0.3, -0.55, -0.8, -1.2, -1.6, -2.1, -2.7, -3.4]
+EIGHT_REPEATED_PAIR = [-0.3, -0.55, -0.8, -1.2, -1.2, -2.1, -2.7, -3.4]
+
+
+class TestComparisonStage:
+    """The candidate-independent stage of comparison_check is kept on the
+    Gramian; it must give what a fresh Gramian gives, and only for its own
+    model, space, horizon, sample count and seed."""
+
+    @pytest.mark.parametrize("lambdas, count", [(EIGHT_DISTINCT, 256),
+                                                (EIGHT_REPEATED_PAIR, 262)])
+    def test_every_candidate_bit_equal_to_fresh_gramian(self, lambdas, count):
+        p = make_spectral_model(lambdas, EIGHT_WEIGHTS)
+        h = h_space(p)
+        g = gramian_finite(p, 2.0)
+        cands = enumerate_commuting_solutions(p)
+        assert len(cands) == count
+        for cand in cands:
+            rep = comparison_check(p, cand, 2.0, hspace=h, gramian=g)
+            fresh = comparison_check(p, cand, 2.0, hspace=h,
+                                     gramian=gramian_finite(p, 2.0))
+            assert rep == fresh
+        assert len(g.comparison_stages) == 1
+
+    def test_changed_key_never_reuses_stage(self):
+        p = make_spectral_model(EIGHT_DISTINCT, EIGHT_WEIGHTS)
+        h = h_space(p)
+        g = gramian_finite(p, 2.0)
+        # not a solution, so that its margins are far from rounding level
+        cand = CandidateSolution("H_form", np.diag(np.linspace(0.2, 0.9, p.n)))
+
+        def margin(model, t, hspace, gramian, **kw):
+            """Margin with the given Gramian; it must equal the margin with
+            a fresh copy of that Gramian, which holds no stage."""
+            rep = comparison_check(model, cand, t, hspace=hspace, gramian=gramian, **kw)
+            fresh = Gramian(horizon=gramian.horizon, matrix=gramian.matrix)
+            assert rep == comparison_check(model, cand, t, hspace=hspace,
+                                           gramian=fresh, **kw)
+            return rep.comparison_margin
+
+        base = margin(p, 2.0, h, g)
+        for kw in ({"seed": 7}, {"samples": 20}, {"samples": 20, "seed": 7}):
+            margin(p, 2.0, h, g, **kw)
+        assert len(g.comparison_stages) == 4
+        for (_, _, t, samples, seed), stage in g.comparison_stages.items():
+            assert t == 2.0
+            assert np.array_equal(stage.samples, np.random.default_rng(
+                seed).standard_normal((samples, p.n)))
+        # another Gramian keeps its own stages
+        g1 = gramian_finite(p, 1.0)
+        at_one = margin(p, 1.0, h, g1)
+        assert len(g.comparison_stages) == 4 and len(g1.comparison_stages) == 1
+        # one Gramian at another horizon, with another model or another space
+        assert margin(p, 1.0, h, g) not in (base, at_one)
+        other = make_spectral_model([2.0 * lam for lam in EIGHT_DISTINCT], EIGHT_WEIGHTS)
+        assert margin(other, 2.0, h, g) != base
+        h_copy = HSpace(sqrt_Q=h.sqrt_Q, sqrt_pinv=h.sqrt_pinv)
+        assert margin(p, 2.0, h_copy, g) == base
+        assert len(g.comparison_stages) == 7
+        assert any(stage.space is h_copy for stage in g.comparison_stages.values())
+        # a seed of fresh entropy draws anew on every call, so nothing is kept
+        comparison_check(p, cand, 2.0, seed=None, hspace=h, gramian=g)
+        assert len(g.comparison_stages) == 7
+
+    def test_unreachable_samples_still_raise(self):
+        p = make_spectral_model([-1.0, -2.0], [1.0, 1.0])
+        deficient = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
+        cand = CandidateSolution("H_form", np.eye(2))
+        g = gramian_finite(p, 1.0)
+        for _ in range(2):                      # a failed stage is not kept
+            with pytest.raises(NotReachableFromH):
+                comparison_check(p, cand, 1.0, hspace=h_space(deficient), gramian=g)
+            with pytest.raises(NotReachable):
+                comparison_check(p, cand, 1.0, hspace=h_space(p),
+                                 gramian=gramian_finite(deficient, 1.0))
+        assert not g.comparison_stages
+
+    def test_shared_arrays_read_only(self):
+        p = make_spectral_model(EIGHT_REPEATED_PAIR, EIGHT_WEIGHTS)
+        g = gramian_finite(p, 2.0)
+        comparison_check(p, CandidateSolution("H_form", np.eye(p.n)), 2.0,
+                         seed=DEFAULT_SEED, gramian=g)
+        (stage,) = g.comparison_stages.values()
+        assert stage.model is p and stage.space is h_space(p)
+        for a in (stage.samples, stage.v_finite, *stage.flow):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
 
 
 class TestDifferentialResidual:
