@@ -100,8 +100,6 @@ def cmd_gramian(args):
     q_inf = gramian_infinite(problem)
     matrix_csv(out / "gramian_inf.csv", q_inf.matrix)
     if args.t is not None:
-        if args.t <= 0.0:
-            raise HorizonNotPositive(f"horizon must be positive, got {args.t}")
         g = gramian_finite(problem, args.t)
         matrix_csv(out / "gramian_t.csv", g.matrix)
         horizon, rank = args.t, g.rank
@@ -173,32 +171,34 @@ def cmd_synthesize(args):
     problem = load_model(args.model)
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
+    if not (args.tol > 0.0 and np.isfinite(args.tol)):
+        raise BadParameterError(
+            f"tolerance must be positive and finite, got {args.tol}")
     horizon = args.t if args.t is not None else t_max(problem, np.linalg.norm(x))
     if horizon <= 0.0:
         raise HorizonNotPositive(f"horizon must be positive, got {horizon}")
     report = {"t": horizon, "V": "+inf", "V_inf": "+inf", "gap": "+inf"}
     report.update(_provenance(problem, args.seed))
     try:
-        h = h_space(problem)
-        v_inf = value_infinite(problem, x, hspace=h, tol=args.tol)
+        v_inf = value_infinite(problem, x, tol=args.tol)
         report["V_inf"] = v_inf
         v_fin = value_finite(problem, horizon, x, tol=args.tol)
         report.update({"V": v_fin, "gap": v_fin - v_inf})
 
         span = t_max(problem, np.linalg.norm(x))
         grid = default_grid(problem, -span)
-        u = optimal_control_infinite(problem, x, grid, hspace=h)
-        traj = optimal_trajectory_infinite(problem, x, grid, hspace=h)
+        u = optimal_control_infinite(problem, x, grid)
+        traj = optimal_trajectory_infinite(problem, x, grid)
         sim = simulate_mild(problem, np.zeros(problem.n), u, -span, 0.0)
         scale = max(np.linalg.norm(x), 1.0)
         report["endpoint_error"] = float(np.linalg.norm(sim.states[-1] - x) / scale)
         report["energy"] = energy_of(u)
-        report["feedback_residual"] = feedback_residual(problem, traj, u, hspace=h)
-        if h.full_rank:
+        report["feedback_residual"] = feedback_residual(problem, traj, u)
+        if h_space(problem).full_rank:
             fd_window = min(2.0, span)
             fd_grid = np.linspace(-fd_window, 0.0, int(fd_window / 1e-3) + 1)
-            fd_traj = optimal_trajectory_infinite(problem, x, fd_grid, hspace=h)
-            report["bcle_residual"] = bcle_residual(problem, fd_traj, hspace=h)
+            fd_traj = optimal_trajectory_infinite(problem, x, fd_grid)
+            report["bcle_residual"] = bcle_residual(problem, fd_traj)
         else:
             report["bcle_residual"] = None
         control_csv(out / "control.csv", u)
@@ -214,18 +214,18 @@ def cmd_auxiliary(args):
     problem = load_model(args.model)
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
-    if args.t <= 0.0:
-        raise HorizonNotPositive(f"horizon must be positive, got {args.t}")
-    h = h_space(problem)
+    if not (args.n_scale >= 0.0 and np.isfinite(args.n_scale)):
+        raise BadParameterError(
+            f"penalty scale must be finite and nonnegative, got {args.n_scale}")
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
     g = gramian_finite(problem, args.t)
-    aux = value_auxiliary(problem, cost, args.t, x, gramian=g, hspace=h)
+    aux = value_auxiliary(problem, cost, args.t, x, gramian=g)
     v_fin = value_finite(problem, args.t, x, gramian=g)
     remainder = x - problem.propagator.at(args.t)[0] @ aux.argmin_z
     grid = default_grid(problem, -args.t, target_points=1024)
     u = steering_control_finite(problem, args.t, remainder, grid, gramian=g)
-    reversal = time_reversal_check(problem, cost, aux.argmin_z, u, hspace=h)
-    achieved = 0.5 * cost.quad(h, aux.argmin_z) + energy_of(u)
+    reversal = time_reversal_check(problem, cost, aux.argmin_z, u)
+    achieved = 0.5 * cost.quad(h_space(problem), aux.argmin_z) + energy_of(u)
     sandwich_ok = bool(aux.value <= v_fin + 1e-9 * (1.0 + abs(v_fin)))
     reversal_ok = bool(reversal <= 1e-6)
     report = {
@@ -294,7 +294,6 @@ def build_parser():
                             default=None, help="comma-separated target vector")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
-        sp.add_argument("--tol", type=float, default=1e-8)
 
     sp = sub.add_parser("gramian", help="controllability Gramians and report")
     common(sp)
@@ -313,6 +312,7 @@ def build_parser():
     sp = sub.add_parser("synthesize", help="optimal control and trajectory")
     common(sp, target="required")
     sp.add_argument("--t", type=float, default=None, help="finite horizon")
+    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("auxiliary", help="penalized-initial-state problem")
@@ -336,6 +336,7 @@ def build_parser():
     sp.add_argument("--comparison", action="store_true")
     sp.add_argument("--max-solutions", type=int, default=4096)
     sp.add_argument("--n-scale", type=float, default=1.0)
+    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(fn=cmd_all)
     return parser
 

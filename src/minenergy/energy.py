@@ -25,7 +25,6 @@ from .gramian import (
     gramian_finite,
     h_basis,
     h_inner,
-    h_space,
     reachable_membership,
 )
 from .operators import Propagator, read_only, symmetrize
@@ -152,12 +151,11 @@ def value_finite(p, t, x, gramian=None, tol=1e-8):
     return value if x.ndim > 1 else float(value)
 
 
-def value_infinite(p, x, hspace=None, tol=1e-8):
+def value_infinite(p, x, tol=1e-8):
     """Least energy over all horizons: half the reachability-metric norm
     squared.  Raises NotInH when the target carries infinite energy."""
-    h = hspace if hspace is not None else h_space(p)
     x = np.asarray(x, dtype=float)
-    return 0.5 * h_inner(h, x, x, tol)
+    return 0.5 * h_inner(p.h_space, x, x, tol)
 
 
 def _range_coordinates(h, x, tol=1e-8):
@@ -168,19 +166,18 @@ def _range_coordinates(h, x, tol=1e-8):
     return h.q_pinv_matrix @ x
 
 
-def optimal_control_infinite(p, x, grid, hspace=None):
+def optimal_control_infinite(p, x, grid):
     """Sample the optimal steering control u(r) = B* e^{-rA*} Q^{-1} x."""
-    h = hspace if hspace is not None else h_space(p)
-    q = _range_coordinates(h, x)
+    q = _range_coordinates(p.h_space, x)
     pts, wts, nodes = _grid_arrays(grid)
     rows = p.adjoint_propagator.apply(-pts, q)
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
 
 
-def optimal_trajectory_infinite(p, x, grid, hspace=None):
+def optimal_trajectory_infinite(p, x, grid):
     """Sample the optimal arrival path y(r) = Q e^{-rA*} Q^{-1} x."""
-    h = hspace if hspace is not None else h_space(p)
+    h = p.h_space
     q = _range_coordinates(h, x)
     pts, _, _ = _grid_arrays(grid)
     rows = p.adjoint_propagator.apply(-pts, q)
@@ -301,21 +298,20 @@ def simulate_mild(p, z, u, s, t):
     return _simulate_core(p.propagator, p.B, np.asarray(z, dtype=float), u, s, t)
 
 
-def feedback_residual(p, traj, u, hspace=None):
+def feedback_residual(p, traj, u):
     """Worst grid-point violation of the feedback law u = B* Q^{-1} y."""
     if traj.grid.shape != u.grid.shape or not np.allclose(traj.grid, u.grid,
                                                           rtol=0.0, atol=1e-12):
         raise GridMismatch("trajectory and control must share one grid")
-    h = hspace if hspace is not None else h_space(p)
-    gain = p.B.T @ h.q_pinv_matrix
+    gain = p.B.T @ p.h_space.q_pinv_matrix
     res = u.values - traj.states @ gain.T
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
-def bcle_residual(p, traj, hspace=None):
+def bcle_residual(p, traj):
     """Central-difference residual of the backward closed-loop law
     y' = -Q A* Q^{-1} y on a uniform grid."""
-    h = hspace if hspace is not None else h_space(p)
+    h = p.h_space
     if not h.full_rank:
         raise RankDeficient("closed-loop conjugation needs a full-rank Gramian")
     steps = np.diff(traj.grid)
@@ -377,7 +373,7 @@ def auxiliary_minimum(flow, form):
                           argmin_z=(flow.theta @ c).T)
 
 
-def value_auxiliary(p, N, t, x, gramian=None, hspace=None):
+def value_auxiliary(p, N, t, x, gramian=None):
     """Minimum of the steering energy plus a quadratic penalty on the
     free initial state.
 
@@ -394,7 +390,7 @@ def value_auxiliary(p, N, t, x, gramian=None, hspace=None):
     and ``auxiliary_minimum``, so that callers with many penalties and
     one target stack can share the first.
     """
-    h = hspace if hspace is not None else h_space(p)
+    h = p.h_space
     g = gramian if gramian is not None else gramian_finite(p, t)
     return auxiliary_minimum(auxiliary_flow(p, t, x, g, h), N.form_matrix(h))
 
@@ -408,7 +404,7 @@ def _reverse_signal(u):
     )
 
 
-def time_reversal_check(p, N, z, u, hspace=None):
+def time_reversal_check(p, N, z, u):
     """Cost and endpoint discrepancy between a steering run and its
     time-reversed counterpart.
 
@@ -416,7 +412,7 @@ def time_reversal_check(p, N, z, u, hspace=None):
     reversed run drives x under the sign-flipped dynamics with control
     v(s) = -u(-s) and must return to z with identical total cost.
     """
-    h = hspace if hspace is not None else h_space(p)
+    h = p.h_space
     z = np.asarray(z, dtype=float)
     t = -float(u.grid[0])
     if abs(u.grid[-1]) > 1e-9:

@@ -371,33 +371,28 @@ def null_controllability_check(p, t, tol=1e-8):
     return NullControllabilityReport(holds=bool(holds), T0=t0)
 
 
-def a0_operator(p, h):
+def a0_operator(p):
     """Ambient-coordinate matrix of the state operator restricted to the
     reachability space (the subspace is flow-invariant)."""
+    h = p.h_space
     if h.full_rank:
         return p.A.copy()
     return p.A @ h.sqrt_pinv.range_projector
 
 
-def a0_star_matrix(p, h):
-    """Adjoint of the restricted state operator in the reachability
-    metric, as an ambient matrix: Q A* Q^{-1}.  Needs full rank."""
+def semigroup_transpose_identity(p, s):
+    """Residual of the adjoint-semigroup interchange identity.
+
+    Returns the Frobenius norm of expm(Q A* Q^{-1}, s) Q - Q expm(A*, s),
+    where Q A* Q^{-1} is the reachability-metric adjoint of the restricted
+    state operator.  It vanishes identically at full rank; a rank-deficient
+    space is refused.
+    """
+    h = p.h_space
     if not h.full_rank:
         raise RankDeficient("adjoint conjugation needs a full-rank Gramian")
     q = h.q_matrix
-    return q @ p.A.T @ h.q_pinv_matrix
-
-
-def semigroup_transpose_identity(p, h, s):
-    """Residual of the adjoint-semigroup interchange identity.
-
-    Returns the Frobenius norm of
-    expm(Q A* Q^{-1}, s) Q - Q expm(A*, s), which vanishes
-    identically at full rank.
-    """
-    a0s = a0_star_matrix(p, h)
-    q = h.q_matrix
-    lhs = expm(a0s, s) @ q
+    lhs = expm(q @ p.A.T @ h.q_pinv_matrix, s) @ q
     rhs = q @ p.propagator.at(s)[0].T
     return float(np.linalg.norm(lhs - rhs, "fro"))
 

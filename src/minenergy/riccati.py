@@ -130,14 +130,14 @@ def _h_metric_matrix(h, T):
     return h.sqrt_pinv.inverse_on_range @ T @ h.sqrt_Q
 
 
-def commuting_residual(p, P, hspace=None):
+def commuting_residual(p, P):
     """Metric-norm residual of A0 P + P A0 - 2 P A0 P for commuting
     coercive models (A0 is the state operator itself)."""
     if not (p.commuting and p.coercive):
         raise NotCommutingModel("commuting residual needs a selfadjoint state "
                                 "operator commuting with a coercive BB*")
     _require_form(P, "H_form")
-    h = hspace if hspace is not None else _full_rank_h(p)
+    h = _full_rank_h(p)
     a0, pm = p.A, P.matrix
     res = a0 @ pm + pm @ a0 - 2.0 * (pm @ a0 @ pm)
     res_h = _h_metric_matrix(h, res)
@@ -283,7 +283,7 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     )
 
 
-def differential_riccati_residual(p, t, step_h, x, y, hspace=None):
+def differential_riccati_residual(p, t, step_h, x, y):
     """Central-difference check of the horizon derivative of the value
     form against its quadratic generator.
 
@@ -292,10 +292,13 @@ def differential_riccati_residual(p, t, step_h, x, y, hspace=None):
     G = Q_t^{-1} is evaluated exactly.  Returns the absolute mismatch,
     which shrinks as the square of the step.
     """
+    if not (step_h > 0.0 and np.isfinite(step_h)):
+        raise BadParameterError(
+            f"difference step must be positive and finite, got {step_h}")
     if step_h > t / 10.0:
         raise BadParameterError(
             "difference step must not exceed a tenth of the horizon")
-    h = hspace if hspace is not None else _full_rank_h(p)
+    _full_rank_h(p)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 

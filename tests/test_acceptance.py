@@ -104,7 +104,7 @@ def test_criterion_2_value_convergence():
             if v2 > v1 + 1e-10 * (1.0 + abs(v1)):
                 failures.append(f"pair {i}: value increased {v1} -> {v2}")
                 break
-        v_inf = value_infinite(p, x, hspace=h)
+        v_inf = value_infinite(p, x)
         v_tail = value_finite(p, t_max(p, np.linalg.norm(x)), x)
         if abs(v_tail - v_inf) > 1e-6 * (1.0 + v_inf):
             failures.append(f"pair {i}: tail gap {abs(v_tail - v_inf):.2e}")
@@ -118,25 +118,24 @@ def test_criterion_3_synthesis_closure(full_rank_models):
     failures = []
     rng = np.random.default_rng(SEED + 4)
     for i, p in enumerate(full_rank_models):
-        h = h_space(p)
         x = rng.standard_normal(p.n)
         span = t_max(p, np.linalg.norm(x))
         grid = default_grid(p, -span)
-        u = optimal_control_infinite(p, x, grid, hspace=h)
-        traj = optimal_trajectory_infinite(p, x, grid, hspace=h)
+        u = optimal_control_infinite(p, x, grid)
+        traj = optimal_trajectory_infinite(p, x, grid)
         endpoint = simulate_mild(p, np.zeros(p.n), u, -span, 0.0).states[-1]
         if np.linalg.norm(endpoint - x) > 1e-6 * np.linalg.norm(x):
             failures.append(f"model {i}: endpoint error")
-        v_inf = value_infinite(p, x, hspace=h)
+        v_inf = value_infinite(p, x)
         if abs(energy_of(u) - v_inf) > 1e-6 * v_inf:
             failures.append(f"model {i}: energy mismatch")
-        if feedback_residual(p, traj, u, hspace=h) > 1e-8:
+        if feedback_residual(p, traj, u) > 1e-8:
             failures.append(f"model {i}: feedback residual")
         res = {}
         for step in (1e-3, 5e-4):
             fd_grid = np.arange(-1.0, 1e-12, step)
-            fd_traj = optimal_trajectory_infinite(p, x, fd_grid, hspace=h)
-            res[step] = bcle_residual(p, fd_traj, hspace=h)
+            fd_traj = optimal_trajectory_infinite(p, x, fd_grid)
+            res[step] = bcle_residual(p, fd_traj)
         if res[1e-3] > 1e-4:
             failures.append(f"model {i}: closed-loop residual {res[1e-3]:.2e}")
         if not 3.0 <= res[1e-3] / res[5e-4] <= 5.0:
@@ -310,7 +309,7 @@ def test_criterion_10_time_reversal():
                               quad_weights=grid.weights,
                               panel_nodes=grid.nodes_per_panel)
             z = rng.standard_normal(p.n)
-            disc = time_reversal_check(p, cost, z, u, hspace=h)
+            disc = time_reversal_check(p, cost, z, u)
             if disc > 1e-6:
                 failures.append(f"model {i}, pair {j}: discrepancy {disc:.2e}")
                 break

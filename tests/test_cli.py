@@ -293,6 +293,35 @@ class TestExitCodeContract:
         assert run(*argv, "--model", model_file(SPECTRAL), "--t", "inf",
                    "--out", tmp_path) == 3
 
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["gramian"],
+        ["auxiliary", "--target", "1,0"],
+        ["verify", "--comparison"],
+        ["all"],
+    ], ids=lambda argv: argv[0])
+    def test_nonpositive_horizon_is_three(self, argv, horizon, model_file,
+                                          tmp_path):
+        assert run(*argv, "--model", model_file(SPECTRAL), "--t", horizon,
+                   "--out", tmp_path) == 3
+
+    @pytest.mark.parametrize("scale, code", [
+        ("-1", 3), ("-0.01", 3), ("nan", 3), ("inf", 3), ("0", 0)])
+    def test_penalty_scale(self, scale, code, model_file, tmp_path):
+        assert run("auxiliary", "--model", model_file(SPECTRAL), "--target", "1,0",
+                   "--n-scale", scale, "--out", tmp_path) == code
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_is_three(self, tol, model_file, tmp_path):
+        assert run("synthesize", "--model", model_file(SPECTRAL), "--target", "1,0",
+                   "--tol", tol, "--out", tmp_path) == 3
+
+    def test_tolerance_only_where_read(self, model_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("gramian", "--model", model_file(SPECTRAL), "--tol", "1e-8",
+                "--out", tmp_path)
+        assert exc.value.code == 2
+
     def test_domain_is_six(self, tmp_path):
         assert run("landau", "--rho-minus", "1.5", "--out", tmp_path) == 6
 

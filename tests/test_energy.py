@@ -363,7 +363,7 @@ class TestAuxiliary:
         cost = AuxiliaryCost(np.eye(3))
         h = h_space(p)
         g = gramian_finite(p, 2.0)
-        aux = value_auxiliary(p, cost, 2.0, x, gramian=g, hspace=h)
+        aux = value_auxiliary(p, cost, 2.0, x, gramian=g)
         E = expm(p.A, 2.0)
         form = cost.form_matrix(h)
         for _ in range(10):
@@ -391,12 +391,12 @@ class TestStackedTargets:
         cost = AuxiliaryCost(h.q_matrix @ (r @ r.T / p.n))
         xs = h.project(rng.standard_normal((7, p.n)).T).T
         xs[3] = 0.0
-        aux = value_auxiliary(p, cost, t, xs, gramian=g, hspace=h)
+        aux = value_auxiliary(p, cost, t, xs, gramian=g)
         fin = value_finite(p, t, xs, gramian=g)
         assert aux.value.shape == (7,) and fin.shape == (7,)
         assert aux.argmin_z.shape == (7, p.n)
         for k, x in enumerate(xs):
-            one = value_auxiliary(p, cost, t, x, gramian=g, hspace=h)
+            one = value_auxiliary(p, cost, t, x, gramian=g)
             v = value_finite(p, t, x, gramian=g)
             assert isinstance(one.value, float) and isinstance(v, float)
             assert one.argmin_z.shape == (p.n,)

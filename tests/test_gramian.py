@@ -466,34 +466,28 @@ class TestNullControllability:
 
 class TestSemigroupTranspose:
     def test_zero_time(self, spectral_problem):
-        h = h_space(spectral_problem)
-        assert semigroup_transpose_identity(spectral_problem, h, 0.0) == 0.0
+        assert semigroup_transpose_identity(spectral_problem, 0.0) == 0.0
 
     def test_scalar(self, scalar_problem):
-        h = h_space(scalar_problem)
-        assert semigroup_transpose_identity(scalar_problem, h, 1.0) <= 1e-12
+        assert semigroup_transpose_identity(scalar_problem, 1.0) <= 1e-12
 
     def test_spectral(self, spectral_problem):
-        h = h_space(spectral_problem)
-        assert semigroup_transpose_identity(spectral_problem, h, 0.7) <= 1e-10
+        assert semigroup_transpose_identity(spectral_problem, 0.7) <= 1e-10
 
     def test_dense_range(self, rng):
         p = random_problem(rng, n=5, symmetric=False)
-        h = h_space(p)
         for s in (0.5, 2.0, 5.0):
-            assert semigroup_transpose_identity(p, h, s) <= 1e-9
+            assert semigroup_transpose_identity(p, s) <= 1e-9
 
     def test_rank_deficient_refused(self):
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
-        h = h_space(p)
         with pytest.raises(RankDeficient):
-            semigroup_transpose_identity(p, h, 1.0)
+            semigroup_transpose_identity(p, 1.0)
 
 
 class TestA0Operator:
     def test_full_rank_equals_A(self, spectral_problem):
-        h = h_space(spectral_problem)
-        assert_allclose(a0_operator(spectral_problem, h), spectral_problem.A)
+        assert_allclose(a0_operator(spectral_problem), spectral_problem.A)
 
     def test_metric_symmetry_commuting(self, rng):
         # commuting full-rank models: Q^{-1} A0 must be symmetric
@@ -502,7 +496,7 @@ class TestA0Operator:
         B = (v * np.sqrt([1.0, 0.5, 2.0])) @ v.T
         p = make_dense_model(0.5 * (A + A.T), B)
         h = h_space(p)
-        a0 = a0_operator(p, h)
+        a0 = a0_operator(p)
         m = h.q_pinv_matrix @ a0
         assert np.linalg.norm(m - m.T) <= 1e-9 * (1 + np.linalg.norm(m))
 

@@ -118,9 +118,8 @@ class TestCanonicalSolutions:
 
 class TestCommutingResidual:
     def test_identity(self, spectral_problem):
-        h = h_space(spectral_problem)
         res = commuting_residual(spectral_problem,
-                                 CandidateSolution("H_form", np.eye(2)), h)
+                                 CandidateSolution("H_form", np.eye(2)))
         assert res <= 1e-12
 
     def test_diagonal_projection(self, spectral_problem):
@@ -152,14 +151,13 @@ class TestEnumeration:
         h = h_space(spectral_problem)
         for s in sols:
             assert are_residual_H(spectral_problem, h, s) <= 1e-10
-            assert commuting_residual(spectral_problem, s, h) <= 1e-10
+            assert commuting_residual(spectral_problem, s) <= 1e-10
 
     def test_repeated_pair_family(self, repeated_problem):
         sols = enumerate_commuting_solutions(repeated_problem)
         assert len(sols) == 4 + 6       # diagonals plus three a-values, both signs
-        h = h_space(repeated_problem)
         for s in sols:
-            assert commuting_residual(repeated_problem, s, h) <= 1e-10
+            assert commuting_residual(repeated_problem, s) <= 1e-10
 
     def test_unequal_weights_on_repeated_block(self):
         # metric-orthonormal family members must be conjugated into
@@ -292,7 +290,7 @@ class TestComparison:
             margin = np.inf
             for _ in range(20):
                 x = rng.standard_normal(p.n)
-                v_aux = value_auxiliary(p, cost, 2.0, x, gramian=g, hspace=h).value
+                v_aux = value_auxiliary(p, cost, 2.0, x, gramian=g).value
                 v_fin = value_finite(p, 2.0, x, gramian=g)
                 margin = min(margin, v_aux - 0.5 * float(x @ form @ x), v_fin - v_aux)
             assert abs(rep.comparison_margin - margin) <= 1e-9
@@ -410,6 +408,11 @@ class TestDifferentialResidual:
         r2 = differential_riccati_residual(p, 1.0, 5e-3, x, y)
         assert 3.5 <= r1 / r2 <= 4.5
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+    def test_nonpositive_or_nonfinite_step_refused(self, scalar_problem, step):
+        with pytest.raises(BadParameterError):
+            differential_riccati_residual(scalar_problem, 1.0, step, [1.0], [1.0])
+
 
 class TestRejectionOfNonSolutions:
     def test_random_psd_non_projections_rejected(self, rng):
@@ -433,4 +436,4 @@ class TestRejectionOfNonSolutions:
             assert np.linalg.norm(p.A @ m - m @ p.A) <= 1e-8
         for bits in ([1, 0, 1], [0, 1, 0]):
             m = np.diag(np.array(bits, dtype=float))
-            assert commuting_residual(p, CandidateSolution("H_form", m), h) <= 1e-10
+            assert commuting_residual(p, CandidateSolution("H_form", m)) <= 1e-10
