@@ -119,9 +119,6 @@ def cmd_verify(args):
     problem = load_model(args.model)
     out = _outdir(args)
     if args.comparison:
-        if args.samples < 1:
-            raise BadParameterError(
-                f"comparison needs at least one sample, got {args.samples}")
         if not problem.coercive:
             raise NotCoercive("comparison certificates need a coercive BB*")
         if problem.spectral is None:
@@ -171,12 +168,7 @@ def cmd_synthesize(args):
     problem = load_model(args.model)
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
-    if not (args.tol > 0.0 and np.isfinite(args.tol)):
-        raise BadParameterError(
-            f"tolerance must be positive and finite, got {args.tol}")
     horizon = args.t if args.t is not None else t_max(problem, np.linalg.norm(x))
-    if horizon <= 0.0:
-        raise HorizonNotPositive(f"horizon must be positive, got {horizon}")
     report = {"t": horizon, "V": "+inf", "V_inf": "+inf", "gap": "+inf"}
     report.update(_provenance(problem, args.seed))
     try:
@@ -214,9 +206,6 @@ def cmd_auxiliary(args):
     problem = load_model(args.model)
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
-    if not (args.n_scale >= 0.0 and np.isfinite(args.n_scale)):
-        raise BadParameterError(
-            f"penalty scale must be finite and nonnegative, got {args.n_scale}")
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
     g = gramian_finite(problem, args.t)
     aux = value_auxiliary(problem, cost, args.t, x, gramian=g)
@@ -354,11 +343,34 @@ def _attach_negative_targets(argv):
     return out
 
 
+def _check_options(args):
+    """Refuse option values out of range before any command reads the model
+    or writes a file; each rule applies to the subcommands that register
+    the option, whether or not the run reaches the stage that reads it."""
+    t = getattr(args, "t", None)
+    if t is not None:
+        if not t > 0.0:
+            raise HorizonNotPositive(f"horizon must be positive, got {t}")
+        if not np.isfinite(t):
+            raise BadParameterError(f"horizon must be finite, got {t}")
+    if getattr(args, "samples", 1) < 1:
+        raise BadParameterError(
+            f"samples must be at least 1, got {args.samples}")
+    tol = getattr(args, "tol", 1.0)
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise BadParameterError(f"tolerance must be positive and finite, got {tol}")
+    n_scale = getattr(args, "n_scale", 0.0)
+    if not (n_scale >= 0.0 and np.isfinite(n_scale)):
+        raise BadParameterError(
+            f"penalty scale must be finite and nonnegative, got {n_scale}")
+
+
 def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_negative_targets(argv))
     try:
+        _check_options(args)
         if args.command == "all" and args.target is None:
             problem = load_model(args.model)
             args.target = ",".join(["1"] + ["0"] * (problem.n - 1))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     GridMismatch,
@@ -365,7 +364,8 @@ def auxiliary_minimum(flow, form):
     ``form`` the ambient penalty matrix S of ``AuxiliaryCost.form_matrix``."""
     s_tilde = flow.theta.T @ form @ flow.theta
     lhs = symmetrize(flow.etge + s_tilde)
-    c = sla.solve(lhs, flow.etgx, assume_a="pos")
+    import scipy.linalg  # SPD solve: kept off the import path
+    c = scipy.linalg.solve(lhs, flow.etgx, assume_a="pos")
     mismatch = flow.x_tilde - flow.e_tilde @ c
     value = 0.5 * np.sum(mismatch * (flow.g_tilde @ mismatch) + c * (s_tilde @ c),
                          axis=0)

@@ -13,7 +13,6 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.polynomial.polynomial import polypow
 
 from .errors import (
@@ -73,6 +72,20 @@ RK4_BLOCK_POLY = _truncated_power(RK4_BLOCK)
 #: binomial table binom(i + j, j) up to the degree of RK4_BLOCK_POLY
 _BINOM = np.array([[comb(i + j, j) for j in range(RK4_BLOCK_POLY.size)]
                    for i in range(RK4_BLOCK_POLY.size)], dtype=float)
+
+
+@lru_cache(maxsize=2 * RK4_BLOCK)
+def _block_coefficients(m, drive):
+    """Coefficient matrix binom(i + j, j) c_(i+j) (zero for i + j past the
+    last coefficient) that ``_lyapunov_poly`` applies for the polynomial c
+    of m RK4 steps: the drive polynomial (R^m - 1)/z when ``drive`` is true,
+    else the step polynomial R^m - 1, with R^m truncated by
+    ``_truncated_power``; memoized, as a read-only array."""
+    r = _truncated_power(m)
+    c = r[1:] if drive else np.concatenate(([0.0], r[1:]))
+    k = c.size
+    hankel = np.append(c, np.zeros(k))[np.add.outer(np.arange(k), np.arange(k))]
+    return read_only(hankel * _BINOM[:k, :k])
 
 
 @dataclass(frozen=True)
@@ -181,12 +194,11 @@ def _gramian_quadrature(p, t):
     return Q
 
 
-def _lyapunov_poly(powers, c):
-    """The map Q -> c(hL) Q for the polynomial with coefficients c (lowest
-    degree first) in the Lyapunov operator hL Q = X Q + Q X*, given the
-    stack powers[i] = X^i, i <= deg c.  c is one of the RK4 route's
-    truncated step polynomials, so it has at most RK4_BLOCK_POLY.size
-    coefficients, the size of ``_BINOM``.
+def _lyapunov_poly(powers, coef):
+    """The map Q -> c(hL) Q for a polynomial c in the Lyapunov operator
+    hL Q = X Q + Q X*, given the stack powers[i] = X^i, i <= deg c, and
+    c's coefficient matrix coef[j, i] = binom(i + j, j) c_(i+j) from
+    ``_block_coefficients``.
 
     Left and right products by X commute, so
     c(hL) Q = sum_j X^j Q S_j*  with  S_j = c^(j)(X) / j!
@@ -195,9 +207,8 @@ def _lyapunov_poly(powers, c):
     vertical stack [Q S_0*; ...; Q S_d*], then [X^0 ... X^d] times that
     stack.
     """
-    k = len(c)
+    k = coef.shape[0]
     n = powers.shape[1]
-    coef = sla.hankel(c) * _BINOM[:k, :k]
     s_stack = (coef @ powers[:k].reshape(k, -1)).reshape(k, n, n).transpose(0, 2, 1)
     x_row = powers[:k].transpose(1, 0, 2).reshape(n, -1)
     return lambda Q: x_row @ np.matmul(Q, s_stack).reshape(-1, n)
@@ -227,21 +238,18 @@ def _gramian_matrix_ode(p, t):
     steps = max(1, int(np.ceil(ratio)))
     h = t / steps
     blocks, rem = divmod(steps, RK4_BLOCK)
-    r_rem = _truncated_power(rem) if rem else None
     X = h * p.A
     powers = [np.eye(p.n)]
-    for _ in range((RK4_BLOCK_POLY if blocks else r_rem).size - 1):
+    for _ in range(_truncated_power(RK4_BLOCK if blocks else rem).size - 1):
         powers.append(powers[-1] @ X)
     powers = np.stack(powers)
     hBBt = h * p.BBt
     Q = np.zeros_like(p.A)
     if rem:
-        Q = _lyapunov_poly(powers, r_rem[1:])(hBBt)
+        Q = _lyapunov_poly(powers, _block_coefficients(rem, True))(hBBt)
     if blocks:
-        drive = _lyapunov_poly(powers, RK4_BLOCK_POLY[1:])(hBBt)
-        r = RK4_BLOCK_POLY.copy()
-        r[0] = 0.0
-        step = _lyapunov_poly(powers, r)
+        drive = _lyapunov_poly(powers, _block_coefficients(RK4_BLOCK, True))(hBBt)
+        step = _lyapunov_poly(powers, _block_coefficients(RK4_BLOCK, False))
         for _ in range(blocks):
             Q = Q + (step(Q) + drive)
     return Q
@@ -283,9 +291,21 @@ def gramian_infinite(p):
 
 
 def _solve_gramian_infinite(p):
+    """Solve A Q + Q A* = -B B*.
+
+    A spectral model's solution is closed-form, Q = diag(b / (-2 lambdas))
+    with b the diagonal of BB*: that is b_diag up to the rounding of
+    sqrt(b_diag)^2, and it is the BB* that the finite Gramians integrate.
+    A dense model's is the Bartels-Stewart solve of ``scipy.linalg``,
+    imported here so that spectral models never load scipy.
+    """
     if p.spectral_abscissa >= 0.0:
         raise NotStable("infinite-horizon Gramian needs a stable model")
-    Q = sla.solve_continuous_lyapunov(p.A, -p.BBt)
+    if p.spectral is not None:
+        return _as_gramian(np.diag(np.diag(p.BBt) / (-2.0 * p.spectral.lambdas)),
+                           np.inf)
+    import scipy.linalg
+    Q = scipy.linalg.solve_continuous_lyapunov(p.A, -p.BBt)
     return _as_gramian(Q, np.inf)
 
 

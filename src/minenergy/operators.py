@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     BadParameterError,
@@ -256,7 +255,8 @@ def expm(A, t):
     t = float(t)
     if t == 0.0:
         return np.eye(A.shape[0])
-    return sla.expm(t * A)
+    import scipy.linalg  # dense-only kernel: kept off the import path
+    return scipy.linalg.expm(t * A)
 
 
 class Propagator:
@@ -299,7 +299,8 @@ class Propagator:
             phases = np.exp(np.outer(ts, self._w))
             out = (self._v * phases[:, None, :]) @ self._vinv
             return np.ascontiguousarray(out.real)
-        return np.stack([sla.expm(t * self.A) for t in ts])
+        import scipy.linalg  # Pade fallback: kept off the import path
+        return np.stack([scipy.linalg.expm(t * self.A) for t in ts])
 
     def apply(self, ts, x):
         """e^{t A} x for each t in ts; x a vector, result (T, n)."""

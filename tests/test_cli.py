@@ -255,6 +255,30 @@ class TestDeterminism:
 
 
 class TestExitCodeContract:
+    @pytest.mark.parametrize("options", [
+        ["--tol", "-1"],
+        ["--n-scale", "-1"],
+        ["--t", "-1"],
+        ["--comparison", "--samples", "0"],
+    ], ids=["tol", "n_scale", "horizon", "samples"])
+    def test_all_refuses_bad_option_before_writing(self, options, model_file,
+                                                   tmp_path):
+        out = tmp_path / "out"
+        assert run("all", "--model", model_file(SPECTRAL), *options,
+                   "--out", out) == 3
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("options", [
+        ["--t", "-5", "--samples", "-3"],
+        ["--t", "-5"],
+        ["--t", "inf"],
+        ["--samples", "0"],
+    ], ids=["both", "horizon", "infinite_horizon", "samples"])
+    def test_verify_checks_options_without_comparison(self, options, model_file,
+                                                      tmp_path):
+        assert run("verify", "--model", model_file(SPECTRAL), *options,
+                   "--out", tmp_path) == 3
+
     def test_parse_is_two(self, tmp_path):
         assert run("gramian", "--model", tmp_path / "nope.json",
                    "--out", tmp_path) == 2

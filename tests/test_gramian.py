@@ -14,6 +14,7 @@ from minenergy.gramian import (
     RK4_BLOCK_POLY,
     RK4_STEP,
     RK4_STEP_NORM,
+    _block_coefficients,
     _truncated_power,
     a0_operator,
     gramian_finite,
@@ -137,6 +138,25 @@ class TestBlockTruncation:
             assert c is _truncated_power(m)
             with pytest.raises(ValueError):
                 c[0] = 2.0
+
+    @pytest.mark.parametrize("drive", [True, False], ids=["drive", "step"])
+    def test_coefficients_bit_equal_to_hankel(self, drive):
+        for m in range(1, RK4_BLOCK + 1):
+            r = _truncated_power(m)
+            c = r[1:] if drive else np.concatenate(([0.0], r[1:]))
+            k = c.size
+            ref = sla.hankel(c) * _BINOM[:k, :k]
+            coef = _block_coefficients(m, drive)
+            assert coef.shape == ref.shape
+            assert coef.tobytes() == ref.tobytes()
+
+    def test_coefficients_memoized_read_only(self):
+        for m in (1, 7, RK4_BLOCK):
+            for drive in (True, False):
+                coef = _block_coefficients(m, drive)
+                assert coef is _block_coefficients(m, drive)
+                with pytest.raises(ValueError):
+                    coef[0, 0] = 2.0
 
 
 def stacked_quadrature(p, t):
@@ -278,6 +298,20 @@ class TestGramianInfinite:
     def test_spectral_componentwise(self, spectral_problem):
         g = gramian_infinite(spectral_problem)
         assert_allclose(g.matrix, np.diag([0.5, 0.25]), atol=1e-14)
+
+    def test_spectral_closed_form_matches_lyapunov_solve(self, rng):
+        # Q = diag(b / (-2 lambda)) needs no solve; it must agree with the
+        # dense solver, also when a mode has zero input weight
+        for trial in range(20):
+            n = int(rng.integers(2, 13))
+            lambdas = -rng.uniform(0.05, 50.0, size=n)
+            b_diag = rng.uniform(0.0, 4.0, size=n)
+            if trial == 0:
+                b_diag[1] = 0.0
+            p = make_spectral_model(lambdas, b_diag)
+            ref = sla.solve_continuous_lyapunov(p.A, -p.BBt)
+            q = gramian_infinite(p).matrix
+            assert np.linalg.norm(q - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_zero_input(self):
         p = make_dense_model(np.diag([-1.0, -2.0]), np.zeros((2, 1)))
