@@ -94,8 +94,7 @@ def _provenance(problem, seed):
     return {"version": __version__, "model_hash": model_hash(problem), "seed": seed}
 
 
-def cmd_gramian(args):
-    problem = load_model(args.model)
+def cmd_gramian(args, problem):
     out = _outdir(args)
     q_inf = gramian_infinite(problem)
     matrix_csv(out / "gramian_inf.csv", q_inf.matrix)
@@ -115,8 +114,7 @@ def cmd_gramian(args):
     return 0
 
 
-def cmd_verify(args):
-    problem = load_model(args.model)
+def cmd_verify(args, problem):
     out = _outdir(args)
     if args.comparison:
         if not problem.coercive:
@@ -164,8 +162,7 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def cmd_synthesize(args):
-    problem = load_model(args.model)
+def cmd_synthesize(args, problem):
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
     horizon = args.t if args.t is not None else t_max(problem, np.linalg.norm(x))
@@ -202,8 +199,7 @@ def cmd_synthesize(args):
     return 0
 
 
-def cmd_auxiliary(args):
-    problem = load_model(args.model)
+def cmd_auxiliary(args, problem):
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
@@ -232,7 +228,8 @@ def cmd_auxiliary(args):
     return 0 if (sandwich_ok and reversal_ok) else 1
 
 
-def cmd_landau(args):
+def cmd_landau(args, _problem):
+    # takes no model document: the heat model is built from the options
     model = build_lg_model(args.modes, args.rho_minus, args.rho_plus)
     out = _outdir(args)
     if args.target is None:
@@ -257,11 +254,15 @@ def cmd_landau(args):
     return 0 if check["rel_err"] <= 1e-10 else 1
 
 
-def cmd_all(args):
-    status = cmd_gramian(args)
-    status = max(status, cmd_verify(args))
-    status = max(status, cmd_synthesize(args))
-    status = max(status, cmd_auxiliary(args))
+def cmd_all(args, problem):
+    """Every model stage on one loaded model; the target defaults to the
+    first unit vector."""
+    if args.target is None:
+        args.target = ",".join(["1"] + ["0"] * (problem.n - 1))
+    status = cmd_gramian(args, problem)
+    status = max(status, cmd_verify(args, problem))
+    status = max(status, cmd_synthesize(args, problem))
+    status = max(status, cmd_auxiliary(args, problem))
     return status
 
 
@@ -371,10 +372,8 @@ def main(argv=None):
     args = parser.parse_args(_attach_negative_targets(argv))
     try:
         _check_options(args)
-        if args.command == "all" and args.target is None:
-            problem = load_model(args.model)
-            args.target = ",".join(["1"] + ["0"] * (problem.n - 1))
-        return args.fn(args)
+        problem = load_model(args.model) if hasattr(args, "model") else None
+        return args.fn(args, problem)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -8,6 +8,7 @@ grids are composite Gauss-Lobatto panels so sampled signals integrate to
 near machine precision.
 """
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .errors import (
     GridMismatch,
+    IllConditionedWarning,
     NotInRangeQ,
     NotReachable,
     NotReachableFromH,
@@ -360,12 +362,29 @@ def auxiliary_flow(p, t, x, gramian, hspace):
 
 def auxiliary_minimum(flow, form):
     """The penalized stage of ``value_auxiliary``: minimize over z in the
-    reachability space by one symmetric positive-definite solve, with
-    ``form`` the ambient penalty matrix S of ``AuxiliaryCost.form_matrix``."""
+    reachability space, with ``form`` the ambient penalty matrix S of
+    ``AuxiliaryCost.form_matrix``.
+
+    The reduced matrix M = sym(E*GE + theta* S theta) is factored by one
+    symmetric eigendecomposition M = V diag(w) V*, and the minimizer's
+    coordinates are c = V diag(1/w) V* E*GX.  Raises RankDeficient when M
+    is not positive definite (its smallest eigenvalue is not positive or
+    not finite), and warns with IllConditionedWarning when
+    w_min < eps * w_max.
+    """
     s_tilde = flow.theta.T @ form @ flow.theta
-    lhs = symmetrize(flow.etge + s_tilde)
-    import scipy.linalg  # SPD solve: kept off the import path
-    c = scipy.linalg.solve(lhs, flow.etgx, assume_a="pos")
+    w, v = np.linalg.eigh(symmetrize(flow.etge + s_tilde))
+    if w.size:                      # empty on a zero reachability space
+        if not (np.all(np.isfinite(w)) and w[0] > 0.0):
+            raise RankDeficient(
+                "the reduced auxiliary matrix E*GE + S is not positive "
+                f"definite (smallest eigenvalue {w[0]:.3g})")
+        if w[0] < np.finfo(float).eps * w[-1]:
+            warnings.warn(
+                f"ill-conditioned reduced auxiliary matrix (eigenvalue ratio "
+                f"{w[0] / w[-1]:.3g}): the minimum may not be accurate",
+                IllConditionedWarning, stacklevel=2)
+    c = (v / w) @ (v.T @ flow.etgx)
     mismatch = flow.x_tilde - flow.e_tilde @ c
     value = 0.5 * np.sum(mismatch * (flow.g_tilde @ mismatch) + c * (s_tilde @ c),
                          axis=0)
@@ -378,14 +397,16 @@ def value_auxiliary(p, N, t, x, gramian=None):
     free initial state.
 
     The objective V(t, x - e^{tA} z) + half <N z, z>_H is a strictly
-    convex quadratic on the reachability space, minimized by one
-    symmetric positive-definite solve.  Raises NotReachableFromH when no
-    admissible initial point makes x reachable.
+    convex quadratic on the reachability space, minimized through one
+    symmetric eigendecomposition of its reduced matrix.  Raises
+    NotReachableFromH when no admissible initial point makes x reachable,
+    and RankDeficient when the reduced matrix is not positive definite
+    (see ``auxiliary_minimum``).
 
     ``x`` is one target of shape (n,) or a (k, n) stack of targets.  A
-    stack shares the flow, the reduced matrices and one Cholesky
-    factorization; its value is a length-k array and its ``argmin_z`` is
-    (k, n), and it raises if any row is outside the reachability space.
+    stack shares the flow, the reduced matrices and one eigendecomposition;
+    its value is a length-k array and its ``argmin_z`` is (k, n), and it
+    raises if any row is outside the reachability space.
     The work runs in two stages, ``auxiliary_flow`` (no penalty enters)
     and ``auxiliary_minimum``, so that callers with many penalties and
     one target stack can share the first.

@@ -4,6 +4,9 @@ Every error carries an ``exit_code`` so the command line layer can map
 failures onto its documented contract:
 
     0 success, 2 parse, 3 bad parameter, 4 precondition, 5 unreachable, 6 domain
+
+``IllConditionedWarning`` is the one warning class: a result that is
+computed but may be inaccurate.
 """
 
 
@@ -129,3 +132,10 @@ class OutOfDomain(DomainError):
 
 class OutOfRange(DomainError):
     pass
+
+
+# -- warnings ------------------------------------------------------------------
+
+class IllConditionedWarning(RuntimeWarning):
+    """A positive-definite solve whose matrix has a condition number above
+    1/eps: the result may not be accurate."""

@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minenergy import riccati
+import minenergy
+from minenergy import cli, gramian, riccati
 from minenergy.cli import build_parser, main
 from minenergy.gramian import gramian_finite, t_max
 from minenergy.operators import Propagator, load_model
@@ -16,6 +21,16 @@ SPECTRAL = {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1.0, 1.0]}
 RANK_DEFICIENT = {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1.0, 0.0]}
 DENSE_COERCIVE = {"type": "dense", "A": [[-1.0, 0.3], [0.0, -2.0]],
                   "B": [[1.0, 0.0], [0.0, 1.0]]}
+SPECTRAL_8 = {"type": "spectral",
+              "lambdas": [-0.3, -0.55, -0.8, -1.2, -1.6, -2.1, -2.7, -3.4],
+              "b_diag": [0.6, 1.3, 0.9, 1.7, 1.1, 0.8, 1.5, 1.2]}
+DENSE_3 = {"type": "dense",
+           "A": [[-1.0, 0.3, 0.0], [0.1, -2.0, 0.2], [0.0, 0.4, -1.5]],
+           "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+#: the 8-mode truncated heat model, build_lg_model(8, 0.2, 0.8)
+HEAT_8 = {"type": "spectral",
+          "lambdas": (-0.5 * (np.arange(1, 9) * np.pi) ** 2).tolist(),
+          "b_diag": [1.0] * 8}
 
 
 @pytest.fixture
@@ -29,6 +44,17 @@ def model_file(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv):
+    """Run the command line in a fresh interpreter with default warning
+    filters; returns the finished process."""
+    env = dict(os.environ)
+    src = str(Path(minenergy.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "minenergy.cli",
+                           *(str(a) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestGramianCommand:
@@ -101,6 +127,21 @@ class TestVerifyCommand:
         assert run("verify", "--model", model_file(doc), "--out", tmp_path) == 0
         cert = json.loads((tmp_path / "certificate.json").read_text())
         assert len(cert["solutions"]) == 256
+
+    def test_heat_model_singular_auxiliary_matrix_exits_four(self, model_file,
+                                                               tmp_path):
+        # at t=2, e^{tA} underflows on the stiff modes and 192 of the 256
+        # candidates vanish there, so the reduced auxiliary matrix is
+        # singular; the run is refused with a message, not a traceback.
+        # This pins the refusal: a solve that certifies these candidates
+        # replaces this test with one that pins the certificate.
+        done = run_process("verify", "--model", model_file(HEAT_8), "--comparison",
+                           "--t", "2", "--out", tmp_path)
+        assert done.returncode == 4
+        errors = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1
+        assert "reduced auxiliary matrix" in errors[0]
+        assert "Traceback" not in done.stderr
 
     def test_comparison_margins_written(self, model_file, tmp_path):
         assert run("verify", "--model", model_file(SPECTRAL), "--comparison",
@@ -232,6 +273,51 @@ class TestAllCommand:
         for name in ("gramian_report.json", "certificate.json",
                      "synthesis_report.json", "auxiliary_report.json"):
             assert (tmp_path / name).exists()
+
+    def test_one_load_and_one_gramian_solve(self, model_file, tmp_path,
+                                            monkeypatch):
+        counts = {"load_model": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_model", counted("load_model", cli.load_model))
+        monkeypatch.setattr(gramian, "_solve_gramian_infinite",
+                            counted("solve", gramian._solve_gramian_infinite))
+        assert run("all", "--model", model_file(SPECTRAL_8), "--comparison",
+                   "--out", tmp_path) == 0
+        assert counts == {"load_model": 1, "solve": 1}
+
+    @pytest.mark.parametrize("doc, options", [
+        (SPECTRAL_8, ["--comparison"]),
+        (DENSE_3, ["--comparison"]),
+        (DENSE_3, []),
+    ], ids=["spectral_comparison", "dense_comparison", "dense"])
+    def test_files_match_separate_commands(self, doc, options, model_file, tmp_path):
+        # each separate command loads the model itself; sharing one model
+        # object across the stages of all changes no byte
+        path = model_file(doc)
+        n = len(doc["A"]) if "A" in doc else len(doc["lambdas"])
+        target = ",".join(["1"] + ["0"] * (n - 1))
+        together, apart = tmp_path / "all", tmp_path / "apart"
+        code_all = run("all", "--model", path, *options, "--out", together)
+        codes = []
+        stages = [["gramian"], ["verify", "--samples", "50", *options],
+                  ["synthesize", "--target", target, "--tol", "1e-8"],
+                  ["auxiliary", "--target", target, "--n-scale", "1"]]
+        for stage in stages:
+            codes.append(run(stage[0], "--model", path, "--t", "1", *stage[1:],
+                             "--out", apart))
+            if codes[-1] >= 2:              # a refusal ends all here too
+                break
+        assert code_all == max(codes)
+        names = sorted(f.name for f in together.iterdir())
+        assert names == sorted(f.name for f in apart.iterdir())
+        for name in names:
+            assert (together / name).read_bytes() == (apart / name).read_bytes(), name
 
 
 class TestDeterminism:

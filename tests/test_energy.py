@@ -1,11 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from minenergy.energy import (
     AuxiliaryCost,
+    AuxiliaryFlow,
     ControlSignal,
+    auxiliary_flow,
+    auxiliary_minimum,
     bcle_residual,
     default_grid,
     energy_of,
@@ -22,10 +28,12 @@ from minenergy.energy import (
 )
 from minenergy.errors import (
     GridMismatch,
+    IllConditionedWarning,
     NotInH,
     NotInRangeQ,
     NotReachable,
     NotReachableFromH,
+    RankDeficient,
 )
 from minenergy.gramian import gramian_finite, h_basis, h_space, t_max
 from minenergy.operators import expm, make_spectral_model
@@ -411,6 +419,95 @@ class TestStackedTargets:
             value_auxiliary(p, AuxiliaryCost(np.eye(2)), 1.0, xs)
         with pytest.raises(NotReachable):
             value_finite(p, 1.0, xs)
+
+
+def cholesky_minimum(flow, form):
+    """Reference for ``auxiliary_minimum``: the same reduced problem solved
+    by scipy's positive-definite (Cholesky) solve."""
+    s_tilde = flow.theta.T @ form @ flow.theta
+    lhs = flow.etge + s_tilde
+    c = scipy.linalg.solve(0.5 * (lhs + lhs.T), flow.etgx, assume_a="pos")
+    mismatch = flow.x_tilde - flow.e_tilde @ c
+    value = 0.5 * np.sum(mismatch * (flow.g_tilde @ mismatch) + c * (s_tilde @ c),
+                         axis=0)
+    return value, (flow.theta @ c).T
+
+
+def reduced_flow(e_tilde, g_tilde, x_tilde):
+    """An AuxiliaryFlow on the identity basis from its three reduced inputs."""
+    etg = e_tilde.T @ g_tilde
+    return AuxiliaryFlow(np.eye(e_tilde.shape[0]), e_tilde, g_tilde, x_tilde,
+                         etg @ e_tilde, etg @ x_tilde)
+
+
+class TestAuxiliaryEigenSolve:
+    """The eigendecomposition solve of ``auxiliary_minimum`` against a
+    Cholesky reference, and its refusals."""
+
+    @staticmethod
+    def assert_matches_reference(aux, flow, form):
+        value, argmin = cholesky_minimum(flow, form)
+        assert np.max(np.abs(aux.value - value)) <= 1e-12 * max(1.0, np.max(np.abs(value)))
+        assert np.max(np.abs(aux.argmin_z - argmin)) <= 1e-12 * max(1.0, np.max(np.abs(argmin)))
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 20, 32])
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_random_spd_reduced_systems(self, rng, n, stack):
+        for _ in range(4):
+            e = rng.standard_normal((n, n)) / np.sqrt(n)
+            r = rng.standard_normal((n, n))
+            g = r @ r.T / n + 0.1 * np.eye(n)
+            s = rng.standard_normal((n, n))
+            form = s @ s.T / n
+            x = rng.standard_normal((n, 5) if stack else n)
+            flow = reduced_flow(e, g, x)
+            aux = auxiliary_minimum(flow, form)
+            assert np.shape(aux.value) == ((5,) if stack else ())
+            assert aux.argmin_z.shape == ((5, n) if stack else (n,))
+            self.assert_matches_reference(aux, flow, form)
+
+    @pytest.mark.parametrize("n", [2, 5, 12, 32])
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_random_dense_problems(self, rng, n, stack):
+        p = random_problem(rng, n=n)
+        t = float(rng.uniform(0.3, 3.0))
+        g = gramian_finite(p, t)
+        r = rng.standard_normal((n, n))
+        cost = AuxiliaryCost(p.h_space.q_matrix @ (r @ r.T / n))
+        x = rng.standard_normal((6, n) if stack else n)
+        aux = value_auxiliary(p, cost, t, x, gramian=g)
+        flow = auxiliary_flow(p, t, x, g, p.h_space)
+        self.assert_matches_reference(aux, flow, cost.form_matrix(p.h_space))
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    def test_not_positive_definite_is_refused(self, bad):
+        # the flow and the penalty both vanish on the second coordinate
+        flow = reduced_flow(np.diag([0.5, 0.0]), np.eye(2), np.array([1.0, 0.0]))
+        with pytest.raises(RankDeficient, match="reduced auxiliary matrix"):
+            auxiliary_minimum(flow, np.diag([1.0, bad]))
+
+    def test_ill_conditioned_warns(self):
+        flow = reduced_flow(np.diag([1.0, 1e-9]), np.eye(2), np.array([1.0, 1.0]))
+        form = np.diag([0.0, 1e-19])        # eigenvalues 1 and 1.1e-18 < eps
+        with pytest.warns(IllConditionedWarning):
+            auxiliary_minimum(flow, form)
+        assert issubclass(IllConditionedWarning, RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IllConditionedWarning):
+                auxiliary_minimum(flow, form)
+
+    def test_well_conditioned_is_silent(self):
+        flow = reduced_flow(np.diag([1.0, 1e-6]), np.eye(2), np.array([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            auxiliary_minimum(flow, np.diag([0.0, 1e-4]))
+
+    def test_empty_reachability_space(self):
+        p = make_spectral_model([-1.0, -2.0], [0.0, 0.0])
+        aux = value_auxiliary(p, AuxiliaryCost(np.eye(2)), 1.0, np.zeros((3, 2)))
+        assert_allclose(aux.value, 0.0)
+        assert_allclose(aux.argmin_z, 0.0)
 
 
 class TestTimeReversal:

@@ -59,7 +59,12 @@ def models(tmp_path):
     ["verify", "--model", "spectral.json", "--out", "out"],
     ["synthesize", "--model", "spectral.json", "--target", "1,0,0,0,0,0,0,0",
      "--out", "out"],
-], ids=["import", "landau", "gramian", "verify", "synthesize"])
+    ["auxiliary", "--model", "spectral.json", "--target=1,0,0,0,0,0,0,0",
+     "--out", "out"],
+    ["verify", "--model", "spectral.json", "--comparison", "--out", "out"],
+    ["all", "--model", "spectral.json", "--comparison", "--out", "out"],
+], ids=["import", "landau", "gramian", "verify", "synthesize", "auxiliary",
+        "verify_comparison", "all_comparison"])
 def test_spectral_commands_never_import_scipy(argv, models):
     assert not scipy_loaded(models, *argv)
 
