@@ -50,6 +50,7 @@ from .riccati import (
     DEFAULT_SEED,
     SOLUTION_RESIDUAL_TOL,
     are_residual_H,
+    check_candidate_count,
     comparison_check,
     enumerate_commuting_solutions,
     maximality_check,
@@ -114,13 +115,23 @@ def cmd_gramian(args, problem):
     return 0
 
 
-def cmd_verify(args, problem):
-    out = _outdir(args)
+def _check_verify(args, problem):
+    """Refuse a ``verify`` run that the model cannot serve, before any
+    file is written: the comparison certificate needs a coercive spectral
+    model, and the candidates that a coercive spectral model enumerates
+    must number at most ``--max-solutions``."""
     if args.comparison:
         if not problem.coercive:
             raise NotCoercive("comparison certificates need a coercive BB*")
         if problem.spectral is None:
             raise NotSpectral("comparison certificates need a spectral-diagonal model")
+    if problem.spectral is not None and problem.coercive:
+        check_candidate_count(problem, args.max_solutions)
+
+
+def cmd_verify(args, problem):
+    _check_verify(args, problem)
+    out = _outdir(args)
     x_rep, h_rep = verify_canonical_solutions(problem)
     ok = x_rep.is_solution and h_rep.is_solution
     certificate = {
@@ -256,9 +267,11 @@ def cmd_landau(args, _problem):
 
 def cmd_all(args, problem):
     """Every model stage on one loaded model; the target defaults to the
-    first unit vector."""
+    first unit vector.  The verify stage's refusals come before the first
+    file is written."""
     if args.target is None:
         args.target = ",".join(["1"] + ["0"] * (problem.n - 1))
+    _check_verify(args, problem)
     status = cmd_gramian(args, problem)
     status = max(status, cmd_verify(args, problem))
     status = max(status, cmd_synthesize(args, problem))

@@ -38,7 +38,12 @@ TAIL_EPS = 1e-12
 RK4_STEP_NORM = 1e-2
 
 #: RK4 steps evaluated per pair of matrix products by the matrix-ODE route
-RK4_BLOCK = 32
+RK4_BLOCK = 128
+
+#: most RK4 steps the matrix-ODE route takes: over 100 times the 176,157
+#: steps of acceptance criterion 1's stiffest case; a longer horizon is
+#: refused
+RK4_MAX_STEPS = 2 ** 25
 
 #: stability polynomial R(z) of one classical RK4 step, lowest degree first
 RK4_STEP = np.array([1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0])
@@ -51,7 +56,8 @@ RK4_TAIL_TOL = 2.0 ** -53 / 100.0
 @lru_cache(maxsize=RK4_BLOCK)
 def _truncated_power(m):
     """Leading coefficients of R^m, lowest degree first, whose dropped tail
-    is negligible; memoized, as a read-only array.
+    is negligible; memoized, as a read-only copy, so that the memo does not
+    keep all 4m + 1 coefficients of R^m alive.
 
     ||hL|| <= 2 rho with rho = RK4_STEP_NORM, so ||(hL)^k Q|| <= (2 rho)^k ||Q||
     and dropping c_k for k > K changes R^m(hL) Q by at most
@@ -63,10 +69,11 @@ def _truncated_power(m):
     c = polypow(RK4_STEP, m)
     terms = np.abs(c) * (2.0 * RK4_STEP_NORM) ** np.arange(c.size)
     tail = np.cumsum(terms[::-1])[::-1]        # tail[k] = sum_{j >= k} terms[j]
-    return read_only(c[:np.count_nonzero(tail >= RK4_TAIL_TOL)])
+    return read_only(c[:np.count_nonzero(tail >= RK4_TAIL_TOL)].copy())
 
 
-#: R^RK4_BLOCK truncated by ``_truncated_power``: 18 of its 129 coefficients
+#: R^RK4_BLOCK truncated by ``_truncated_power``: 28 of its 513 coefficients,
+#: of which ``_lyapunov_poly`` folds the coefficient matrix into 14 rows
 RK4_BLOCK_POLY = _truncated_power(RK4_BLOCK)
 
 #: binomial table binom(i + j, j) up to the degree of RK4_BLOCK_POLY
@@ -195,46 +202,60 @@ def _gramian_quadrature(p, t):
 
 
 def _lyapunov_poly(powers, coef):
-    """The map Q -> c(hL) Q for a polynomial c in the Lyapunov operator
-    hL Q = X Q + Q X*, given the stack powers[i] = X^i, i <= deg c, and
-    c's coefficient matrix coef[j, i] = binom(i + j, j) c_(i+j) from
-    ``_block_coefficients``.
+    """The map Q -> c(hL) Q, for symmetric Q, of a polynomial c in the
+    Lyapunov operator hL Q = X Q + Q X*, given the stack powers[i] = X^i,
+    i <= deg c, and c's coefficient matrix C[a, b] = binom(a + b, a) c_(a+b)
+    from ``_block_coefficients``.
 
     Left and right products by X commute, so
-    c(hL) Q = sum_j X^j Q S_j*  with  S_j = c^(j)(X) / j!
-    = sum_i binom(i + j, j) c_(i+j) X^i.  The map evaluates that sum as
-    two matrix products: Q times each S_j*, written straight into the
-    vertical stack [Q S_0*; ...; Q S_d*], then [X^0 ... X^d] times that
-    stack.
+    c(hL) Q = sum_(a,b) C[a, b] X^a Q X^b*.  C is symmetric, and so is Q,
+    so the (b, a) term is the transpose of the (a, b) term and the sum
+    folds to Z + Z*, with
+    Z = sum_a X^a Q U_a*,  U_a = C[a, a]/2 X^a + sum_(b>a) C[a, b] X^b.
+    C[a, b] vanishes for a + b > deg c, so U_a = 0 from a = r on, where
+    r = ceil(k/2) and k = deg c + 1.  The map evaluates Z as two matrix
+    products: Q times each U_a*, written straight into the vertical stack
+    [Q U_0*; ...; Q U_(r-1)*], then [X^0 ... X^(r-1)] times that stack.
+    Z + Z* is exactly symmetric in floating point.
     """
     k = coef.shape[0]
+    r = (k + 1) // 2
     n = powers.shape[1]
-    s_stack = (coef @ powers[:k].reshape(k, -1)).reshape(k, n, n).transpose(0, 2, 1)
-    x_row = powers[:k].transpose(1, 0, 2).reshape(n, -1)
-    return lambda Q: x_row @ np.matmul(Q, s_stack).reshape(-1, n)
+    fold = np.triu(coef[:r])
+    fold[np.arange(r), np.arange(r)] *= 0.5
+    u_stack = (fold @ powers[:k].transpose(0, 2, 1).reshape(k, -1)).reshape(r, n, n)
+    x_row = powers[:r].transpose(1, 0, 2).reshape(n, -1)
+
+    def apply(Q):
+        z = x_row @ np.matmul(Q, u_stack).reshape(-1, n)
+        return z + z.T
+    return apply
 
 
 def _gramian_matrix_ode(p, t):
     """Integrate Q' = A Q + Q A* + B B*, Q(0) = 0, with classical RK4.
 
-    The step is h = t / ceil(t ||A||_2 / rho), rho = RK4_STEP_NORM.  With
+    The step is h = t / ceil(t ||A||_2 / rho), rho = RK4_STEP_NORM, and a
+    horizon that needs more than RK4_MAX_STEPS steps is refused.  With
     L Q = A Q + Q A*, one step of this linear equation is
     Q <- R(hL) Q + h phi(hL) BB*, where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
     and phi(z) = (R(z) - 1)/z.  So m = RK4_BLOCK steps are the increment
     Q <- Q + [(R^m - 1)(hL) Q + ((R^m - 1)/z)(hL) hBB*],
     evaluated with two matrix products per block by ``_lyapunov_poly``,
-    with R^m cut after the degree at which its tail falls below a hundredth
-    of the unit roundoff (``_truncated_power``); the steps left over by the
-    blocks run first, as one block from Q = 0 cut by the same rule.  The
-    increment form matters: applying R^m(hL) to Q directly drifts about
-    1e-9 relative from the step-by-step iterate over 1e5 steps, while the
-    increment stays within about 1e-11.
+    each over the folded half of the polynomial, with R^m cut after the
+    degree at which its tail falls below a hundredth of the unit roundoff
+    (``_truncated_power``); the steps left over by the blocks run first,
+    as one block from Q = 0 cut by the same rule.  Every iterate is
+    exactly symmetric.  The increment form matters: applying R^m(hL) to Q
+    directly drifts about 1e-9 relative from the step-by-step iterate over
+    1e5 steps, while the increment stays within about 1e-11.
     """
     h_max = RK4_STEP_NORM / max(p.a_norm2, 1e-12)
     ratio = t / h_max
-    if not np.isfinite(ratio):
+    if not ratio <= RK4_MAX_STEPS:
         raise BadParameterError(
-            f"horizon {t} needs more RK4 steps than a float can count")
+            f"horizon {t} needs {np.ceil(ratio):.17g} RK4 steps, "
+            f"more than the cap of {RK4_MAX_STEPS}")
     steps = max(1, int(np.ceil(ratio)))
     h = t / steps
     blocks, rem = divmod(steps, RK4_BLOCK)

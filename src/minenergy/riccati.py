@@ -167,6 +167,13 @@ def _eigenspace_blocks(lambdas, rel_tol=1e-12):
     return blocks
 
 
+def check_candidate_count(p, max_count):
+    """Refuse a model whose 2^n diagonal candidates exceed max_count."""
+    if 2 ** p.n > max_count:
+        raise TooManySolutions(
+            f"2^{p.n} diagonal candidates exceed max_count={max_count}")
+
+
 def enumerate_commuting_solutions(p, max_count=4096, family_params=(0.25, 0.5, 0.75)):
     """All diagonal 0/1 solutions of a spectral model, plus sampled
     non-diagonal family members on two-dimensional eigenspaces.
@@ -179,9 +186,8 @@ def enumerate_commuting_solutions(p, max_count=4096, family_params=(0.25, 0.5, 0
         raise NotSpectral("enumeration needs a spectral-diagonal model")
     if not p.coercive:
         raise NotCoercive("enumeration needs a coercive BB*")
+    check_candidate_count(p, max_count)
     n = p.n
-    if 2 ** n > max_count:
-        raise TooManySolutions(f"2^{n} diagonal candidates exceed max_count={max_count}")
     solutions = [
         CandidateSolution("H_form", np.diag(np.array(bits, dtype=float)))
         for bits in product((0.0, 1.0), repeat=n)

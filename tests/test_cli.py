@@ -24,6 +24,8 @@ DENSE_COERCIVE = {"type": "dense", "A": [[-1.0, 0.3], [0.0, -2.0]],
 SPECTRAL_8 = {"type": "spectral",
               "lambdas": [-0.3, -0.55, -0.8, -1.2, -1.6, -2.1, -2.7, -3.4],
               "b_diag": [0.6, 1.3, 0.9, 1.7, 1.1, 0.8, 1.5, 1.2]}
+SPECTRAL_3 = {"type": "spectral", "lambdas": [-1.0, -2.0, -3.0],
+              "b_diag": [1.0, 1.0, 1.0]}
 DENSE_3 = {"type": "dense",
            "A": [[-1.0, 0.3, 0.0], [0.1, -2.0, 0.2], [0.0, 0.4, -1.5]],
            "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
@@ -314,6 +316,9 @@ class TestAllCommand:
             if codes[-1] >= 2:              # a refusal ends all here too
                 break
         assert code_all == max(codes)
+        if code_all >= 2:                   # and a refused all writes nothing
+            assert not together.exists() or not any(together.iterdir())
+            return
         names = sorted(f.name for f in together.iterdir())
         assert names == sorted(f.name for f in apart.iterdir())
         for name in names:
@@ -353,6 +358,22 @@ class TestExitCodeContract:
         assert run("all", "--model", model_file(SPECTRAL), *options,
                    "--out", out) == 3
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("doc, options, code, message", [
+        (DENSE_3, ["--comparison"], 4,
+         "comparison certificates need a spectral-diagonal model"),
+        (SPECTRAL_3, ["--max-solutions", "2"], 3,
+         "2^3 diagonal candidates exceed max_count=2"),
+    ], ids=["dense_comparison", "too_many_solutions"])
+    def test_all_refuses_verify_stage_before_writing(self, doc, options, code,
+                                                     message, model_file,
+                                                     tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("all", "--model", model_file(doc), *options,
+                   "--out", out) == code
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("options", [
         ["--t", "-5", "--samples", "-3"],

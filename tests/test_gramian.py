@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,9 +13,12 @@ from minenergy.gramian import (
     _BINOM,
     RK4_BLOCK,
     RK4_BLOCK_POLY,
+    RK4_MAX_STEPS,
     RK4_STEP,
     RK4_STEP_NORM,
     _block_coefficients,
+    _gramian_matrix_ode,
+    _lyapunov_poly,
     _truncated_power,
     a0_operator,
     gramian_finite,
@@ -81,7 +85,9 @@ def loop_disagreement(p, t):
 class TestMatrixOdeBlocks:
     """The blocked RK4 route computes the step-by-step RK4 iterate."""
 
-    @pytest.mark.parametrize("steps", [1, 5, 8, 16, 19, 31, 32, 33, 64, 97])
+    @pytest.mark.parametrize("steps", [1, 5, 8, 16, 19, 31, 32, 33, 64, 97,
+                                       RK4_BLOCK - 1, RK4_BLOCK, RK4_BLOCK + 1,
+                                       2 * RK4_BLOCK + 3])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_agrees_with_step_loop(self, steps, symmetric, rng):
         p = random_problem(rng, n=4, symmetric=symmetric)
@@ -90,14 +96,58 @@ class TestMatrixOdeBlocks:
         assert loop_disagreement(p, t) <= 1e-10
 
     def test_stiff_model_long_horizon(self):
-        # Criterion 1's model 43: 176,157 steps.  Applying R^8(hL) to Q
-        # directly instead of adding the block increment to Q drifts
-        # 1.7e-9 from the loop here; the increment form stays near 1e-11.
+        # Criterion 1's model 43: 176,157 steps.  Applying the block
+        # polynomial R^m(hL) to Q directly instead of adding the block
+        # increment to Q drifts 1.7e-9 from the loop here (m = 8); the
+        # increment form stays near 1e-11.
         rng = np.random.default_rng(0x5EED + 1)
         p = [random_problem(rng) for _ in range(44)][-1]
         assert p.n == 5 and np.linalg.norm(p.A, 2) > 350.0
         assert rk4_steps(p, 5.0) % RK4_BLOCK != 0
         assert loop_disagreement(p, 5.0) <= 1e-10
+
+    @pytest.mark.parametrize("steps", [5, RK4_BLOCK, 3 * RK4_BLOCK + 7])
+    def test_iterate_exactly_symmetric(self, steps, rng):
+        for _ in range(3):
+            p = random_problem(rng, n=7, symmetric=False)
+            t = steps * 1e-2 / np.linalg.norm(p.A, 2) * (1.0 - 1e-9)
+            Q = _gramian_matrix_ode(p, t)
+            assert np.array_equal(Q, Q.T)
+
+    def test_step_cap_refuses_fast(self, scalar_problem):
+        start = time.perf_counter()
+        with pytest.raises(BadParameterError, match=f"RK4 steps.*{RK4_MAX_STEPS}"):
+            gramian_finite(scalar_problem, 1e300, "matrix_ode")
+        assert time.perf_counter() - start < 1.0
+
+    def test_step_cap_bounds_count(self, scalar_problem):
+        # ||A|| = 1, so the rule takes ceil(100 t) steps
+        assert RK4_MAX_STEPS >= 100 * 176_157
+        with pytest.raises(BadParameterError, match=f"{RK4_MAX_STEPS + 1}"):
+            gramian_finite(scalar_problem, (RK4_MAX_STEPS + 0.5) * 1e-2,
+                           "matrix_ode")
+
+
+class TestLyapunovFold:
+    """The folded evaluation of c(hL)Q is the double sum
+    sum_(a,b) binom(a + b, a) c_(a+b) X^a Q X^b* for symmetric Q."""
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    @pytest.mark.parametrize("drive", [True, False], ids=["drive", "step"])
+    def test_matches_double_sum(self, n, drive, rng):
+        X = rng.standard_normal((n, n))
+        X *= 1e-2 / np.linalg.norm(X, 2)
+        S = rng.standard_normal((n, n))
+        Q = S + S.T
+        powers = np.stack([np.linalg.matrix_power(X, i)
+                           for i in range(RK4_BLOCK_POLY.size)])
+        for m in (1, 7, RK4_BLOCK - 1, RK4_BLOCK):
+            coef = _block_coefficients(m, drive)
+            k = coef.shape[0]
+            ref = sum(coef[a, b] * powers[a] @ Q @ powers[b].T
+                      for a in range(k) for b in range(k))
+            got = _lyapunov_poly(powers, coef)(Q)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestBlockTruncation:
