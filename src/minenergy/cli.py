@@ -62,6 +62,7 @@ from .serialize import (
     model_hash,
     profile_csv,
     trajectory_csv,
+    write_files,
     write_report,
 )
 
@@ -174,6 +175,10 @@ def cmd_verify(args, problem):
 
 
 def cmd_synthesize(args, problem):
+    """Values, optimal control and arrival path for one target.  The two
+    CSV files are written by one ``write_files`` call: on two CPUs a forked
+    child writes ``control.csv`` while this process writes
+    ``trajectory.csv``, and the bytes are those of writing both here."""
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
     horizon = args.t if args.t is not None else t_max(problem, np.linalg.norm(x))
@@ -201,8 +206,8 @@ def cmd_synthesize(args, problem):
             report["bcle_residual"] = bcle_residual(problem, fd_traj)
         else:
             report["bcle_residual"] = None
-        control_csv(out / "control.csv", u)
-        trajectory_csv(out / "trajectory.csv", traj)
+        write_files([(control_csv, out / "control.csv", u),
+                     (trajectory_csv, out / "trajectory.csv", traj)])
     except UnreachableError:
         write_report(out / "synthesis_report.json", report)
         raise
@@ -267,10 +272,11 @@ def cmd_landau(args, _problem):
 
 def cmd_all(args, problem):
     """Every model stage on one loaded model; the target defaults to the
-    first unit vector.  The verify stage's refusals come before the first
-    file is written."""
+    first unit vector.  The target and the verify stage's refusals come
+    before the first file is written."""
     if args.target is None:
         args.target = ",".join(["1"] + ["0"] * (problem.n - 1))
+    _parse_target(args.target, problem.n)
     _check_verify(args, problem)
     status = cmd_gramian(args, problem)
     status = max(status, cmd_verify(args, problem))

@@ -8,6 +8,7 @@ seeds produce byte-identical files.
 import csv
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -82,3 +83,52 @@ def profile_csv(path, xi, profiles, times):
     header = ["xi"] + [f"r={fmt(t)}" for t in times]
     rows = np.column_stack([xi, profiles.T])
     _write_rows(path, header, rows)
+
+
+def _write_and_exit(write, path, args):
+    """The forked child's whole life: write one file, then leave by
+    ``os._exit`` (no atexit handler, no flush of inherited buffers), with
+    status 0 on success and 1 on any exception, which is not printed."""
+    status = 1
+    try:
+        write(path, *args)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def write_files(jobs):
+    """Run each job ``(write, path, *args)`` as ``write(path, *args)``.
+
+    Formatting floats with ``repr`` is nearly all the cost of a large CSV
+    and holds the interpreter lock, so only a second process overlaps two
+    files.  Where ``os.fork`` exists and ``os.sched_getaffinity(0)`` reports
+    at least two CPUs, every job but the last runs in a forked child, which
+    writes its file and leaves by ``os._exit``: status 0 on success, 1 on
+    any exception, printing nothing.  Such a job must call no BLAS routine
+    and take no lock that another thread could hold at the fork; the CSV
+    writers above do neither.  The parent writes the last file itself and
+    waits for every child, also when its own write raises; it raises
+    ``OSError`` naming the file of a child that did not exit 0.  Elsewhere
+    the jobs run in order in this process.  The files hold the same bytes
+    either way.
+    """
+    jobs = list(jobs)
+    children = []
+    try:
+        if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2):
+            for write, path, *args in jobs[:-1]:
+                pid = os.fork()
+                if pid == 0:
+                    _write_and_exit(write, path, args)
+                children.append((pid, path))
+            jobs = jobs[-1:]
+        for write, path, *args in jobs:
+            write(path, *args)
+    finally:
+        statuses = [(path, os.waitpid(pid, 0)[1]) for pid, path in children]
+    for path, status in statuses:
+        if status:
+            raise OSError(f"could not write {path}: its writer process exited "
+                          f"with {os.waitstatus_to_exitcode(status)}")

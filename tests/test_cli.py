@@ -29,6 +29,12 @@ SPECTRAL_3 = {"type": "spectral", "lambdas": [-1.0, -2.0, -3.0],
 DENSE_3 = {"type": "dense",
            "A": [[-1.0, 0.3, 0.0], [0.1, -2.0, 0.2], [0.0, 0.4, -1.5]],
            "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+#: non-normal tridiagonal 8-state model with four inputs
+DENSE_8 = {"type": "dense",
+           "A": (np.diag(-0.5 * np.arange(1.0, 9.0)) + 0.4 * np.eye(8, k=1)
+                 - 0.3 * np.eye(8, k=-1)).tolist(),
+           "B": (np.eye(8)[:, ::2] + 0.5 * np.eye(8)[:, 1::2]).tolist()}
+TARGET_8 = "1,-0.5,0.25,0,0.5,-1,0,0.75"
 #: the 8-mode truncated heat model, build_lg_model(8, 0.2, 0.8)
 HEAT_8 = {"type": "spectral",
           "lambdas": (-0.5 * (np.arange(1, 9) * np.pi) ** 2).tolist(),
@@ -211,6 +217,63 @@ class TestSynthesizeCommand:
         assert report["V_inf"] == "+inf"
 
 
+class TestSynthesizeWriters:
+    """On two CPUs synthesize writes control.csv in one forked child; the
+    files are the same as on one CPU, and no child outlives the run."""
+
+    @pytest.mark.parametrize("doc", [DENSE_8, SPECTRAL_8], ids=["dense8", "spectral8"])
+    def test_same_bytes_on_one_or_two_cpus(self, doc, model_file, tmp_path,
+                                           cpus, forks):
+        path = model_file(doc)
+        files = {}
+        for count in (None, 2, 1):          # None: the machine as it is
+            if count is not None:
+                cpus(count)
+            before = len(forks)
+            out = tmp_path / str(count)
+            assert run("synthesize", "--model", path, "--target", TARGET_8,
+                       "--out", out) == 0
+            if count is not None:
+                assert len(forks) - before == (count == 2)
+            files[count] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(files[1]) == ["control.csv", "synthesis_report.json",
+                                    "trajectory.csv"]
+        assert files[None] == files[1]
+        assert files[2] == files[1]
+
+    def test_only_synthesize_forks(self, model_file, tmp_path, cpus, forks):
+        cpus(2)
+        path = model_file(DENSE_8)
+        for argv, expected in [
+            (["synthesize", "--model", path, "--target", TARGET_8], 1),
+            (["synthesize", "--model", model_file(SPECTRAL_8, "spectral.json"),
+              "--target", TARGET_8], 1),
+            (["all", "--model", path, "--target", TARGET_8], 1),
+            (["gramian", "--model", path, "--t", "1"], 0),
+            (["verify", "--model", path], 0),
+            (["auxiliary", "--model", path, "--target", TARGET_8], 0),
+            (["landau", "--modes", "4"], 0),
+        ]:
+            before = len(forks)
+            assert run(*argv, "--out", tmp_path / argv[0]) == 0, argv
+            assert len(forks) - before == expected, argv
+
+    @pytest.mark.parametrize("blocked", ["control.csv", "trajectory.csv"],
+                             ids=["child", "parent"])
+    def test_failed_write_raises_and_leaves_no_child(self, blocked, model_file,
+                                                     tmp_path, cpus, forks):
+        # control.csv is written by the child, trajectory.csv by the parent
+        cpus(2)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        with pytest.raises(OSError, match=blocked):
+            run("synthesize", "--model", model_file(SPECTRAL), "--target", "1,0",
+                "--out", out)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestParserReuse:
     def test_options_do_not_leak_between_calls(self, model_file, tmp_path):
         assert build_parser() is build_parser()
@@ -373,6 +436,16 @@ class TestExitCodeContract:
         assert run("all", "--model", model_file(doc), *options,
                    "--out", out) == code
         assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("target, code", [("0,0,1", 3), ("a,b", 2)],
+                             ids=["wrong_length", "not_numeric"])
+    def test_all_refuses_target_before_writing(self, target, code, model_file,
+                                               tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("all", "--model", model_file(DENSE_COERCIVE), "--target", target,
+                   "--out", out) == code
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("options", [

@@ -1,4 +1,5 @@
-"""scipy stays off the import path and out of every spectral command.
+"""scipy stays off the import path and out of every spectral command, and
+no command loads a process pool.
 
 pytest itself imports scipy (the ``filterwarnings`` setting names
 ``scipy.linalg.LinAlgWarning``), so each check runs in a fresh interpreter.
@@ -16,15 +17,19 @@ import minenergy
 
 SRC = str(Path(minenergy.__file__).resolve().parents[1])
 
+#: modules whose loading the probe reports
+WATCHED = ("scipy", "multiprocessing", "concurrent.futures")
+
 #: imports the command line, runs main on its arguments if any, and prints
-#: whether scipy was loaded
-PROBE = """
+#: which of WATCHED were loaded
+PROBE = f"""
+import json
 import sys
 from minenergy.cli import main
 if sys.argv[1:]:
     status = main(sys.argv[1:])
     assert status == 0, status
-print("scipy" in sys.modules)
+print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))
 """
 
 SPECTRAL_8 = {"type": "spectral",
@@ -35,14 +40,19 @@ DENSE_3 = {"type": "dense",
            "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
 
 
-def scipy_loaded(workdir, *argv):
-    """Run the probe on argv in workdir; True iff it loaded scipy."""
+def loaded(workdir, *argv):
+    """Run the probe on argv in workdir; the WATCHED modules it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           cwd=workdir, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()[-1] == "True"
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def scipy_loaded(workdir, *argv):
+    """Run the probe on argv in workdir; True iff it loaded scipy."""
+    return "scipy" in loaded(workdir, *argv)
 
 
 @pytest.fixture
@@ -73,3 +83,10 @@ def test_dense_command_imports_scipy(models):
     # the probe sees scipy where a dense kernel needs it
     assert scipy_loaded(models, "gramian", "--model", "dense.json",
                         "--out", "out")
+
+
+def test_synthesize_loads_no_process_pool(models):
+    # the CSV writer forks with os alone; on a dense model scipy.linalg
+    # itself imports concurrent.futures, so only a spectral run can tell
+    assert not loaded(models, "synthesize", "--model", "spectral.json",
+                      "--target", "1,0,0,0,0,0,0,0", "--out", "out")
