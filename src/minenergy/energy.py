@@ -28,7 +28,7 @@ from .gramian import (
     h_inner,
     reachable_membership,
 )
-from .operators import Propagator, read_only, symmetrize
+from .operators import read_only, symmetrize
 from .quadrature import PanelGrid, lobatto_prefix_weights, lobatto_rule, panel_grid
 
 
@@ -171,7 +171,7 @@ def optimal_control_infinite(p, x, grid):
     """Sample the optimal steering control u(r) = B* e^{-rA*} Q^{-1} x."""
     q = _range_coordinates(p.h_space, x)
     pts, wts, nodes = _grid_arrays(grid)
-    rows = p.adjoint_propagator.apply(-pts, q)
+    rows = p.propagator.adjoint().apply(-pts, q)
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
 
@@ -181,7 +181,7 @@ def optimal_trajectory_infinite(p, x, grid):
     h = p.h_space
     q = _range_coordinates(h, x)
     pts, _, _ = _grid_arrays(grid)
-    rows = p.adjoint_propagator.apply(-pts, q)
+    rows = p.propagator.adjoint().apply(-pts, q)
     return Trajectory(grid=pts, states=rows @ h.q_matrix)
 
 
@@ -194,7 +194,7 @@ def steering_control_finite(p, t, x, grid, gramian=None):
         raise NotReachable("target is outside the reachable set for this horizon")
     q = g.pinv.apply(x)
     pts, wts, nodes = _grid_arrays(grid)
-    rows = p.adjoint_propagator.apply(-pts, q)
+    rows = p.propagator.adjoint().apply(-pts, q)
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
 
@@ -430,8 +430,9 @@ def time_reversal_check(p, N, z, u):
     time-reversed counterpart.
 
     The forward run starts at z and produces the target x = y(0); the
-    reversed run drives x under the sign-flipped dynamics with control
-    v(s) = -u(-s) and must return to z with identical total cost.
+    reversed run drives x under the sign-flipped dynamics, the model's
+    own flow at negated times, with control v(s) = -u(-s) and must return
+    to z with identical total cost.
     """
     h = p.h_space
     z = np.asarray(z, dtype=float)
@@ -443,7 +444,7 @@ def time_reversal_check(p, N, z, u):
     cost_fwd = 0.5 * N.quad(h, z) + energy_of(u)
 
     v = _reverse_signal(u)
-    reverse = _simulate_core(Propagator(-p.A), p.B, x, v, 0.0, t)
+    reverse = _simulate_core(p.propagator.reversed(), p.B, x, v, 0.0, t)
     w_end = reverse.states[-1]
     cost_rev = 0.5 * N.quad(h, w_end) + energy_of(v)
     return float(abs(cost_fwd - cost_rev) + np.linalg.norm(w_end - z))

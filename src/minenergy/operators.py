@@ -3,12 +3,15 @@
 A model is the pair (A, B) of a stable state operator and a bounded
 control operator on finite-dimensional real spaces, together with the
 decay envelope ``norm(expm(A, t)) <= bound_M * exp(-decay_omega * t)``.
+A model factors A once, at construction, into its ``Propagator``; the
+metadata and the flows of A, A* and -A all come from that factorization.
 Spectral-diagonal models additionally remember their eigenvalue and
 input-weight vectors, which the commuting-case machinery relies on.
 """
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -63,11 +66,12 @@ def read_only(a):
 class ControlProblem:
     """State operator A, control operator B, and stability metadata.
 
-    A model is immutable: A and B are read-only, and every factorization
-    derived from them is computed on first use and kept on the model, so
-    the propagators of A and A*, the spectral norm of A, BB*, the
-    infinite-horizon Gramian and the reachability space are computed once
-    per model.
+    A model is immutable: A and B are read-only.  ``propagator`` is the
+    one eigendecomposition of A, made at construction; the stability
+    metadata was read off it, and it also gives the flows of A* and -A.
+    The other factorizations are computed on first use and kept on the
+    model, so the spectral norm of A, BB*, the infinite-horizon Gramian
+    and the reachability space are computed once per model.
     """
 
     A: np.ndarray
@@ -78,6 +82,7 @@ class ControlProblem:
     bound_M: float
     decay_omega: float
     spectral_radius: float
+    propagator: "Propagator" = field(compare=False, repr=False)
     commuting: bool = False
     coercive: bool = False
     spectral: SpectralModel | None = field(default=None, compare=False)
@@ -85,16 +90,6 @@ class ControlProblem:
     @cached_property
     def BBt(self):
         return read_only(self.B @ self.B.T)
-
-    @cached_property
-    def propagator(self):
-        """The Propagator of A, factored once."""
-        return Propagator(self.A)
-
-    @cached_property
-    def adjoint_propagator(self):
-        """The Propagator of A*, factored once."""
-        return Propagator(self.A.T)
 
     @cached_property
     def a_norm2(self):
@@ -158,25 +153,6 @@ class PseudoInverse:
         return np.linalg.norm(off, axis=-1) <= tol * np.linalg.norm(x, axis=-1)
 
 
-def _stability_metadata(A):
-    """Spectral abscissa, decay rate, envelope constant and radius of A."""
-    eigvals, eigvecs = np.linalg.eig(A)
-    abscissa = float(np.max(eigvals.real))
-    if abscissa >= 0.0:
-        raise NotStable(
-            f"state operator has an eigenvalue with real part {abscissa:.3g} >= 0"
-        )
-    cond = np.linalg.cond(eigvecs)
-    if not np.isfinite(cond) or cond > _DIAGONALIZABLE_COND_MAX:
-        raise NotDiagonalizable(
-            "eigenvector basis is numerically singular; decay envelope "
-            "cannot be estimated for a defective operator"
-        )
-    bound_m = max(1.0, float(cond))
-    radius = float(np.max(np.abs(eigvals)))
-    return abscissa, -abscissa, bound_m, radius
-
-
 def _commutation_flags(A, B):
     bbt = B @ B.T
     scale = np.linalg.norm(A, "fro") * np.linalg.norm(bbt, "fro")
@@ -192,9 +168,11 @@ def _commutation_flags(A, B):
 def make_dense_model(A, B):
     """Build a control problem from dense state and control operators.
 
-    A and B are copied and the model keeps them read-only.  Raises
-    NotStable when some eigenvalue of A has nonnegative real part,
-    NotDiagonalizable when A is numerically defective.
+    A and B are copied and the model keeps them read-only.  A is factored
+    once, into the model's Propagator, and the stability metadata is read
+    off its eigenvalues and cond(V).  Raises ParseError for ill-shaped
+    operators, NotStable when some eigenvalue of A has nonnegative real
+    part, NotDiagonalizable when A is numerically defective.
     """
     A = np.array(A, dtype=float)
     B = np.array(B, dtype=float)
@@ -202,16 +180,26 @@ def make_dense_model(A, B):
         raise ParseError(f"A must be square, got shape {A.shape}")
     if B.ndim == 1:
         B = B[:, None]
-    if B.shape[0] != A.shape[0]:
-        raise ParseError(
-            f"B has {B.shape[0]} rows but the state dimension is {A.shape[0]}"
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise ParseError(f"B must have {A.shape[0]} rows and at most two "
+                         f"dimensions, got shape {B.shape}")
+    prop = Propagator(read_only(A))
+    abscissa = float(np.max(prop.w.real))
+    if abscissa >= 0.0:
+        raise NotStable(
+            f"state operator has an eigenvalue with real part {abscissa:.3g} >= 0"
         )
-    abscissa, omega, bound_m, radius = _stability_metadata(A)
+    if not np.isfinite(prop.cond) or prop.cond > _DIAGONALIZABLE_COND_MAX:
+        raise NotDiagonalizable(
+            "eigenvector basis is numerically singular; decay envelope "
+            "cannot be estimated for a defective operator"
+        )
     commuting, coercive = _commutation_flags(A, B)
     return ControlProblem(
-        A=read_only(A), B=read_only(B), n=A.shape[0], m=B.shape[1],
-        spectral_abscissa=abscissa, bound_M=bound_m, decay_omega=omega,
-        spectral_radius=radius, commuting=commuting, coercive=coercive,
+        A=A, B=read_only(B), n=A.shape[0], m=B.shape[1],
+        spectral_abscissa=abscissa, bound_M=max(1.0, prop.cond),
+        decay_omega=-abscissa, spectral_radius=float(np.max(np.abs(prop.w))),
+        propagator=prop, commuting=commuting, coercive=coercive,
     )
 
 
@@ -234,16 +222,10 @@ def make_spectral_model(lambdas, b_diag):
     order = np.argsort(-lambdas, kind="stable")
     lambdas = lambdas[order]
     b_diag = b_diag[order]
-    A = np.diag(lambdas)
-    B = np.diag(np.sqrt(b_diag))
-    problem = make_dense_model(A, B)
-    return ControlProblem(
-        A=problem.A, B=problem.B, n=problem.n, m=problem.m,
-        spectral_abscissa=problem.spectral_abscissa, bound_M=1.0,
-        decay_omega=problem.decay_omega, spectral_radius=problem.spectral_radius,
-        commuting=True, coercive=problem.coercive,
-        spectral=SpectralModel(lambdas=lambdas, b_diag=b_diag),
-    )
+    # diag(lambdas) is factored by eigh, so bound_M is 1
+    problem = make_dense_model(np.diag(lambdas), np.diag(np.sqrt(b_diag)))
+    return replace(problem, commuting=True,
+                   spectral=SpectralModel(lambdas=lambdas, b_diag=b_diag))
 
 
 def expm(A, t):
@@ -262,31 +244,43 @@ def expm(A, t):
 class Propagator:
     """Batch evaluator of e^{tA} for many t on a fixed diagonalizable A.
 
-    Factors A once, into read-only arrays; falls back to per-value Pade
-    exponentials when the eigenvector basis is too ill-conditioned for
-    spectral synthesis.
+    Factors A once, into read-only arrays: a symmetric A by ``eigh``, whose
+    orthonormal basis has ``cond`` 1, any other by ``eig``, with ``cond``
+    the condition number of its eigenvector basis V.  Above a ``cond`` of
+    1e6 it falls back to per-value Pade exponentials.  ``adjoint()`` and
+    ``reversed()`` give the flows of A* and -A from the same factors.
     """
 
     _COND_MAX = 1e6
 
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
-        self.A = A
-        self.n = A.shape[0]
+        self.A, self.n = A, A.shape[0]
         if is_symmetric(A, 1e-12):
             w, v = np.linalg.eigh(symmetrize(A))
-            self._w, self._v, self._vinv = w, v, v.T
-            self._spectral = True
+            vinv, self.cond = v.T, 1.0
         else:
             w, v = np.linalg.eig(A)
-            if np.linalg.cond(v) <= self._COND_MAX:
-                self._w, self._v, self._vinv = w, v, np.linalg.inv(v)
-                self._spectral = True
-            else:
-                self._spectral = False
+            self.cond = float(np.linalg.cond(v))
+            vinv = np.linalg.inv(v) if self.cond <= self._COND_MAX else None
+        self.w = read_only(w)
+        self._spectral = vinv is not None
         if self._spectral:
-            for a in (self._w, self._v, self._vinv):
-                read_only(a)
+            self._v, self._vinv = read_only(v), read_only(vinv)
+
+    def adjoint(self):
+        """The Propagator of A* = V^-* diag(w) V*, from the factors of A."""
+        prop = copy.copy(self)
+        prop.A = self.A.T
+        if self._spectral:
+            prop._v, prop._vinv = self._vinv.T, self._v.T
+        return prop
+
+    def reversed(self):
+        """The Propagator of -A = V diag(-w) V^-1: e^{s(-A)} = e^{(-s)A}."""
+        prop = copy.copy(self)
+        prop.A, prop.w = read_only(-self.A), read_only(-self.w)
+        return prop
 
     def at(self, ts):
         """Stack of propagators e^{t A} for each t in ts, shape (T, n, n).
@@ -296,7 +290,7 @@ class Propagator:
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self._spectral:
-            phases = np.exp(np.outer(ts, self._w))
+            phases = np.exp(np.outer(ts, self.w))
             out = (self._v * phases[:, None, :]) @ self._vinv
             return np.ascontiguousarray(out.real)
         import scipy.linalg  # Pade fallback: kept off the import path
@@ -308,7 +302,7 @@ class Propagator:
         if self._spectral:
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
             coef = self._vinv @ x
-            out = (np.exp(np.outer(ts, self._w)) * coef) @ self._v.T
+            out = (np.exp(np.outer(ts, self.w)) * coef) @ self._v.T
             return np.ascontiguousarray(out.real)
         return np.stack([m @ x for m in self.at(ts)])
 

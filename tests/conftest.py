@@ -30,6 +30,15 @@ def random_problem(rng, n=None, symmetric=None, input_rank=None):
     return make_dense_model(A, B)
 
 
+def pade_problem():
+    """A near-defective model whose eigenvector basis is too ill-conditioned
+    for spectral synthesis (cond(V) > 1e6), so its Propagator takes
+    per-value Pade exponentials."""
+    return make_dense_model(
+        [[-1.0, 1.0, 0.0], [0.0, -1.0 - 1e-7, 1.0], [0.0, 0.0, -2.0]],
+        [[0.3], [0.0], [1.0]])
+
+
 def smooth_signal_values(rng, pts, m, modes=3):
     """Random band-limited samples, analytic in time."""
     out = np.zeros((pts.size, m))

@@ -190,6 +190,43 @@ class TestComparisonWorkCounts:
         assert counts["Propagator.at"] <= 2
 
 
+class TestFactorCounts:
+    NON_NORMAL_4 = {"type": "dense",
+                    "A": (np.diag([-1.0, -1.5, -2.0, -3.0])
+                          + 0.8 * np.eye(4, k=1)).tolist(),
+                    "B": np.eye(4).tolist()}
+    SYMMETRIC_4 = {"type": "dense",
+                   "A": (np.diag([-1.0, -1.5, -2.0, -3.0])
+                         + 0.4 * (np.eye(4, k=1) + np.eye(4, k=-1))).tolist(),
+                   "B": np.eye(4).tolist()}
+
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--target", "1,0.5,0,-1"],
+        ["auxiliary", "--target", "1,0.5,0,-1", "--t", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("doc, kernel", [(NON_NORMAL_4, "eig"),
+                                             (SYMMETRIC_4, "eigh")],
+                             ids=["non_normal", "symmetric"])
+    def test_one_factorization_of_A_per_model(self, doc, kernel, argv, model_file,
+                                              tmp_path, monkeypatch):
+        # the stability metadata and the flows of A, A* and -A all come
+        # from one eig (or eigh) of A
+        A = np.array(doc["A"])
+        calls = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                if any(np.array_equal(a, op) for op in (A, A.T, -A)):
+                    calls.append(fn.__name__)
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("eig", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        assert run(*argv, "--model", model_file(doc), "--out", tmp_path) == 0
+        assert calls == [kernel]
+
+
 class TestSynthesizeCommand:
     def test_scalar_report(self, model_file, tmp_path):
         out = tmp_path / "out"
@@ -545,3 +582,14 @@ class TestExitCodeContract:
             "weight_C_2x3", "empty_spectral"])
     def test_malformed_model_is_two(self, doc, model_file, tmp_path):
         assert run("gramian", "--model", model_file(doc), "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gramian", "--t", "1"], ["synthesize", "--target", "1"], ["all"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("B", [[[[1.0]]], 1.0], ids=["B_3d", "B_scalar"])
+    def test_ill_shaped_B_is_two_and_writes_nothing(self, B, argv, model_file,
+                                                     tmp_path):
+        out = tmp_path / "out"
+        doc = {"type": "dense", "A": [[-1.0]], "B": B}
+        assert run(*argv, "--model", model_file(doc), "--out", out) == 2
+        assert not out.exists()

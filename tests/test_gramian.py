@@ -40,7 +40,7 @@ from minenergy.operators import (
 )
 from minenergy.quadrature import legendre_panels
 
-from conftest import random_problem
+from conftest import pade_problem, random_problem
 
 
 def scalar_gramian_oracle(a, b, t):
@@ -229,10 +229,18 @@ def quadrature_problem(kind, rng):
     synthesis, so Propagator takes per-value Pade exponentials."""
     if kind != "pade":
         return random_problem(rng, n=6, symmetric=kind == "symmetric")
-    p = make_dense_model([[-1.0, 1.0, 0.0], [0.0, -1.0 - 1e-7, 1.0], [0.0, 0.0, -2.0]],
-                         [[0.3], [0.0], [1.0]])
+    p = pade_problem()
     assert np.linalg.cond(np.linalg.eig(p.A)[1]) > Propagator._COND_MAX
     return p
+
+
+def assert_flow(prop, M, ts=(0.0, 0.5, 2.0)):
+    """prop's e^{tM}x agrees with scipy's Pade exponential to 1e-10
+    relative."""
+    x = np.linspace(-1.0, 1.0, M.shape[0])
+    for t, row in zip(ts, prop.apply(ts, x)):
+        ref = sla.expm(t * M) @ x
+        assert np.linalg.norm(row - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def stacked_disagreement(p, t):
@@ -451,10 +459,18 @@ class TestModelMemo:
             assert np.array_equal(getattr(h_space(p), name), getattr(h_space(fresh), name))
         ts = [0.0, 0.5, 2.0]
         assert np.array_equal(p.propagator.at(ts), Propagator(fresh.A).at(ts))
-        assert p.adjoint_propagator is p.adjoint_propagator
-        assert np.array_equal(p.adjoint_propagator.at(ts), Propagator(fresh.A.T).at(ts))
+        assert_flow(p.propagator.adjoint(), p.A.T)
         assert np.array_equal(p.BBt, fresh.B @ fresh.B.T)
         assert p.a_norm2 == np.linalg.norm(fresh.A, 2)
+
+    @pytest.mark.parametrize("kind, n", [
+        ("symmetric", 5), ("symmetric", 32), ("non-normal", 5), ("non-normal", 32),
+        ("pade", 3)])
+    def test_adjoint_and_reversed_flows_from_the_factors_of_A(self, kind, n, rng):
+        p = (pade_problem() if kind == "pade"
+             else random_problem(rng, n=n, symmetric=kind == "symmetric"))
+        assert_flow(p.propagator.adjoint(), p.A.T)
+        assert_flow(p.propagator.reversed(), -p.A)
 
 
 class TestHSpace:

@@ -24,7 +24,7 @@ from minenergy.operators import (
     pseudo_inverse,
 )
 
-from conftest import random_problem
+from conftest import pade_problem, random_problem
 
 
 class TestMakeDenseModel:
@@ -65,6 +65,18 @@ class TestMakeDenseModel:
             make_dense_model(np.zeros((2, 3)), np.eye(2))
         with pytest.raises(ParseError):
             make_dense_model(-np.eye(2), np.eye(3))
+        with pytest.raises(ParseError):
+            make_dense_model([[-1.0]], [[[1.0]]])
+        with pytest.raises(ParseError):
+            make_dense_model([[-1.0]], 1.0)
+
+    def test_envelope_constant_from_the_one_factorization(self, rng):
+        # eigh gives a symmetric A an orthonormal basis
+        assert random_problem(rng, n=6, symmetric=True).bound_M == 1.0
+        p = pade_problem()
+        cond = np.linalg.cond(np.linalg.eig(p.A)[1])
+        assert p.bound_M == cond > Propagator._COND_MAX
+        assert p.propagator.cond == cond
 
     def test_commuting_flag_dense(self, rng):
         # same orthogonal eigenbasis for A and BB* => commuting
@@ -145,8 +157,7 @@ class TestExpm:
             assert np.linalg.norm(left - right) <= 1e-10 * (1 + np.linalg.norm(right))
 
     def test_stability_envelope(self, rng):
-        for _ in range(5):
-            p = random_problem(rng, n=6)
+        for p in [random_problem(rng, n=6) for _ in range(5)] + [pade_problem()]:
             for t in range(11):
                 bound = p.bound_M * np.exp(-p.decay_omega * t) * (1 + 1e-9)
                 assert np.linalg.norm(expm(p.A, float(t)), 2) <= bound
