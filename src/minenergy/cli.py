@@ -150,12 +150,12 @@ def cmd_verify(args, problem):
     }
     if problem.spectral is not None and problem.coercive:
         h = h_space(problem)
-        gram = gramian_finite(problem, args.t) if args.comparison else None
+        t = 2.0 if args.t is None else args.t
+        samples = 50 if args.samples is None else args.samples
         for cand in enumerate_commuting_solutions(problem, args.max_solutions):
             if args.comparison:
-                rep = comparison_check(problem, cand, args.t,
-                                       samples=args.samples, seed=args.seed,
-                                       hspace=h, gramian=gram)
+                rep = comparison_check(problem, cand, t, samples=samples,
+                                       seed=args.seed)
                 residual, gap = rep.residual_norm, rep.maximality_gap
                 margin = rep.comparison_margin
                 ok = ok and margin >= -1e-8
@@ -181,7 +181,8 @@ def cmd_synthesize(args, problem):
     ``trajectory.csv``, and the bytes are those of writing both here."""
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
-    horizon = args.t if args.t is not None else t_max(problem, np.linalg.norm(x))
+    span = t_max(problem, np.linalg.norm(x))
+    horizon = args.t if args.t is not None else span
     report = {"t": horizon, "V": "+inf", "V_inf": "+inf", "gap": "+inf"}
     report.update(_provenance(problem, args.seed))
     try:
@@ -190,7 +191,6 @@ def cmd_synthesize(args, problem):
         v_fin = value_finite(problem, horizon, x, tol=args.tol)
         report.update({"V": v_fin, "gap": v_fin - v_inf})
 
-        span = t_max(problem, np.linalg.norm(x))
         grid = default_grid(problem, -span)
         u = optimal_control_infinite(problem, x, grid)
         traj = optimal_trajectory_infinite(problem, x, grid)
@@ -219,12 +219,11 @@ def cmd_auxiliary(args, problem):
     out = _outdir(args)
     x = _parse_target(args.target, problem.n)
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
-    g = gramian_finite(problem, args.t)
-    aux = value_auxiliary(problem, cost, args.t, x, gramian=g)
-    v_fin = value_finite(problem, args.t, x, gramian=g)
+    aux = value_auxiliary(problem, cost, args.t, x)
+    v_fin = value_finite(problem, args.t, x)
     remainder = x - problem.propagator.at(args.t)[0] @ aux.argmin_z
     grid = default_grid(problem, -args.t, target_points=1024)
-    u = steering_control_finite(problem, args.t, remainder, grid, gramian=g)
+    u = steering_control_finite(problem, args.t, remainder, grid)
     reversal = time_reversal_check(problem, cost, aux.argmin_z, u)
     achieved = 0.5 * cost.quad(h_space(problem), aux.argmin_z) + energy_of(u)
     sandwich_ok = bool(aux.value <= v_fin + 1e-9 * (1.0 + abs(v_fin)))
@@ -311,12 +310,14 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="Riccati solution certificates")
     common(sp)
-    sp.add_argument("--t", type=float, default=2.0, help="comparison horizon")
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--t", type=float, default=None,
+                    help="comparison horizon (default 2)")
+    sp.add_argument("--samples", type=int, default=None,
+                    help="comparison samples (default 50)")
     sp.add_argument("--comparison", action="store_true",
                     help="run the sampled comparison certificate")
     sp.add_argument("--max-solutions", type=int, default=4096)
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn=cmd_verify, comparison_only=("t", "samples"))
 
     sp = sub.add_parser("synthesize", help="optimal control and trajectory")
     common(sp, target="required")
@@ -341,12 +342,13 @@ def build_parser():
     sp = sub.add_parser("all", help="full experiment battery on one model")
     common(sp, target=True)
     sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=int, default=None,
+                    help="comparison samples (default 50)")
     sp.add_argument("--comparison", action="store_true")
     sp.add_argument("--max-solutions", type=int, default=4096)
     sp.add_argument("--n-scale", type=float, default=1.0)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.set_defaults(fn=cmd_all)
+    sp.set_defaults(fn=cmd_all, comparison_only=("samples",))
     return parser
 
 
@@ -366,14 +368,21 @@ def _attach_negative_targets(argv):
 def _check_options(args):
     """Refuse option values out of range before any command reads the model
     or writes a file; each rule applies to the subcommands that register
-    the option, whether or not the run reaches the stage that reads it."""
+    the option, whether or not the run reaches the stage that reads it.
+    An option that only the comparison certificate reads is refused
+    without ``--comparison``."""
+    if not getattr(args, "comparison", True):
+        for name in args.comparison_only:
+            if getattr(args, name) is not None:
+                raise BadParameterError(f"--{name} is read only with --comparison")
     t = getattr(args, "t", None)
     if t is not None:
         if not t > 0.0:
             raise HorizonNotPositive(f"horizon must be positive, got {t}")
         if not np.isfinite(t):
             raise BadParameterError(f"horizon must be finite, got {t}")
-    if getattr(args, "samples", 1) < 1:
+    samples = getattr(args, "samples", None)
+    if samples is not None and samples < 1:
         raise BadParameterError(
             f"samples must be at least 1, got {args.samples}")
     tol = getattr(args, "tol", 1.0)

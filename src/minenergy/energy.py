@@ -37,8 +37,7 @@ class ControlSignal:
     """Sampled control path with its quadrature rule.
 
     ``panel_nodes`` marks grids built from uniform Gauss-Lobatto panels,
-    which the mild-solution integrator exploits; plain grids fall back to
-    a lower-order scheme.
+    which the mild-solution integrator needs; it refuses plain grids.
     """
 
     grid: np.ndarray
@@ -99,14 +98,6 @@ class AuxiliaryValue(NamedTuple):
     argmin_z: np.ndarray
 
 
-class _Window(NamedTuple):
-    """Slice of a control signal handed to the integrators."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    panel_nodes: int | None
-
-
 def default_grid(p, t0, t1=0.0, target_points=2048):
     """Quadrature grid on [t0, t1] adapted to the model's time scales."""
     width = min(1.0, 1.0 / p.decay_omega, 1.0 / max(p.spectral_radius, 1e-12))
@@ -136,7 +127,7 @@ def sample_signal(p, grid, fn):
     return ControlSignal(grid=pts, values=values, quad_weights=wts, panel_nodes=nodes)
 
 
-def value_finite(p, t, x, gramian=None, tol=1e-8):
+def value_finite(p, t, x, tol=1e-8):
     """Minimum energy that steers rest to x over a horizon of length t.
 
     Equals half the squared Gramian-metric norm of the target; raises
@@ -145,7 +136,7 @@ def value_finite(p, t, x, gramian=None, tol=1e-8):
     row is unreachable.
     """
     x = np.asarray(x, dtype=float)
-    g = gramian if gramian is not None else gramian_finite(p, t)
+    g = gramian_finite(p, t)
     if not np.all(reachable_membership(g, x, tol)):
         raise NotReachable("target is outside the reachable set for this horizon")
     value = 0.5 * np.sum(x.T * g.pinv.apply(x.T), axis=0)
@@ -167,11 +158,16 @@ def _range_coordinates(h, x, tol=1e-8):
     return h.q_pinv_matrix @ x
 
 
+def _adjoint_samples(p, grid, q):
+    """Normalize the grid and sample the adjoint flow e^{-rA*} q at its
+    times r: (points, weights, panel_nodes, rows)."""
+    pts, wts, nodes = _grid_arrays(grid)
+    return pts, wts, nodes, p.propagator.adjoint().apply(-pts, q)
+
+
 def optimal_control_infinite(p, x, grid):
     """Sample the optimal steering control u(r) = B* e^{-rA*} Q^{-1} x."""
-    q = _range_coordinates(p.h_space, x)
-    pts, wts, nodes = _grid_arrays(grid)
-    rows = p.propagator.adjoint().apply(-pts, q)
+    pts, wts, nodes, rows = _adjoint_samples(p, grid, _range_coordinates(p.h_space, x))
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
 
@@ -179,22 +175,18 @@ def optimal_control_infinite(p, x, grid):
 def optimal_trajectory_infinite(p, x, grid):
     """Sample the optimal arrival path y(r) = Q e^{-rA*} Q^{-1} x."""
     h = p.h_space
-    q = _range_coordinates(h, x)
-    pts, _, _ = _grid_arrays(grid)
-    rows = p.propagator.adjoint().apply(-pts, q)
+    pts, _, _, rows = _adjoint_samples(p, grid, _range_coordinates(h, x))
     return Trajectory(grid=pts, states=rows @ h.q_matrix)
 
 
-def steering_control_finite(p, t, x, grid, gramian=None):
+def steering_control_finite(p, t, x, grid):
     """Minimum-energy control reaching x at time 0 from rest at -t,
     sampled on the grid: u(r) = B* e^{-rA*} Q_t^{-1} x."""
-    g = gramian if gramian is not None else gramian_finite(p, t)
+    g = gramian_finite(p, t)
     x = np.asarray(x, dtype=float)
     if not reachable_membership(g, x, 1e-8):
         raise NotReachable("target is outside the reachable set for this horizon")
-    q = g.pinv.apply(x)
-    pts, wts, nodes = _grid_arrays(grid)
-    rows = p.propagator.adjoint().apply(-pts, q)
+    pts, wts, nodes, rows = _adjoint_samples(p, grid, g.pinv.apply(x))
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
 
@@ -204,16 +196,15 @@ def energy_of(u):
     return 0.5 * float(u.quad_weights @ np.sum(u.values ** 2, axis=1))
 
 
-def _simulate_panels(prop, B, z, u):
-    """Mild solution on a uniform Gauss-Lobatto panel grid.
+def _simulate_panels(prop, B, z, pts, values, q):
+    """Mild solution on a uniform grid of Gauss-Lobatto panels of q nodes,
+    with the control sampled at the grid times pts.
 
     Within each panel the control is represented by its nodal interpolant
     and integrated exactly against the flow via prefix weights; panels are
     chained with the exact two-point recursion, so the scheme commits only
     interpolation error.
     """
-    q = u.panel_nodes
-    pts = u.grid
     panels = (pts.size - 1) // (q - 1)
     width = (pts[-1] - pts[0]) / panels
     x_ref, _ = lobatto_rule(q)
@@ -227,7 +218,7 @@ def _simulate_panels(prop, B, z, u):
     n, m = B.shape
     ewb_mat = ewb.transpose(0, 2, 1, 3).reshape(q * n, q * m)  # rows (j, a), cols (k, b)
 
-    vals = u.values[: panels * (q - 1) + 1]
+    vals = values[: panels * (q - 1) + 1]
     idx = (np.arange(panels)[:, None] * (q - 1)) + np.arange(q)[None, :]
     u_panels = vals[idx].reshape(panels, q * m)          # rows p, cols (k, b)
     forced = (u_panels @ ewb_mat.T).reshape(panels, q, n)
@@ -243,25 +234,6 @@ def _simulate_panels(prop, B, z, u):
     return states
 
 
-def _simulate_generic(prop, B, z, u):
-    """Fallback mild-solution integrator for arbitrary grids: interval-wise
-    Simpson rule with linear interpolation of the control."""
-    pts = u.grid
-    hs = np.diff(pts)
-    e_full = prop.at(hs)
-    e_half = prop.at(hs / 2.0)
-    bu = u.values @ B.T
-    states = np.empty((pts.size, prop.n))
-    y = np.asarray(z, dtype=float)
-    states[0] = y
-    for k, h in enumerate(hs):
-        mid = 0.5 * (bu[k] + bu[k + 1])
-        inc = (h / 6.0) * (e_full[k] @ bu[k] + 4.0 * (e_half[k] @ mid) + bu[k + 1])
-        y = e_full[k] @ y + inc
-        states[k + 1] = y
-    return states
-
-
 def _locate(pts, value, what):
     idx = int(np.argmin(np.abs(pts - value)))
     if abs(pts[idx] - value) > 1e-9:
@@ -271,7 +243,8 @@ def _locate(pts, value, what):
 
 def _simulate_core(prop, B, z, u, s, t):
     """Mild solution of y' = Ay + Bu on [s, t], with prop the Propagator
-    of A."""
+    of A.  Raises GridMismatch unless the window is made of whole
+    Gauss-Lobatto panels of the control's grid."""
     pts = u.grid
     if pts[0] > s + 1e-9 or pts[-1] < t - 1e-9:
         raise GridMismatch("control grid does not cover the requested window")
@@ -279,17 +252,12 @@ def _simulate_core(prop, B, z, u, s, t):
     hi = _locate(pts, t, "end")
     if hi <= lo:
         raise GridMismatch("window must have positive length")
-    pts = pts[lo:hi + 1]
-    values = u.values[lo:hi + 1]
     q = u.panel_nodes
-    # the spectral path needs the slice to respect the panel structure
-    on_panels = (q is not None and lo % (q - 1) == 0
-                 and (pts.size - 1) % (q - 1) == 0 and pts.size > 1)
-    window = _Window(grid=pts, values=values, panel_nodes=q if on_panels else None)
-    if on_panels:
-        states = _simulate_panels(prop, B, z, window)
-    else:
-        states = _simulate_generic(prop, B, z, window)
+    if q is None or lo % (q - 1) or (hi - lo) % (q - 1):
+        raise GridMismatch("the simulator needs a window of whole Gauss-Lobatto "
+                           "panels")
+    pts = pts[lo:hi + 1]
+    states = _simulate_panels(prop, B, z, pts, u.values[lo:hi + 1], q)
     return Trajectory(grid=pts, states=states)
 
 
@@ -330,7 +298,7 @@ def bcle_residual(p, traj):
 
 class AuxiliaryFlow(NamedTuple):
     """The part of the auxiliary problem that no penalty enters, for one
-    model, horizon, Gramian and target stack, in the coordinates of the
+    model, horizon and target stack, in the coordinates of the
     orthonormal reachability basis theta (the subspace is flow-invariant):
     the reduced flow E = theta* e^{tA} theta, the reduced inverse Gramian
     G = theta* Q_t^{-1} theta, the reduced targets X = theta* x* (one
@@ -344,16 +312,17 @@ class AuxiliaryFlow(NamedTuple):
     etgx: np.ndarray
 
 
-def auxiliary_flow(p, t, x, gramian, hspace):
+def auxiliary_flow(p, t, x):
     """The penalty-free stage of ``value_auxiliary`` for the target x, of
     shape (n,), or the (k, n) stack x.  Raises NotReachableFromH when a
     target is outside the reachability space."""
     x = np.asarray(x, dtype=float)
-    if not np.all(hspace.contains(x, 1e-8)):
+    g, h = gramian_finite(p, t), p.h_space
+    if not np.all(h.contains(x, 1e-8)):
         raise NotReachableFromH("target is outside the reachability space")
-    theta = h_basis(hspace)
+    theta = h_basis(h)
     e_tilde = theta.T @ p.propagator.at(t)[0] @ theta
-    g_tilde = theta.T @ gramian.pinv.inverse_on_range @ theta
+    g_tilde = theta.T @ g.pinv.inverse_on_range @ theta
     x_tilde = theta.T @ x.T
     etg = e_tilde.T @ g_tilde
     return AuxiliaryFlow(*(read_only(a) for a in (
@@ -392,7 +361,7 @@ def auxiliary_minimum(flow, form):
                           argmin_z=(flow.theta @ c).T)
 
 
-def value_auxiliary(p, N, t, x, gramian=None):
+def value_auxiliary(p, N, t, x):
     """Minimum of the steering energy plus a quadratic penalty on the
     free initial state.
 
@@ -411,9 +380,7 @@ def value_auxiliary(p, N, t, x, gramian=None):
     and ``auxiliary_minimum``, so that callers with many penalties and
     one target stack can share the first.
     """
-    h = p.h_space
-    g = gramian if gramian is not None else gramian_finite(p, t)
-    return auxiliary_minimum(auxiliary_flow(p, t, x, g, h), N.form_matrix(h))
+    return auxiliary_minimum(auxiliary_flow(p, t, x), N.form_matrix(p.h_space))
 
 
 def _reverse_signal(u):

@@ -99,10 +99,12 @@ def _block_coefficients(m, drive):
 class Gramian:
     """Symmetric PSD controllability operator for one horizon.
 
-    The pseudoinverse, and the rank decided with it, are computed on first
-    access and kept.  ``comparison_stages`` keeps the candidate-independent
-    stages of ``riccati.comparison_check`` for this Gramian, so they live
-    exactly as long as it does.
+    ``gramian_finite`` makes one per model, horizon and route and keeps it
+    on the model.  The pseudoinverse, and the rank decided with it, are
+    computed on first access and kept.  ``comparison_stages`` keeps the
+    candidate-independent stages of ``riccati.comparison_check`` for this
+    model and horizon, by sample count and seed, so they live exactly as
+    long as the model does.
     """
 
     horizon: float
@@ -277,7 +279,9 @@ def _gramian_matrix_ode(p, t):
 
 
 def gramian_finite(p, t, method="quadrature"):
-    """Controllability Gramian over the horizon t > 0.
+    """Controllability Gramian over the horizon t > 0, computed once per
+    model, horizon and route: every call with one model, ``float(t)`` and
+    ``method`` returns one read-only object, kept on the model.
 
     ``method`` selects composite Gauss-Legendre quadrature of the
     defining integral (one panel's sum, carried across the horizon by
@@ -296,13 +300,15 @@ def gramian_finite(p, t, method="quadrature"):
         raise HorizonNotPositive(f"horizon must be positive, got {t}")
     if not np.isfinite(t):
         raise BadParameterError(f"horizon must be finite, got {t}")
-    if method == "quadrature":
-        matrix = _gramian_quadrature(p, float(t))
-    elif method == "matrix_ode":
-        matrix = _gramian_matrix_ode(p, float(t))
-    else:
+    routes = {"quadrature": _gramian_quadrature, "matrix_ode": _gramian_matrix_ode}
+    if method not in routes:
         raise ValueError(f"unknown method {method!r}")
-    return _as_gramian(matrix, t)
+    key = (float(t), method)
+    g = p.gramians.get(key)
+    if g is None:
+        # setdefault is atomic: concurrent first calls all get the object kept
+        g = p.gramians.setdefault(key, _as_gramian(routes[method](p, float(t)), t))
+    return g
 
 
 def gramian_infinite(p):
@@ -440,7 +446,8 @@ def semigroup_transpose_identity(p, s):
 
 def t_max(p, x_norm, t0=0.0, eps=TAIL_EPS):
     """Horizon beyond which the energy tail of any steering problem is
-    below ``eps`` relative: max(t0, log(max(|x|, eps) * M / eps) / omega)."""
+    below ``eps`` relative: max(t0, log(max(|x|, eps) * M / eps) / omega,
+    1), so never shorter than 1."""
     x_norm = max(float(x_norm), eps)
     t = np.log(x_norm * p.bound_M / eps) / p.decay_omega
     return float(max(t0, t, 1.0))

@@ -71,7 +71,8 @@ class ControlProblem:
     metadata was read off it, and it also gives the flows of A* and -A.
     The other factorizations are computed on first use and kept on the
     model, so the spectral norm of A, BB*, the infinite-horizon Gramian
-    and the reachability space are computed once per model.
+    and the reachability space are computed once per model, and each
+    finite-horizon Gramian once per horizon and route.
     """
 
     A: np.ndarray
@@ -107,6 +108,12 @@ class ControlProblem:
         """Reachability space; see ``gramian.h_space``."""
         from .gramian import _factor_h_space  # gramian imports this module
         return _factor_h_space(self)
+
+    @cached_property
+    def gramians(self):
+        """Finite-horizon Gramians by (horizon, method); see
+        ``gramian.gramian_finite``."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from .errors import (
     TooManySolutions,
     WrongForm,
 )
-from .gramian import HSpace, gramian_finite, h_space
-from .operators import ControlProblem, is_symmetric, read_only, symmetrize
+from .gramian import gramian_finite, h_space
+from .operators import is_symmetric, read_only, symmetrize
 
 DEFAULT_SEED = 0x5EED
 
@@ -221,31 +221,27 @@ def maximality_check(h, P):
 
 class ComparisonStage(NamedTuple):
     """The candidate-independent part of ``comparison_check`` for one
-    model, reachability space, Gramian, horizon, sample count and seed:
-    the seeded sample stack, the penalty-free stage of the auxiliary
-    problem on it and the finite-horizon values V(t, x).  The arrays are
-    read-only.  The stage holds its model and space, so the identities
-    that key it stay theirs while it exists."""
+    model, horizon, sample count and seed: the seeded sample stack, the
+    penalty-free stage of the auxiliary problem on it and the
+    finite-horizon values V(t, x).  The arrays are read-only."""
 
-    model: ControlProblem
-    space: HSpace
     samples: np.ndarray
     flow: AuxiliaryFlow
     v_finite: np.ndarray
 
 
-def _comparison_stage(p, h, g, t, samples, seed):
-    """The comparison stage, built once per key and kept on the Gramian g.
+def _comparison_stage(p, g, t, samples, seed):
+    """The comparison stage, built once per (samples, seed) and kept on
+    g = gramian_finite(p, t), which is already one per model and horizon.
     Any other seed that ``default_rng`` takes (None, a Generator) may draw
     differently on each call, so its stage is not kept."""
-    key = ((id(p), id(h), float(t), int(samples), int(seed))
-           if isinstance(seed, Integral) else None)
+    key = (int(samples), int(seed)) if isinstance(seed, Integral) else None
     stage = g.comparison_stages.get(key)
     if stage is None:
         xs = read_only(np.random.default_rng(seed).standard_normal((samples, p.n)))
-        flow = auxiliary_flow(p, t, xs, g, h)
-        v_fin = read_only(value_finite(p, t, xs, gramian=g))
-        stage = ComparisonStage(p, h, xs, flow, v_fin)
+        flow = auxiliary_flow(p, t, xs)
+        v_fin = read_only(value_finite(p, t, xs))
+        stage = ComparisonStage(xs, flow, v_fin)
         if key is not None:
             g.comparison_stages[key] = stage
     return stage
@@ -263,18 +259,23 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
 
     The samples, their membership checks, V(t, x) and the penalty-free
     stage of V^P are the same for every candidate; they are computed once
-    per (model, space, Gramian, horizon, samples, seed) and kept on the
-    Gramian, so a caller that passes one ``gramian`` for many candidates
-    pays only for each candidate's penalty and solve.
+    per (model, horizon, samples, seed) and kept on the model's Gramian
+    ``gramian_finite(p, t)``, so each further candidate pays only for its
+    penalty and solve.  ``hspace`` and ``gramian`` may be given, but only
+    as the model's own ``h_space(p)`` and ``gramian_finite(p, t)`` (the
+    same objects); anything else raises BadParameterError.
     """
     _require_form(P, "H_form")
     if samples < 1:
         raise BadParameterError(f"comparison needs at least one sample, got {samples}")
     if not p.coercive:
         raise NotCoercive("comparison certificate needs a coercive BB*")
-    h = hspace if hspace is not None else _full_rank_h(p)
-    g = gramian if gramian is not None else gramian_finite(p, t)
-    stage = _comparison_stage(p, h, g, t, samples, seed)
+    h, g = _full_rank_h(p), gramian_finite(p, t)
+    if hspace is not None and hspace is not h:
+        raise BadParameterError("hspace must be the model's own h_space(p)")
+    if gramian is not None and gramian is not g:
+        raise BadParameterError("gramian must be the model's own gramian_finite(p, t)")
+    stage = _comparison_stage(p, g, t, samples, seed)
     xs = stage.samples
     form = AuxiliaryCost(P.matrix).form_matrix(h)
     lhs = 0.5 * np.sum((xs @ form) * xs, axis=1)

@@ -378,7 +378,9 @@ class TestAllCommand:
 
     def test_one_load_and_one_gramian_solve(self, model_file, tmp_path,
                                             monkeypatch):
-        counts = {"load_model": 0, "solve": 0}
+        # the gramian, verify, synthesize and auxiliary stages all read the
+        # model's one Gramian at t = 1
+        counts = {"load_model": 0, "solve": 0, "quadrature": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -389,9 +391,11 @@ class TestAllCommand:
         monkeypatch.setattr(cli, "load_model", counted("load_model", cli.load_model))
         monkeypatch.setattr(gramian, "_solve_gramian_infinite",
                             counted("solve", gramian._solve_gramian_infinite))
+        monkeypatch.setattr(gramian, "_gramian_quadrature",
+                            counted("quadrature", gramian._gramian_quadrature))
         assert run("all", "--model", model_file(SPECTRAL_8), "--comparison",
                    "--out", tmp_path) == 0
-        assert counts == {"load_model": 1, "solve": 1}
+        assert counts == {"load_model": 1, "solve": 1, "quadrature": 1}
 
     @pytest.mark.parametrize("doc, options", [
         (SPECTRAL_8, ["--comparison"]),
@@ -407,12 +411,13 @@ class TestAllCommand:
         together, apart = tmp_path / "all", tmp_path / "apart"
         code_all = run("all", "--model", path, *options, "--out", together)
         codes = []
-        stages = [["gramian"], ["verify", "--samples", "50", *options],
-                  ["synthesize", "--target", target, "--tol", "1e-8"],
-                  ["auxiliary", "--target", target, "--n-scale", "1"]]
+        # verify reads --t and --samples only with --comparison
+        verify = ["--t", "1", "--samples", "50"] if "--comparison" in options else []
+        stages = [["gramian", "--t", "1"], ["verify", *verify, *options],
+                  ["synthesize", "--t", "1", "--target", target, "--tol", "1e-8"],
+                  ["auxiliary", "--t", "1", "--target", target, "--n-scale", "1"]]
         for stage in stages:
-            codes.append(run(stage[0], "--model", path, "--t", "1", *stage[1:],
-                             "--out", apart))
+            codes.append(run(stage[0], "--model", path, *stage[1:], "--out", apart))
             if codes[-1] >= 2:              # a refusal ends all here too
                 break
         assert code_all == max(codes)
@@ -451,7 +456,8 @@ class TestExitCodeContract:
         ["--n-scale", "-1"],
         ["--t", "-1"],
         ["--comparison", "--samples", "0"],
-    ], ids=["tol", "n_scale", "horizon", "samples"])
+        ["--samples", "50"],
+    ], ids=["tol", "n_scale", "horizon", "samples", "samples_without_comparison"])
     def test_all_refuses_bad_option_before_writing(self, options, model_file,
                                                    tmp_path):
         out = tmp_path / "out"
@@ -490,11 +496,19 @@ class TestExitCodeContract:
         ["--t", "-5"],
         ["--t", "inf"],
         ["--samples", "0"],
-    ], ids=["both", "horizon", "infinite_horizon", "samples"])
+        ["--t", "3"],
+        ["--samples", "50"],
+        ["--t", "2", "--samples", "50"],
+    ], ids=["both", "horizon", "infinite_horizon", "samples", "accepted_horizon",
+            "accepted_samples", "accepted_both"])
     def test_verify_checks_options_without_comparison(self, options, model_file,
                                                       tmp_path):
+        # --t and --samples are read only by the comparison certificate, so
+        # without --comparison any value is refused before a file is written
+        out = tmp_path / "out"
         assert run("verify", "--model", model_file(SPECTRAL), *options,
-                   "--out", tmp_path) == 3
+                   "--out", out) == 3
+        assert not out.exists()
 
     def test_parse_is_two(self, tmp_path):
         assert run("gramian", "--model", tmp_path / "nope.json",

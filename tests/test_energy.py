@@ -219,12 +219,22 @@ class TestSimulateMild:
         ref = np.exp(-(0.0 - edge)) * 1.0 + forced
         assert abs(traj.states[-1, 0] - ref) <= 1e-10
 
-    def test_generic_grid_fallback(self, scalar_problem):
-        grid = np.linspace(0.0, 1.0, 2001)
+    def test_non_panel_window_refused(self, scalar_problem):
+        # a plain grid, or a window that cuts a Gauss-Lobatto panel, is
+        # refused rather than integrated by a lower-order scheme
+        plain = np.linspace(0.0, 1.0, 2001)
+        u = sample_signal(scalar_problem, plain, lambda r: np.cos(r)[:, None])
+        with pytest.raises(GridMismatch, match="whole Gauss-Lobatto panels"):
+            simulate_mild(scalar_problem, [0.0], u, 0.0, 1.0)
+        grid = default_grid(scalar_problem, 0.0, 1.0, target_points=64)
         u = sample_signal(scalar_problem, grid, lambda r: np.cos(r)[:, None])
+        inner = grid.points[1]
+        for s, t in ((inner, 1.0), (0.0, grid.points[-2])):
+            with pytest.raises(GridMismatch, match="whole Gauss-Lobatto panels"):
+                simulate_mild(scalar_problem, [0.0], u, s, t)
         traj = simulate_mild(scalar_problem, [0.0], u, 0.0, 1.0)
         oracle, _ = quad(lambda tau: np.exp(-(1.0 - tau)) * np.cos(tau), 0.0, 1.0)
-        assert abs(traj.states[-1, 0] - oracle) <= 1e-7
+        assert abs(traj.states[-1, 0] - oracle) <= 1e-10
 
 
 class TestEnergy:
@@ -371,7 +381,7 @@ class TestAuxiliary:
         cost = AuxiliaryCost(np.eye(3))
         h = h_space(p)
         g = gramian_finite(p, 2.0)
-        aux = value_auxiliary(p, cost, 2.0, x, gramian=g)
+        aux = value_auxiliary(p, cost, 2.0, x)
         E = expm(p.A, 2.0)
         form = cost.form_matrix(h)
         for _ in range(10):
@@ -394,18 +404,17 @@ class TestStackedTargets:
         else:
             p = make_spectral_model([-1.0, -2.0, -0.5], [1.0, 0.0, 2.0])
         h = h_space(p)
-        g = gramian_finite(p, t)
         r = rng.standard_normal((p.n, p.n))
         cost = AuxiliaryCost(h.q_matrix @ (r @ r.T / p.n))
         xs = h.project(rng.standard_normal((7, p.n)).T).T
         xs[3] = 0.0
-        aux = value_auxiliary(p, cost, t, xs, gramian=g)
-        fin = value_finite(p, t, xs, gramian=g)
+        aux = value_auxiliary(p, cost, t, xs)
+        fin = value_finite(p, t, xs)
         assert aux.value.shape == (7,) and fin.shape == (7,)
         assert aux.argmin_z.shape == (7, p.n)
         for k, x in enumerate(xs):
-            one = value_auxiliary(p, cost, t, x, gramian=g)
-            v = value_finite(p, t, x, gramian=g)
+            one = value_auxiliary(p, cost, t, x)
+            v = value_finite(p, t, x)
             assert isinstance(one.value, float) and isinstance(v, float)
             assert one.argmin_z.shape == (p.n,)
             assert abs(aux.value[k] - one.value) <= 1e-12 * (1.0 + abs(one.value))
@@ -471,12 +480,11 @@ class TestAuxiliaryEigenSolve:
     def test_random_dense_problems(self, rng, n, stack):
         p = random_problem(rng, n=n)
         t = float(rng.uniform(0.3, 3.0))
-        g = gramian_finite(p, t)
         r = rng.standard_normal((n, n))
         cost = AuxiliaryCost(p.h_space.q_matrix @ (r @ r.T / n))
         x = rng.standard_normal((6, n) if stack else n)
-        aux = value_auxiliary(p, cost, t, x, gramian=g)
-        flow = auxiliary_flow(p, t, x, g, p.h_space)
+        aux = value_auxiliary(p, cost, t, x)
+        flow = auxiliary_flow(p, t, x)
         self.assert_matches_reference(aux, flow, cost.form_matrix(p.h_space))
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
@@ -547,7 +555,6 @@ class TestOptimalityAgainstPerturbations:
         grid = default_grid(p, -T)
         u_star = optimal_control_infinite(p, x, grid)
         base = energy_of(u_star)
-        g = gramian_finite(p, T)
         for _ in range(20):
             # kill the endpoint displacement of a rough perturbation by
             # subtracting the steering control that produces it
@@ -556,7 +563,7 @@ class TestOptimalityAgainstPerturbations:
                                   quad_weights=grid.weights,
                                   panel_nodes=grid.nodes_per_panel)
             reached = simulate_mild(p, np.zeros(3), rough, -T, 0.0).states[-1]
-            fix = steering_control_finite(p, T, reached, grid, gramian=g)
+            fix = steering_control_finite(p, T, reached, grid)
             pert = ControlSignal(grid=grid.points,
                                  values=u_star.values + rough.values - fix.values,
                                  quad_weights=grid.weights,

@@ -8,6 +8,7 @@ from numpy.polynomial.polynomial import polypow
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import minenergy.gramian as gramian_module
 from minenergy.errors import BadParameterError, HorizonNotPositive, NotInH, RankDeficient
 from minenergy.gramian import (
     _BINOM,
@@ -393,7 +394,8 @@ class TestGramianInfinite:
 
 class TestModelMemo:
     """A model factors itself once: its infinite-horizon Gramian, its
-    reachability space and its propagator are kept on the model object."""
+    reachability space, its propagator and each finite Gramian it is asked
+    for are kept on the model object."""
 
     def test_one_object_per_model(self, rng):
         p = random_problem(rng, n=4)
@@ -401,6 +403,37 @@ class TestModelMemo:
         assert h_space(p) is h_space(p)
         assert p.propagator is p.propagator
         assert h_space(random_problem(rng, n=4)) is not h_space(p)
+
+    def test_one_finite_gramian_per_horizon_and_route(self, rng, monkeypatch):
+        calls = {"quadrature": 0, "matrix_ode": 0}
+
+        def counted(name):
+            fn = getattr(gramian_module, f"_gramian_{name}")
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gramian_module, f"_gramian_{name}", counted(name))
+        p = random_problem(rng, n=4)
+        g = gramian_finite(p, 1.0)
+        assert gramian_finite(p, 1) is g
+        assert gramian_finite(p, 1.0, "quadrature") is g
+        ode = gramian_finite(p, 1.0, "matrix_ode")
+        assert ode is not g and gramian_finite(p, 1.0, "matrix_ode") is ode
+        assert gramian_finite(p, 2.0) is not g
+        with pytest.raises(ValueError):
+            g.matrix[0, 0] = 1.0
+        with pytest.raises(HorizonNotPositive):    # a refused horizon is not kept
+            gramian_finite(p, 0.0)
+        assert sorted(p.gramians) == [(1.0, "matrix_ode"), (1.0, "quadrature"),
+                                      (2.0, "quadrature")]
+        fresh = make_dense_model(p.A, p.B)
+        assert gramian_finite(fresh, 1.0) is not g
+        assert np.array_equal(gramian_finite(fresh, 1.0).matrix, g.matrix)
+        assert calls == {"quadrature": 3, "matrix_ode": 1}
 
     def test_one_lyapunov_solve_across_horizons(self, rng, monkeypatch):
         solve, calls = sla.solve_continuous_lyapunov, []

@@ -17,11 +17,12 @@ from minenergy.errors import (
     TooManySolutions,
     WrongForm,
 )
-from minenergy.gramian import Gramian, HSpace, gramian_finite, h_space
+from minenergy.gramian import HSpace, gramian_finite, h_space
 from minenergy.operators import make_dense_model, make_spectral_model
 from minenergy.riccati import (
     DEFAULT_SEED,
     CandidateSolution,
+    _comparison_stage,
     are_residual_H,
     are_residual_X,
     commuting_residual,
@@ -279,19 +280,17 @@ class TestComparison:
     def test_margin_matches_one_target_loop(self):
         p = make_spectral_model([-0.5, -1.0, -1.7, -2.6], [0.7, 1.3, 1.0, 1.9])
         h = h_space(p)
-        g = gramian_finite(p, 2.0)
         seed = 0x5EED
         for cand in enumerate_commuting_solutions(p)[::3]:
-            rep = comparison_check(p, cand, 2.0, samples=20, seed=seed,
-                                   hspace=h, gramian=g)
+            rep = comparison_check(p, cand, 2.0, samples=20, seed=seed)
             cost = AuxiliaryCost(cand.matrix)
             form = cost.form_matrix(h)
             rng = np.random.default_rng(seed)
             margin = np.inf
             for _ in range(20):
                 x = rng.standard_normal(p.n)
-                v_aux = value_auxiliary(p, cost, 2.0, x, gramian=g).value
-                v_fin = value_finite(p, 2.0, x, gramian=g)
+                v_aux = value_auxiliary(p, cost, 2.0, x).value
+                v_fin = value_finite(p, 2.0, x)
                 margin = min(margin, v_aux - 0.5 * float(x @ form @ x), v_fin - v_aux)
             assert abs(rep.comparison_margin - margin) <= 1e-9
 
@@ -303,84 +302,102 @@ EIGHT_REPEATED_PAIR = [-0.3, -0.55, -0.8, -1.2, -1.2, -2.1, -2.7, -3.4]
 
 class TestComparisonStage:
     """The candidate-independent stage of comparison_check is kept on the
-    Gramian; it must give what a fresh Gramian gives, and only for its own
-    model, space, horizon, sample count and seed."""
+    model's Gramian for the horizon; it must give what a freshly built
+    model gives, and only for its own sample count and seed."""
 
     @pytest.mark.parametrize("lambdas, count", [(EIGHT_DISTINCT, 256),
                                                 (EIGHT_REPEATED_PAIR, 262)])
     def test_every_candidate_bit_equal_to_fresh_gramian(self, lambdas, count):
         p = make_spectral_model(lambdas, EIGHT_WEIGHTS)
-        h = h_space(p)
-        g = gramian_finite(p, 2.0)
         cands = enumerate_commuting_solutions(p)
         assert len(cands) == count
         for cand in cands:
-            rep = comparison_check(p, cand, 2.0, hspace=h, gramian=g)
-            fresh = comparison_check(p, cand, 2.0, hspace=h,
-                                     gramian=gramian_finite(p, 2.0))
-            assert rep == fresh
-        assert len(g.comparison_stages) == 1
+            fresh = make_spectral_model(lambdas, EIGHT_WEIGHTS)
+            assert comparison_check(p, cand, 2.0) == comparison_check(fresh, cand, 2.0)
+        assert len(gramian_finite(p, 2.0).comparison_stages) == 1
 
     def test_changed_key_never_reuses_stage(self):
         p = make_spectral_model(EIGHT_DISTINCT, EIGHT_WEIGHTS)
-        h = h_space(p)
-        g = gramian_finite(p, 2.0)
         # not a solution, so that its margins are far from rounding level
         cand = CandidateSolution("H_form", np.diag(np.linspace(0.2, 0.9, p.n)))
 
-        def margin(model, t, hspace, gramian, **kw):
-            """Margin with the given Gramian; it must equal the margin with
-            a fresh copy of that Gramian, which holds no stage."""
-            rep = comparison_check(model, cand, t, hspace=hspace, gramian=gramian, **kw)
-            fresh = Gramian(horizon=gramian.horizon, matrix=gramian.matrix)
-            assert rep == comparison_check(model, cand, t, hspace=hspace,
-                                           gramian=fresh, **kw)
+        def margin(model, t, **kw):
+            """Margin on the model; it must equal the margin on a freshly
+            built copy of that model, which holds no stage."""
+            rep = comparison_check(model, cand, t, **kw)
+            fresh = make_spectral_model(model.spectral.lambdas, model.spectral.b_diag)
+            assert rep == comparison_check(fresh, cand, t, **kw)
             return rep.comparison_margin
 
-        base = margin(p, 2.0, h, g)
+        base = margin(p, 2.0)
         for kw in ({"seed": 7}, {"samples": 20}, {"samples": 20, "seed": 7}):
-            margin(p, 2.0, h, g, **kw)
+            margin(p, 2.0, **kw)
+        g = gramian_finite(p, 2.0)
         assert len(g.comparison_stages) == 4
-        for (_, _, t, samples, seed), stage in g.comparison_stages.items():
-            assert t == 2.0
+        for (samples, seed), stage in g.comparison_stages.items():
             assert np.array_equal(stage.samples, np.random.default_rng(
                 seed).standard_normal((samples, p.n)))
-        # another Gramian keeps its own stages
+        # another horizon keeps its stages on its own Gramian
+        at_one = margin(p, 1.0)
         g1 = gramian_finite(p, 1.0)
-        at_one = margin(p, 1.0, h, g1)
+        assert at_one != base
         assert len(g.comparison_stages) == 4 and len(g1.comparison_stages) == 1
-        # one Gramian at another horizon, with another model or another space
-        assert margin(p, 1.0, h, g) not in (base, at_one)
+        # another model keeps its stages on its own Gramians
         other = make_spectral_model([2.0 * lam for lam in EIGHT_DISTINCT], EIGHT_WEIGHTS)
-        assert margin(other, 2.0, h, g) != base
+        assert margin(other, 2.0) != base
+        assert len(g.comparison_stages) == 4
+        # the Gramian of another horizon, another model or another space is
+        # refused rather than keyed
+        h = h_space(p)
         h_copy = HSpace(sqrt_Q=h.sqrt_Q, sqrt_pinv=h.sqrt_pinv)
-        assert margin(p, 2.0, h_copy, g) == base
-        assert len(g.comparison_stages) == 7
-        assert any(stage.space is h_copy for stage in g.comparison_stages.values())
+        for kw in ({"gramian": g}, {"gramian": gramian_finite(other, 1.0)},
+                   {"hspace": h_space(other)}, {"hspace": h_copy}):
+            with pytest.raises(BadParameterError):
+                comparison_check(p, cand, 1.0, **kw)
+        assert len(g.comparison_stages) == 4 and len(g1.comparison_stages) == 1
         # a seed of fresh entropy draws anew on every call, so nothing is kept
         comparison_check(p, cand, 2.0, seed=None, hspace=h, gramian=g)
-        assert len(g.comparison_stages) == 7
+        assert len(g.comparison_stages) == 4
 
     def test_unreachable_samples_still_raise(self):
+        # a rank-deficient model's samples leave its space; its space or
+        # Gramian passed for a full-rank model is refused; no failed stage
+        # is kept
         p = make_spectral_model([-1.0, -2.0], [1.0, 1.0])
         deficient = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
         cand = CandidateSolution("H_form", np.eye(2))
-        g = gramian_finite(p, 1.0)
-        for _ in range(2):                      # a failed stage is not kept
+        g, g_def = gramian_finite(p, 1.0), gramian_finite(deficient, 1.0)
+        for _ in range(2):
             with pytest.raises(NotReachableFromH):
-                comparison_check(p, cand, 1.0, hspace=h_space(deficient), gramian=g)
-            with pytest.raises(NotReachable):
-                comparison_check(p, cand, 1.0, hspace=h_space(p),
-                                 gramian=gramian_finite(deficient, 1.0))
-        assert not g.comparison_stages
+                _comparison_stage(deficient, g_def, 1.0, 50, DEFAULT_SEED)
+            with pytest.raises(BadParameterError, match="h_space"):
+                comparison_check(p, cand, 1.0, hspace=h_space(deficient))
+            with pytest.raises(BadParameterError, match="gramian_finite"):
+                comparison_check(p, cand, 1.0, gramian=g_def)
+        assert not g.comparison_stages and not g_def.comparison_stages
+
+    def test_foreign_space_or_gramian_refused(self):
+        # hspace= and gramian= must be the model's own objects: equal
+        # values from another model, or another horizon or route, are
+        # refused
+        p = make_spectral_model(EIGHT_DISTINCT, EIGHT_WEIGHTS)
+        twin = make_spectral_model(EIGHT_DISTINCT, EIGHT_WEIGHTS)
+        cand = CandidateSolution("H_form", np.eye(p.n))
+        own = {"hspace": h_space(p), "gramian": gramian_finite(p, 2.0)}
+        assert comparison_check(p, cand, 2.0, **own) == comparison_check(twin, cand, 2.0)
+        for kw in ({"hspace": h_space(twin)},
+                   {"gramian": gramian_finite(twin, 2.0)},
+                   {"gramian": gramian_finite(p, 1.0)},
+                   {"gramian": gramian_finite(p, 2.0, "matrix_ode")}):
+            with pytest.raises(BadParameterError):
+                comparison_check(p, cand, 2.0, **kw)
 
     def test_shared_arrays_read_only(self):
         p = make_spectral_model(EIGHT_REPEATED_PAIR, EIGHT_WEIGHTS)
-        g = gramian_finite(p, 2.0)
         comparison_check(p, CandidateSolution("H_form", np.eye(p.n)), 2.0,
-                         seed=DEFAULT_SEED, gramian=g)
-        (stage,) = g.comparison_stages.values()
-        assert stage.model is p and stage.space is h_space(p)
+                         seed=DEFAULT_SEED)
+        (stage,) = gramian_finite(p, 2.0).comparison_stages.values()
+        assert stage._fields == ("samples", "flow", "v_finite")
         for a in (stage.samples, stage.v_finite, *stage.flow):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
