@@ -32,7 +32,6 @@ from .energy import (
 )
 from .gramian import (
     Gramian,
-    HSpace,
     a0_operator,
     gramian_finite,
     gramian_infinite,

@@ -397,8 +397,9 @@ def _check_options(args):
 def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_targets(argv))
     try:
+        # inside the try: an option's type, such as --seed, may raise ParseError
+        args = parser.parse_args(_attach_negative_targets(argv))
         _check_options(args)
         problem = load_model(args.model) if hasattr(args, "model") else None
         return args.fn(args, problem)

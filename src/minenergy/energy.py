@@ -26,6 +26,7 @@ from .gramian import (
     gramian_finite,
     h_basis,
     h_inner,
+    h_space,
     reachable_membership,
 )
 from .operators import read_only, symmetrize
@@ -86,7 +87,7 @@ class AuxiliaryCost:
 
     def form_matrix(self, h):
         """Ambient symmetric matrix S with <N z, z>_H = z' S z."""
-        return symmetrize(np.asarray(self.N_H, dtype=float).T @ h.q_pinv_matrix)
+        return symmetrize(np.asarray(self.N_H, dtype=float).T @ h.pinv.inverse_on_range)
 
     def quad(self, h, z):
         z = np.asarray(z, dtype=float)
@@ -146,16 +147,14 @@ def value_finite(p, t, x, tol=1e-8):
 def value_infinite(p, x, tol=1e-8):
     """Least energy over all horizons: half the reachability-metric norm
     squared.  Raises NotInH when the target carries infinite energy."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * h_inner(p.h_space, x, x, tol)
+    return 0.5 * h_inner(h_space(p), x, x, tol)
 
 
 def _range_coordinates(h, x, tol=1e-8):
-    x = np.asarray(x, dtype=float)
-    if not h.contains(x, tol):
+    if not reachable_membership(h, x, tol):
         raise NotInRangeQ("closed-form synthesis needs the target in the "
                           "Gramian range")
-    return h.q_pinv_matrix @ x
+    return h.pinv.apply(x)
 
 
 def _adjoint_samples(p, grid, q):
@@ -167,16 +166,16 @@ def _adjoint_samples(p, grid, q):
 
 def optimal_control_infinite(p, x, grid):
     """Sample the optimal steering control u(r) = B* e^{-rA*} Q^{-1} x."""
-    pts, wts, nodes, rows = _adjoint_samples(p, grid, _range_coordinates(p.h_space, x))
+    pts, wts, nodes, rows = _adjoint_samples(p, grid, _range_coordinates(h_space(p), x))
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
 
 
 def optimal_trajectory_infinite(p, x, grid):
     """Sample the optimal arrival path y(r) = Q e^{-rA*} Q^{-1} x."""
-    h = p.h_space
+    h = h_space(p)
     pts, _, _, rows = _adjoint_samples(p, grid, _range_coordinates(h, x))
-    return Trajectory(grid=pts, states=rows @ h.q_matrix)
+    return Trajectory(grid=pts, states=rows @ h.matrix)
 
 
 def steering_control_finite(p, t, x, grid):
@@ -272,7 +271,7 @@ def feedback_residual(p, traj, u):
     if traj.grid.shape != u.grid.shape or not np.allclose(traj.grid, u.grid,
                                                           rtol=0.0, atol=1e-12):
         raise GridMismatch("trajectory and control must share one grid")
-    gain = p.B.T @ p.h_space.q_pinv_matrix
+    gain = p.B.T @ h_space(p).pinv.inverse_on_range
     res = u.values - traj.states @ gain.T
     return float(np.max(np.linalg.norm(res, axis=1)))
 
@@ -280,14 +279,14 @@ def feedback_residual(p, traj, u):
 def bcle_residual(p, traj):
     """Central-difference residual of the backward closed-loop law
     y' = -Q A* Q^{-1} y on a uniform grid."""
-    h = p.h_space
+    h = h_space(p)
     if not h.full_rank:
         raise RankDeficient("closed-loop conjugation needs a full-rank Gramian")
     steps = np.diff(traj.grid)
     step = steps[0]
     if np.max(np.abs(steps - step)) > 1e-9 * step:
         raise GridMismatch("closed-loop residual needs a uniform grid")
-    m = h.q_matrix @ p.A.T @ h.q_pinv_matrix
+    m = h.matrix @ p.A.T @ h.pinv.inverse_on_range
     y = traj.states
     deriv = (y[2:] - y[:-2]) / (2.0 * step)
     res = deriv + y[1:-1] @ m.T
@@ -317,8 +316,8 @@ def auxiliary_flow(p, t, x):
     shape (n,), or the (k, n) stack x.  Raises NotReachableFromH when a
     target is outside the reachability space."""
     x = np.asarray(x, dtype=float)
-    g, h = gramian_finite(p, t), p.h_space
-    if not np.all(h.contains(x, 1e-8)):
+    g, h = gramian_finite(p, t), h_space(p)
+    if not np.all(reachable_membership(h, x, 1e-8)):
         raise NotReachableFromH("target is outside the reachability space")
     theta = h_basis(h)
     e_tilde = theta.T @ p.propagator.at(t)[0] @ theta
@@ -380,7 +379,7 @@ def value_auxiliary(p, N, t, x):
     and ``auxiliary_minimum``, so that callers with many penalties and
     one target stack can share the first.
     """
-    return auxiliary_minimum(auxiliary_flow(p, t, x), N.form_matrix(p.h_space))
+    return auxiliary_minimum(auxiliary_flow(p, t, x), N.form_matrix(h_space(p)))
 
 
 def _reverse_signal(u):
@@ -401,7 +400,7 @@ def time_reversal_check(p, N, z, u):
     own flow at negated times, with control v(s) = -u(-s) and must return
     to z with identical total cost.
     """
-    h = p.h_space
+    h = h_space(p)
     z = np.asarray(z, dtype=float)
     t = -float(u.grid[0])
     if abs(u.grid[-1]) > 1e-9:

@@ -2,9 +2,9 @@
 
 The finite-horizon Gramian integrates e^{rA} B B* e^{rA*} over [0, t];
 the infinite-horizon one solves the Lyapunov equation
-A Q + Q A* + B B* = 0.  The reachability space carries the inner product
-<x, y> = <S^+ x, S^+ y> with S the symmetric square root of the
-infinite-horizon Gramian.
+A Q + Q A* + B B* = 0.  The reachability space is range(S), with S the
+symmetric square root of the infinite-horizon Gramian, and carries the
+inner product <x, y> = <S^+ x, S^+ y>; the Gramian itself stands for it.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ from .errors import (
     RankDeficient,
 )
 from .operators import (
-    PseudoInverse,
     expm,
     pseudo_inverse,
     read_only,
@@ -118,56 +117,24 @@ class Gramian:
     def rank(self):
         return self.pinv.rank
 
+    @property
+    def full_rank(self):
+        return self.rank == self.matrix.shape[0]
+
+    @cached_property
+    def sqrt(self):
+        """The read-only pair (S, S^+) of the symmetric PSD square root and
+        its pseudoinverse, on ``pinv``'s eigenpairs and rank; kept."""
+        w, v, keep = self.pinv.eigvals, self.pinv.eigvecs, self.pinv.keep
+        root = np.sqrt(np.clip(w, 0.0, None))
+        inv = np.zeros_like(root)
+        inv[keep] = 1.0 / root[keep]
+        return (read_only(symmetrize((v * root) @ v.T)),
+                read_only(symmetrize((v * inv) @ v.T)))
+
     @cached_property
     def comparison_stages(self):
         return {}
-
-
-@dataclass(frozen=True)
-class HSpace:
-    """Square-root factorization of the infinite-horizon Gramian.
-
-    sqrt_Q is the symmetric PSD square root and sqrt_pinv its
-    pseudoinverse, both built from the eigendecomposition and rank
-    decision of the Gramian's own pseudoinverse.  The full square, its
-    pseudoinverse and the rank test are computed on first access and kept.
-    """
-
-    sqrt_Q: np.ndarray
-    sqrt_pinv: PseudoInverse
-
-    @property
-    def dim(self):
-        return self.sqrt_Q.shape[0]
-
-    @property
-    def rank(self):
-        return self.sqrt_pinv.rank
-
-    @cached_property
-    def full_rank(self):
-        return self.rank == self.dim
-
-    @property
-    def kernel_basis(self):
-        """Orthonormal basis of the unreachable subspace."""
-        return self.sqrt_pinv.eigvecs[:, ~self.sqrt_pinv.keep]
-
-    @cached_property
-    def q_matrix(self):
-        return read_only(self.sqrt_Q @ self.sqrt_Q)
-
-    @cached_property
-    def q_pinv_matrix(self):
-        s = self.sqrt_pinv.inverse_on_range
-        return read_only(s @ s)
-
-    def contains(self, x, tol=1e-8):
-        """Membership of x, or of each row of a (k, n) stack."""
-        return self.sqrt_pinv.in_range(x, tol)
-
-    def project(self, x):
-        return self.sqrt_pinv.range_projector @ np.asarray(x, dtype=float)
 
 
 class NullControllabilityReport(NamedTuple):
@@ -346,27 +313,16 @@ def lyapunov_residual(p, g):
 
 
 def h_space(p):
-    """Factor the infinite-horizon Gramian into its reachability space,
-    once per model: every call on one model returns one object.
-
-    The square root reuses the eigendecomposition and the rank decision
-    of the Gramian's pseudoinverse, so the space has the Gramian's rank.
-    """
-    return p.h_space
-
-
-def _factor_h_space(p):
-    pinv = gramian_infinite(p).pinv
-    v, keep = pinv.eigvecs, pinv.keep
-    sqrt_w = np.sqrt(np.clip(pinv.eigvals, 0.0, None))
-    return HSpace(sqrt_Q=read_only(symmetrize((v * sqrt_w) @ v.T)),
-                  sqrt_pinv=PseudoInverse.from_eigh(sqrt_w, v, keep))
+    """The reachability space, carried by the infinite-horizon Gramian:
+    ``h_space(p) is gramian_infinite(p)``.  Its metric is read from
+    ``Gramian.sqrt`` and its membership test is ``reachable_membership``."""
+    return p.gramian_infinite
 
 
 def h_basis(h):
     """Orthonormal ambient-coordinate basis of the reachability subspace,
     one column per unit of ``h.rank``."""
-    return h.sqrt_pinv.eigvecs[:, h.sqrt_pinv.keep]
+    return h.pinv.eigvecs[:, h.pinv.keep]
 
 
 def h_inner(h, x, y, tol=1e-8):
@@ -378,10 +334,9 @@ def h_inner(h, x, y, tol=1e-8):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, vec in (("x", x), ("y", y)):
-        if not h.contains(vec, tol):
+        if not reachable_membership(h, vec, tol):
             raise NotInH(f"{name} is not in the reachability space")
-    s = h.sqrt_pinv.inverse_on_range
-    return float((s @ x) @ (s @ y))
+    return float((h.sqrt[1] @ x) @ (h.sqrt[1] @ y))
 
 
 def reachable_membership(g, x, tol=1e-8):
@@ -390,41 +345,37 @@ def reachable_membership(g, x, tol=1e-8):
     return g.pinv.in_range(x, tol)
 
 
-def null_controllability_check(p, t, tol=1e-8):
+def null_controllability_check(p, t):
     """Test whether every state reached freely by time t is controllable.
 
     In finite dimension the flow map is invertible, so the test reduces
-    to full-rankness of the Gramian; the report carries the smallest grid
-    time at which the Gramian rank stops increasing (0 for coercive
-    input operators, whose Gramians have full rank for every positive
-    horizon).
+    to full-rankness of the Gramian, up to a relative defect of 1e-8; the
+    report carries the smallest grid time at which the Gramian rank stops
+    increasing (0 for coercive input operators, whose Gramians have full
+    rank for every positive horizon).
     """
     if not t > 0.0:
         raise HorizonNotPositive(f"horizon must be positive, got {t}")
     g = gramian_finite(p, t)
     flow = p.propagator.at(t)[0]
     defect = np.linalg.norm(flow - g.pinv.range_projector @ flow, 2)
-    holds = defect <= tol * np.linalg.norm(flow, 2)
+    holds = defect <= 1e-8 * np.linalg.norm(flow, 2)
     if p.coercive:
         t0 = 0.0
     else:
         grid = t * np.arange(1, 9) / 8.0
         ranks = [gramian_finite(p, s).rank for s in grid]
-        t0 = float(grid[-1])
-        for i, r in enumerate(ranks):
-            if r == ranks[-1]:
-                t0 = float(grid[i])
-                break
+        t0 = float(grid[ranks.index(ranks[-1])])
     return NullControllabilityReport(holds=bool(holds), T0=t0)
 
 
 def a0_operator(p):
     """Ambient-coordinate matrix of the state operator restricted to the
     reachability space (the subspace is flow-invariant)."""
-    h = p.h_space
+    h = h_space(p)
     if h.full_rank:
         return p.A.copy()
-    return p.A @ h.sqrt_pinv.range_projector
+    return p.A @ h.pinv.range_projector
 
 
 def semigroup_transpose_identity(p, s):
@@ -435,20 +386,20 @@ def semigroup_transpose_identity(p, s):
     state operator.  It vanishes identically at full rank; a rank-deficient
     space is refused.
     """
-    h = p.h_space
+    h = h_space(p)
     if not h.full_rank:
         raise RankDeficient("adjoint conjugation needs a full-rank Gramian")
-    q = h.q_matrix
-    lhs = expm(q @ p.A.T @ h.q_pinv_matrix, s) @ q
+    q = h.matrix
+    lhs = expm(q @ p.A.T @ h.pinv.inverse_on_range, s) @ q
     rhs = q @ p.propagator.at(s)[0].T
     return float(np.linalg.norm(lhs - rhs, "fro"))
 
 
-def t_max(p, x_norm, t0=0.0, eps=TAIL_EPS):
+def t_max(p, x_norm):
     """Horizon beyond which the energy tail of any steering problem is
-    below ``eps`` relative: max(t0, log(max(|x|, eps) * M / eps) / omega,
-    1), so never shorter than 1."""
-    x_norm = max(float(x_norm), eps)
-    t = np.log(x_norm * p.bound_M / eps) / p.decay_omega
-    return float(max(t0, t, 1.0))
+    below TAIL_EPS relative: max(log(max(|x|, TAIL_EPS) * M / TAIL_EPS)
+    / omega, 1), so never shorter than 1."""
+    x_norm = max(float(x_norm), TAIL_EPS)
+    t = np.log(x_norm * p.bound_M / TAIL_EPS) / p.decay_omega
+    return float(max(t, 1.0))
 

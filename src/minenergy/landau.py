@@ -110,8 +110,7 @@ def inverse_gramian_identity(model):
     Q^{-1} = -2A; the residual against +2A is reported alongside so the
     sign convention is pinned by measurement rather than assumption.
     """
-    h = h_space(model.problem)
-    q_inv = h.q_pinv_matrix
+    q_inv = h_space(model.problem).pinv.inverse_on_range
     A = model.problem.A
     scale = np.linalg.norm(q_inv, "fro")
     res_minus = np.linalg.norm(q_inv - (-2.0 * A), "fro") / scale

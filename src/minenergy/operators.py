@@ -70,9 +70,9 @@ class ControlProblem:
     one eigendecomposition of A, made at construction; the stability
     metadata was read off it, and it also gives the flows of A* and -A.
     The other factorizations are computed on first use and kept on the
-    model, so the spectral norm of A, BB*, the infinite-horizon Gramian
-    and the reachability space are computed once per model, and each
-    finite-horizon Gramian once per horizon and route.
+    model, so the spectral norm of A, BB* and the infinite-horizon Gramian
+    (which carries the reachability space) are computed once per model,
+    and each finite-horizon Gramian once per horizon and route.
     """
 
     A: np.ndarray
@@ -104,12 +104,6 @@ class ControlProblem:
         return _solve_gramian_infinite(self)
 
     @cached_property
-    def h_space(self):
-        """Reachability space; see ``gramian.h_space``."""
-        from .gramian import _factor_h_space  # gramian imports this module
-        return _factor_h_space(self)
-
-    @cached_property
     def gramians(self):
         """Finite-horizon Gramians by (horizon, method); see
         ``gramian.gramian_finite``."""
@@ -132,18 +126,6 @@ class PseudoInverse:
     keep: np.ndarray
     inverse_on_range: np.ndarray
     range_projector: np.ndarray
-
-    @classmethod
-    def from_eigh(cls, w, v, keep):
-        """Pseudoinverse of v diag(w) v* that inverts the pairs in ``keep``;
-        marks w, v and keep read-only."""
-        inv = np.zeros_like(w)
-        inv[keep] = 1.0 / w[keep]
-        return cls(
-            eigvals=read_only(w), eigvecs=read_only(v), keep=read_only(keep),
-            inverse_on_range=read_only(symmetrize((v * inv) @ v.T)),
-            range_projector=read_only(symmetrize((v * keep.astype(float)) @ v.T)),
-        )
 
     @property
     def rank(self):
@@ -172,15 +154,8 @@ def _commutation_flags(A, B):
     return commuting, coercive
 
 
-def make_dense_model(A, B):
-    """Build a control problem from dense state and control operators.
-
-    A and B are copied and the model keeps them read-only.  A is factored
-    once, into the model's Propagator, and the stability metadata is read
-    off its eigenvalues and cond(V).  Raises ParseError for ill-shaped
-    operators, NotStable when some eigenvalue of A has nonnegative real
-    part, NotDiagonalizable when A is numerically defective.
-    """
+def _dense_operators(A, B):
+    """Float copies of A and B, a vector B as one column, checked for shape."""
     A = np.array(A, dtype=float)
     B = np.array(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -190,6 +165,19 @@ def make_dense_model(A, B):
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ParseError(f"B must have {A.shape[0]} rows and at most two "
                          f"dimensions, got shape {B.shape}")
+    return A, B
+
+
+def make_dense_model(A, B):
+    """Build a control problem from dense state and control operators.
+
+    A and B are copied and the model keeps them read-only.  A is factored
+    once, into the model's Propagator, and the stability metadata is read
+    off its eigenvalues and cond(V).  Raises ParseError for ill-shaped
+    operators, NotStable when some eigenvalue of A has nonnegative real
+    part, NotDiagonalizable when A is numerically defective.
+    """
+    A, B = _dense_operators(A, B)
     prop = Propagator(read_only(A))
     abscissa = float(np.max(prop.w.real))
     if abscissa >= 0.0:
@@ -210,12 +198,8 @@ def make_dense_model(A, B):
     )
 
 
-def make_spectral_model(lambdas, b_diag):
-    """Build a diagonal commuting model A = diag(lambdas), B = diag(sqrt(b)).
-
-    Eigenvalues are sorted descending with input order preserved among
-    ties, and the input weights are permuted accordingly.
-    """
+def _spectral_vectors(lambdas, b_diag):
+    """Checked float vectors of eigenvalues and input weights, in input order."""
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     b_diag = np.atleast_1d(np.asarray(b_diag, dtype=float))
     if lambdas.shape != b_diag.shape or lambdas.ndim != 1 or lambdas.size == 0:
@@ -226,6 +210,16 @@ def make_spectral_model(lambdas, b_diag):
         raise NegativeWeight("b_diag entries must be nonnegative")
     if np.any(lambdas >= 0.0):
         raise NotStable("all eigenvalues must be strictly negative")
+    return lambdas, b_diag
+
+
+def make_spectral_model(lambdas, b_diag):
+    """Build a diagonal commuting model A = diag(lambdas), B = diag(sqrt(b)).
+
+    Eigenvalues are sorted descending with input order preserved among
+    ties, and the input weights are permuted accordingly.
+    """
+    lambdas, b_diag = _spectral_vectors(lambdas, b_diag)
     order = np.argsort(-lambdas, kind="stable")
     lambdas = lambdas[order]
     b_diag = b_diag[order]
@@ -329,7 +323,24 @@ def pseudo_inverse(Msym, rel_tol=DEFAULT_REL_TOL):
     sigma = np.abs(w)
     smax = sigma.max(initial=0.0)
     keep = sigma > rel_tol * smax if smax > 0.0 else np.zeros_like(sigma, bool)
-    return PseudoInverse.from_eigh(w, v, keep)
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / w[keep]
+    return PseudoInverse(
+        eigvals=read_only(w), eigvecs=read_only(v), keep=read_only(keep),
+        inverse_on_range=read_only(symmetrize((v * inv) @ v.T)),
+        range_projector=read_only(symmetrize((v * keep.astype(float)) @ v.T)),
+    )
+
+
+def _weighted_input(B, C):
+    """B C^{-1/2} for a symmetric positive definite weight C."""
+    C = np.asarray(C, dtype=float)
+    if not is_symmetric(C):
+        raise NotSymmetric("control weight must be symmetric")
+    w, v = np.linalg.eigh(symmetrize(C))
+    if w.min() <= DEFAULT_REL_TOL * max(w.max(), 0.0):
+        raise NotCoercive("control weight must be positive definite")
+    return B @ ((v / np.sqrt(w)) @ v.T)
 
 
 def apply_control_weight(p, C):
@@ -338,14 +349,7 @@ def apply_control_weight(p, C):
     The weighted energy integrand <Cu, u> is equivalent to the unweighted
     one for the model with B replaced by B C^{-1/2}.
     """
-    C = np.asarray(C, dtype=float)
-    if not is_symmetric(C):
-        raise NotSymmetric("control weight must be symmetric")
-    w, v = np.linalg.eigh(symmetrize(C))
-    if w.min() <= DEFAULT_REL_TOL * max(w.max(), 0.0):
-        raise NotCoercive("control weight must be positive definite")
-    c_inv_sqrt = (v / np.sqrt(w)) @ v.T
-    return make_dense_model(p.A, p.B @ c_inv_sqrt)
+    return make_dense_model(p.A, _weighted_input(p.B, C))
 
 
 def _finite_field(doc, key):
@@ -368,31 +372,33 @@ def model_from_dict(doc):
         {"type": "dense", "A": [[...]], "B": [[...]]}
         {"type": "spectral", "lambdas": [...], "b_diag": [...]}
 
-    with an optional m-by-m ``"weight_C": [[...]]`` applied afterwards.
+    with an optional m-by-m ``"weight_C": [[...]]``, applied to B in the
+    document's coordinates: a weighted document is the dense model
+    (A, B C^{-1/2}), with a spectral one's A and B diagonal in input order.
     Non-numeric or non-finite entries raise ParseError.
     """
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
     kind = doc.get("type")
+    keys = {"dense": ("A", "B"), "spectral": ("lambdas", "b_diag")}.get(kind)
+    if keys is None:
+        raise ParseError(f"unknown model type {kind!r}")
     try:
-        if kind == "dense":
-            problem = make_dense_model(_finite_field(doc, "A"),
-                                       _finite_field(doc, "B"))
-        elif kind == "spectral":
-            problem = make_spectral_model(_finite_field(doc, "lambdas"),
-                                          _finite_field(doc, "b_diag"))
-        else:
-            raise ParseError(f"unknown model type {kind!r}")
+        first, second = [_finite_field(doc, key) for key in keys]
     except KeyError as exc:
         raise ParseError(f"model document is missing field {exc}") from exc
-    if "weight_C" in doc:
-        C = _finite_field(doc, "weight_C")
-        if C.shape != (problem.m, problem.m):
-            raise ParseError(
-                f"weight_C must be {problem.m}x{problem.m}, got shape {C.shape}"
-            )
-        problem = apply_control_weight(problem, C)
-    return problem
+    if "weight_C" not in doc:
+        return (make_dense_model if kind == "dense" else make_spectral_model)(
+            first, second)
+    if kind == "dense":
+        A, B = _dense_operators(first, second)
+    else:
+        lambdas, b_diag = _spectral_vectors(first, second)
+        A, B = np.diag(lambdas), np.diag(np.sqrt(b_diag))
+    C, m = _finite_field(doc, "weight_C"), B.shape[1]
+    if C.shape != (m, m):
+        raise ParseError(f"weight_C must be {m}x{m}, got shape {C.shape}")
+    return make_dense_model(A, _weighted_input(B, C))
 
 
 def load_model(path):

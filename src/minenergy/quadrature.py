@@ -15,6 +15,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
+#: nodes of each Gauss-Lobatto panel, its two edge nodes included
+LOBATTO_NODES = 10
+
 
 @lru_cache(maxsize=None)
 def _legendre_rule_cached(q):
@@ -69,8 +72,8 @@ def lobatto_prefix_weights(q):
     return _prefix_weights_cached(int(q)).copy()
 
 
-def legendre_panels(t0, t1, max_width, nodes=32):
-    """Composite Gauss-Legendre nodes and weights on [t0, t1].
+def legendre_panels(t0, t1, max_width):
+    """Composite 32-point Gauss-Legendre nodes and weights on [t0, t1].
 
     Panels are uniform with width at most ``max_width``.  Returns flat
     arrays (points, weights) whose weight sum equals t1 - t0.
@@ -79,7 +82,7 @@ def legendre_panels(t0, t1, max_width, nodes=32):
     if length <= 0:
         raise ValueError("empty integration interval")
     panels = max(1, int(np.ceil(length / max_width)))
-    x, w = _legendre_rule_cached(int(nodes))
+    x, w = _legendre_rule_cached(32)
     edges = np.linspace(t0, t1, panels + 1)
     half = (edges[1:] - edges[:-1]) / 2.0
     mid = (edges[1:] + edges[:-1]) / 2.0
@@ -89,7 +92,7 @@ def legendre_panels(t0, t1, max_width, nodes=32):
 
 
 class PanelGrid:
-    """Composite Gauss-Lobatto grid on [t0, t1] with uniform panels.
+    """Gauss-Lobatto grid on [t0, t1] of uniform LOBATTO_NODES-point panels.
 
     Attributes
     ----------
@@ -98,10 +101,10 @@ class PanelGrid:
     panels, nodes_per_panel : panel structure (edge nodes are shared)
     """
 
-    def __init__(self, t0, t1, panels, nodes_per_panel=10):
+    def __init__(self, t0, t1, panels):
         if t1 <= t0:
             raise ValueError("empty grid interval")
-        q = int(nodes_per_panel)
+        q = LOBATTO_NODES
         panels = int(panels)
         x, w = lobatto_rule(q)
         edges = np.linspace(t0, t1, panels + 1)
@@ -122,14 +125,14 @@ class PanelGrid:
         self.panel_width = width
 
 
-def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048, nodes_per_panel=10):
+def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048):
     """Build the default sampling grid for signals on [t0, t1].
 
     The panel count is chosen so the panel width respects ``max_panel_width``
     and the total node count is close to ``target_points``.
     """
     length = float(t1 - t0)
-    q = int(nodes_per_panel)
+    q = LOBATTO_NODES
     panels = max(int(np.ceil(length / max_panel_width)),
                  int(np.ceil(max(target_points - 1, q - 1) / (q - 1))))
-    return PanelGrid(t0, t1, panels, q)
+    return PanelGrid(t0, t1, panels)

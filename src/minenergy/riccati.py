@@ -105,7 +105,7 @@ def are_residual_H(p, h, P):
     _require_form(P, "H_form")
     if not h.full_rank:
         raise RankDeficient("metric-form residual needs a full-rank Gramian")
-    lam = h.q_pinv_matrix @ P.matrix
+    lam = h.pinv.inverse_on_range @ P.matrix
     res = -(p.A.T @ lam) - lam.T @ p.A - lam.T @ p.BBt @ lam
     return float(np.max(np.abs(res)) / (1.0 + np.linalg.norm(P.matrix, "fro")))
 
@@ -114,7 +114,7 @@ def verify_canonical_solutions(p):
     """Check the two canonical solutions: the inverse Gramian in ambient
     form and the metric identity.  Returns their reports as a pair."""
     h = _full_rank_h(p)
-    r_canon = CandidateSolution("X_form", h.q_pinv_matrix)
+    r_canon = CandidateSolution("X_form", h.pinv.inverse_on_range)
     x_res = are_residual_X(p, r_canon)
     p_canon = CandidateSolution("H_form", np.eye(p.n))
     h_res = are_residual_H(p, h, p_canon)
@@ -127,7 +127,7 @@ def verify_canonical_solutions(p):
 def _h_metric_matrix(h, T):
     """Congruence transform S^{-1} T S with S the Gramian square root,
     mapping a reachability-space operator to orthonormal coordinates."""
-    return h.sqrt_pinv.inverse_on_range @ T @ h.sqrt_Q
+    return h.sqrt[1] @ T @ h.sqrt[0]
 
 
 def commuting_residual(p, P):
@@ -174,13 +174,13 @@ def check_candidate_count(p, max_count):
             f"2^{p.n} diagonal candidates exceed max_count={max_count}")
 
 
-def enumerate_commuting_solutions(p, max_count=4096, family_params=(0.25, 0.5, 0.75)):
+def enumerate_commuting_solutions(p, max_count=4096):
     """All diagonal 0/1 solutions of a spectral model, plus sampled
     non-diagonal family members on two-dimensional eigenspaces.
 
     With distinct eigenvalues the diagonal candidates exhaust the solution
     set; a repeated pair contributes a one-parameter family of rotated
-    projections, represented here at the given parameter samples.
+    projections, represented here at the parameters 1/4, 1/2 and 3/4.
     """
     if p.spectral is None:
         raise NotSpectral("enumeration needs a spectral-diagonal model")
@@ -197,7 +197,7 @@ def enumerate_commuting_solutions(p, max_count=4096, family_params=(0.25, 0.5, 0
         if len(block) != 2:
             continue
         i, j = block[0], block[1]
-        for a in family_params:
+        for a in (0.25, 0.5, 0.75):
             for sign in (1.0, -1.0):
                 fam = projection_family_2d(a, sign)
                 # conjugate from metric-orthonormal to ambient coordinates
@@ -215,7 +215,7 @@ def maximality_check(h, P):
     _require_form(P, "H_form")
     if not h.full_rank:
         raise RankDeficient("metric eigenproblem needs a full-rank Gramian")
-    gap = _h_metric_matrix(h, np.eye(h.dim) - P.matrix)
+    gap = _h_metric_matrix(h, np.eye(h.matrix.shape[0]) - P.matrix)
     return float(np.linalg.eigvalsh(symmetrize(gap)).min())
 
 

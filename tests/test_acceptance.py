@@ -174,7 +174,7 @@ def test_criterion_5_commuting_completeness():
     rejected = 0
     for _ in range(1000):
         r = rng.standard_normal((10, 10))
-        cand = CandidateSolution("H_form", h.q_matrix @ (r @ r.T / 10.0))
+        cand = CandidateSolution("H_form", h.matrix @ (r @ r.T / 10.0))
         m = cand.matrix
         if np.linalg.norm(m @ m - m) <= 1e-6:
             rejected += 1           # effectively a projection; not a counterexample

@@ -89,6 +89,13 @@ class TestGramianCommand:
         assert report["rank"] == 1
         assert report["lyapunov_residual"] <= 1e-10
 
+    def test_infinite_horizon_without_t(self, model_file, tmp_path):
+        assert run("gramian", "--model", model_file(RANK_DEFICIENT),
+                   "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "gramian_report.json").read_text())
+        assert report["horizon"] == "+inf" and report["rank"] == 1
+        assert not (tmp_path / "gramian_t.csv").exists()
+
     def test_missing_model_file(self, tmp_path):
         assert run("gramian", "--model", tmp_path / "absent.json",
                    "--out", tmp_path) == 2
@@ -199,14 +206,17 @@ class TestFactorCounts:
                    "A": (np.diag([-1.0, -1.5, -2.0, -3.0])
                          + 0.4 * (np.eye(4, k=1) + np.eye(4, k=-1))).tolist(),
                    "B": np.eye(4).tolist()}
+    #: a weighted document is built once, with its weight already applied
+    WEIGHTED_4 = dict(NON_NORMAL_4, weight_C=np.diag([1.0, 4.0, 0.5, 2.0]).tolist())
 
     @pytest.mark.parametrize("argv", [
         ["synthesize", "--target", "1,0.5,0,-1"],
         ["auxiliary", "--target", "1,0.5,0,-1", "--t", "1"],
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("doc, kernel", [(NON_NORMAL_4, "eig"),
-                                             (SYMMETRIC_4, "eigh")],
-                             ids=["non_normal", "symmetric"])
+                                             (SYMMETRIC_4, "eigh"),
+                                             (WEIGHTED_4, "eig")],
+                             ids=["non_normal", "symmetric", "weighted"])
     def test_one_factorization_of_A_per_model(self, doc, kernel, argv, model_file,
                                               tmp_path, monkeypatch):
         # the stability metadata and the flows of A, A* and -A all come
@@ -245,6 +255,14 @@ class TestSynthesizeCommand:
                    "--out", tmp_path) == 0
         report = json.loads((tmp_path / "synthesis_report.json").read_text())
         assert report["V_inf"] == 0.0 and report["energy"] == 0.0
+
+    def test_rank_deficient_reachable_target(self, model_file, tmp_path):
+        # the closed-loop residual needs a full-rank Gramian, so it is null
+        assert run("synthesize", "--model", model_file(RANK_DEFICIENT),
+                   "--target", "1,0", "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "synthesis_report.json").read_text())
+        assert report["bcle_residual"] is None
+        assert report["endpoint_error"] <= 1e-6
 
     def test_unreachable_target(self, model_file, tmp_path):
         code = run("synthesize", "--model", model_file(RANK_DEFICIENT),
@@ -508,6 +526,13 @@ class TestExitCodeContract:
         out = tmp_path / "out"
         assert run("verify", "--model", model_file(SPECTRAL), *options,
                    "--out", out) == 3
+        assert not out.exists()
+
+    def test_malformed_seed_is_two(self, model_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("gramian", "--model", model_file(SCALAR), "--seed", "zz",
+                   "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be an integer")
         assert not out.exists()
 
     def test_parse_is_two(self, tmp_path):

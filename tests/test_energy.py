@@ -367,7 +367,7 @@ class TestAuxiliary:
         p = random_problem(rng, n=4)
         h = h_space(p)
         r = rng.standard_normal((4, 4))
-        N = h.q_matrix @ (r @ r.T / 4.0)
+        N = h.matrix @ (r @ r.T / 4.0)
         for _ in range(5):
             z, w = rng.standard_normal((2, 4))
             lhs = h_inner(h, N @ z, w)
@@ -405,8 +405,8 @@ class TestStackedTargets:
             p = make_spectral_model([-1.0, -2.0, -0.5], [1.0, 0.0, 2.0])
         h = h_space(p)
         r = rng.standard_normal((p.n, p.n))
-        cost = AuxiliaryCost(h.q_matrix @ (r @ r.T / p.n))
-        xs = h.project(rng.standard_normal((7, p.n)).T).T
+        cost = AuxiliaryCost(h.matrix @ (r @ r.T / p.n))
+        xs = (h.pinv.range_projector @ rng.standard_normal((7, p.n)).T).T
         xs[3] = 0.0
         aux = value_auxiliary(p, cost, t, xs)
         fin = value_finite(p, t, xs)
@@ -481,11 +481,11 @@ class TestAuxiliaryEigenSolve:
         p = random_problem(rng, n=n)
         t = float(rng.uniform(0.3, 3.0))
         r = rng.standard_normal((n, n))
-        cost = AuxiliaryCost(p.h_space.q_matrix @ (r @ r.T / n))
+        cost = AuxiliaryCost(h_space(p).matrix @ (r @ r.T / n))
         x = rng.standard_normal((6, n) if stack else n)
         aux = value_auxiliary(p, cost, t, x)
         flow = auxiliary_flow(p, t, x)
-        self.assert_matches_reference(aux, flow, cost.form_matrix(p.h_space))
+        self.assert_matches_reference(aux, flow, cost.form_matrix(h_space(p)))
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
     def test_not_positive_definite_is_refused(self, bad):

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from scipy.integrate import quad
 
 import minenergy.gramian as gramian_module
 from minenergy.errors import BadParameterError, HorizonNotPositive, NotInH, RankDeficient
+from minenergy.energy import AuxiliaryCost, value_auxiliary, value_finite, value_infinite
 from minenergy.gramian import (
     _BINOM,
+    Gramian,
     RK4_BLOCK,
     RK4_BLOCK_POLY,
     RK4_MAX_STEPS,
@@ -404,6 +407,36 @@ class TestModelMemo:
         assert p.propagator is p.propagator
         assert h_space(random_problem(rng, n=4)) is not h_space(p)
 
+    def test_h_space_is_the_infinite_gramian(self, rng):
+        p = random_problem(rng, n=4)
+        assert h_space(p) is gramian_infinite(p)
+        assert h_space(p).horizon == np.inf
+
+    def test_square_root_once_per_model_on_first_use(self, monkeypatch):
+        # (S, S^+) is computed for the infinite-horizon Gramian only, once,
+        # when the metric is first read
+        calls = []
+        root = vars(Gramian)["sqrt"].func
+
+        def counted(g):
+            calls.append(g)
+            return root(g)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Gramian, "sqrt")
+        monkeypatch.setattr(Gramian, "sqrt", prop)
+        p = make_spectral_model([-1.0, -2.0, -3.0], [1.0, 2.0, 0.5])
+        h = h_space(p)
+        x = np.array([1.0, -0.5, 2.0])
+        assert h.full_rank and value_finite(p, 1.0, x) > 0.0
+        value_auxiliary(p, AuxiliaryCost(np.eye(3)), 1.0, x)
+        assert calls == [] and "sqrt" not in vars(h)
+        for _ in range(2):
+            value_infinite(p, x)
+            h_inner(h, x, x)
+        assert calls == [h] and h.sqrt is h.sqrt
+        assert all("sqrt" not in vars(g) for g in p.gramians.values())
+
     def test_one_finite_gramian_per_horizon_and_route(self, rng, monkeypatch):
         calls = {"quadrature": 0, "matrix_ode": 0}
 
@@ -462,9 +495,9 @@ class TestModelMemo:
     def test_memoized_arrays_read_only(self, rng):
         p = random_problem(rng, n=3, input_rank=2)
         q_inf, g, h = gramian_infinite(p), gramian_finite(p, 1.0), h_space(p)
-        arrays = [p.A, p.B, p.BBt, q_inf.matrix, g.matrix, h.sqrt_Q,
-                  h.q_matrix, h.q_pinv_matrix]
-        for pinv in (q_inf.pinv, g.pinv, h.sqrt_pinv):
+        arrays = [p.A, p.B, p.BBt, q_inf.matrix, g.matrix, *h.sqrt,
+                  h.matrix, h.pinv.inverse_on_range]
+        for pinv in (q_inf.pinv, g.pinv):
             arrays += [pinv.eigvals, pinv.eigvecs, pinv.keep,
                        pinv.inverse_on_range, pinv.range_projector]
         for a in arrays:
@@ -488,8 +521,10 @@ class TestModelMemo:
         assert np.array_equal(gramian_infinite(p).matrix, gramian_infinite(fresh).matrix)
         assert np.array_equal(gramian_infinite(p).pinv.inverse_on_range,
                               pseudo_inverse(gramian_infinite(fresh).matrix).inverse_on_range)
-        for name in ("sqrt_Q", "q_matrix", "q_pinv_matrix"):
-            assert np.array_equal(getattr(h_space(p), name), getattr(h_space(fresh), name))
+        h, h_fresh = h_space(p), h_space(fresh)
+        for a, b in zip((*h.sqrt, h.matrix, h.pinv.inverse_on_range),
+                        (*h_fresh.sqrt, h_fresh.matrix, h_fresh.pinv.inverse_on_range)):
+            assert np.array_equal(a, b)
         ts = [0.0, 0.5, 2.0]
         assert np.array_equal(p.propagator.at(ts), Propagator(fresh.A).at(ts))
         assert_flow(p.propagator.adjoint(), p.A.T)
@@ -509,14 +544,14 @@ class TestModelMemo:
 class TestHSpace:
     def test_spectral_sqrt(self, spectral_problem):
         h = h_space(spectral_problem)
-        assert_allclose(h.sqrt_Q, np.diag([0.70710678118654752, 0.5]), rtol=1e-12)
-        assert np.linalg.norm(h.sqrt_Q @ h.sqrt_Q - np.diag([0.5, 0.25])) <= 1e-9
+        assert_allclose(h.sqrt[0], np.diag([0.70710678118654752, 0.5]), rtol=1e-12)
+        assert np.linalg.norm(h.sqrt[0] @ h.sqrt[0] - np.diag([0.5, 0.25])) <= 1e-9
 
     def test_rank_deficient_kernel(self):
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
         h = h_space(p)
         assert h.rank == 1
-        assert_allclose(np.abs(h.kernel_basis), [[0.0], [1.0]], atol=1e-12)
+        assert_allclose(np.abs(h.pinv.eigvecs[:, ~h.pinv.keep]), [[0.0], [1.0]], atol=1e-12)
 
     def test_identity_gramian_isometry(self):
         p = make_spectral_model([-0.5], [1.0])         # Q = diag(1)
@@ -529,7 +564,7 @@ class TestHSpace:
         p = random_problem(rng, n=5)
         h = h_space(p)
         x = rng.standard_normal(5)
-        lhs = np.linalg.norm(h.sqrt_pinv.inverse_on_range @ x)
+        lhs = np.linalg.norm(h.sqrt[1] @ x)
         assert_allclose(lhs ** 2, h_inner(h, x, x), rtol=1e-9)
 
 
@@ -555,7 +590,7 @@ class TestHInner:
     def test_matches_pseudoinverse_form(self, rng):
         p = random_problem(rng, n=6)
         h = h_space(p)
-        q_pinv = pseudo_inverse(h.q_matrix).inverse_on_range
+        q_pinv = pseudo_inverse(h.matrix).inverse_on_range
         x, y = rng.standard_normal((2, 6))
         assert abs(h_inner(h, x, y) - x @ q_pinv @ y) <= 1e-9 * (1 + abs(x @ q_pinv @ y))
 
@@ -622,6 +657,10 @@ class TestA0Operator:
     def test_full_rank_equals_A(self, spectral_problem):
         assert_allclose(a0_operator(spectral_problem), spectral_problem.A)
 
+    def test_rank_deficient_projects_out_the_kernel(self):
+        p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
+        assert np.array_equal(a0_operator(p), [[-1.0, 0.0], [0.0, 0.0]])
+
     def test_metric_symmetry_commuting(self, rng):
         # commuting full-rank models: Q^{-1} A0 must be symmetric
         v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
@@ -630,7 +669,7 @@ class TestA0Operator:
         p = make_dense_model(0.5 * (A + A.T), B)
         h = h_space(p)
         a0 = a0_operator(p)
-        m = h.q_pinv_matrix @ a0
+        m = h.pinv.inverse_on_range @ a0
         assert np.linalg.norm(m - m.T) <= 1e-9 * (1 + np.linalg.norm(m))
 
 

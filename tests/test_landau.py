@@ -20,13 +20,13 @@ class TestBuild:
     def test_single_mode(self):
         m = build_lg_model(1, 0.2, 0.8)
         assert_allclose(m.problem.spectral.lambdas, [-np.pi ** 2 / 2.0], rtol=1e-14)
-        assert_allclose(np.diag(h_space(m.problem).q_matrix), [1.0 / np.pi ** 2],
+        assert_allclose(np.diag(h_space(m.problem).matrix), [1.0 / np.pi ** 2],
                         rtol=1e-12)
 
     def test_three_modes(self):
         m = build_lg_model(3, 0.2, 0.8)
         k = np.array([1.0, 2.0, 3.0])
-        assert_allclose(np.diag(h_space(m.problem).q_matrix), 1.0 / (k * np.pi) ** 2,
+        assert_allclose(np.diag(h_space(m.problem).matrix), 1.0 / (k * np.pi) ** 2,
                         rtol=1e-12)
 
     def test_coercive_null_controllable(self):

@@ -14,6 +14,7 @@ from minenergy.errors import (
     ParseError,
 )
 from minenergy.gramian import gramian_infinite
+from minenergy.serialize import model_hash
 from minenergy.operators import (
     Propagator,
     apply_control_weight,
@@ -268,6 +269,17 @@ class TestIngestion:
             {"type": "spectral", "lambdas": [-1.0], "b_diag": [1.0],
              "weight_C": [[4.0]]})
         assert_allclose(p.B, [[0.5]])
+
+    def test_weight_applied_in_document_coordinates(self):
+        # the weight acts on the inputs as the document orders them, so a
+        # spectral document and its dense equivalent are one model
+        weight = [[1.0, 0.0], [0.0, 100.0]]
+        spectral = model_from_dict({"type": "spectral", "lambdas": [-2.0, -1.0],
+                                    "b_diag": [1.0, 4.0], "weight_C": weight})
+        dense = model_from_dict({"type": "dense", "A": [[-2.0, 0.0], [0.0, -1.0]],
+                                 "B": [[1.0, 0.0], [0.0, 2.0]], "weight_C": weight})
+        assert model_hash(spectral) == model_hash(dense)
+        assert_allclose(np.diag(spectral.BBt), [1.0, 0.04], rtol=1e-14)
 
     def test_bad_documents(self):
         with pytest.raises(ParseError):

@@ -17,7 +17,7 @@ from minenergy.errors import (
     TooManySolutions,
     WrongForm,
 )
-from minenergy.gramian import HSpace, gramian_finite, h_space
+from minenergy.gramian import Gramian, gramian_finite, h_space
 from minenergy.operators import make_dense_model, make_spectral_model
 from minenergy.riccati import (
     DEFAULT_SEED,
@@ -92,12 +92,12 @@ class TestResidualH:
         for _ in range(5):
             p = random_problem(rng, n=4)
             h = h_space(p)
-            cand = h_psd_candidate(rng, h.q_matrix)
-            lam = 0.5 * (h.q_pinv_matrix @ cand.matrix
-                         + (h.q_pinv_matrix @ cand.matrix).T)
+            cand = h_psd_candidate(rng, h.matrix)
+            lam = 0.5 * (h.pinv.inverse_on_range @ cand.matrix
+                         + (h.pinv.inverse_on_range @ cand.matrix).T)
             res_h = are_residual_H(p, h, cand)
             res_x = are_residual_X(p, CandidateSolution("X_form", lam))
-            cond = np.linalg.cond(h.q_matrix)
+            cond = np.linalg.cond(h.matrix)
             assert (res_h <= 1e-9) == (res_x <= 1e-9 * cond) or res_h > 1e-6
 
 
@@ -349,7 +349,7 @@ class TestComparisonStage:
         # the Gramian of another horizon, another model or another space is
         # refused rather than keyed
         h = h_space(p)
-        h_copy = HSpace(sqrt_Q=h.sqrt_Q, sqrt_pinv=h.sqrt_pinv)
+        h_copy = Gramian(horizon=h.horizon, matrix=h.matrix)
         for kw in ({"gramian": g}, {"gramian": gramian_finite(other, 1.0)},
                    {"hspace": h_space(other)}, {"hspace": h_copy}):
             with pytest.raises(BadParameterError):
@@ -436,7 +436,7 @@ class TestRejectionOfNonSolutions:
         p = make_spectral_model([-1.0, -1.5, -2.5], [1.0, 1.0, 2.0])
         h = h_space(p)
         for _ in range(50):
-            cand = h_psd_candidate(rng, h.q_matrix)
+            cand = h_psd_candidate(rng, h.matrix)
             m = cand.matrix
             if np.linalg.norm(m @ m - m) <= 1e-6:       # skip accidental projections
                 continue
