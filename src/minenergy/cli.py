@@ -35,6 +35,7 @@ from .errors import (
     NotCoercive,
     NotSpectral,
     ParseError,
+    RankDeficient,
     ToolkitError,
     UnreachableError,
 )
@@ -119,8 +120,9 @@ def cmd_gramian(args, problem):
 def _check_verify(args, problem):
     """Refuse a ``verify`` run that the model cannot serve, before any
     file is written: the comparison certificate needs a coercive spectral
-    model, and the candidates that a coercive spectral model enumerates
-    must number at most ``--max-solutions``."""
+    model, the candidates that a coercive spectral model enumerates must
+    number at most ``--max-solutions``, and every certificate needs a
+    full-rank reachability space."""
     if args.comparison:
         if not problem.coercive:
             raise NotCoercive("comparison certificates need a coercive BB*")
@@ -128,6 +130,9 @@ def _check_verify(args, problem):
             raise NotSpectral("comparison certificates need a spectral-diagonal model")
     if problem.spectral is not None and problem.coercive:
         check_candidate_count(problem, args.max_solutions)
+    if not h_space(problem).full_rank:
+        raise RankDeficient("Riccati certificates need a full-rank "
+                            "infinite-horizon Gramian")
 
 
 def cmd_verify(args, problem):
@@ -157,16 +162,17 @@ def cmd_verify(args, problem):
                 rep = comparison_check(problem, cand, t, samples=samples,
                                        seed=args.seed)
                 residual, gap = rep.residual_norm, rep.maximality_gap
-                margin = rep.comparison_margin
+                margin, defect = rep.comparison_margin, rep.identity_defect
                 ok = ok and margin >= -1e-8
             else:
                 residual = are_residual_H(problem, h, cand)
-                gap, margin = maximality_check(h, cand), None
+                gap, margin, defect = maximality_check(h, cand), None, None
             certificate["solutions"].append({
                 "matrix": cand.matrix.tolist(),
                 "residual": residual,
                 "maximality_gap": gap,
                 "comparison_margin": margin,
+                "identity_defect": defect,
             })
             ok = ok and residual <= SOLUTION_RESIDUAL_TOL and gap >= -1e-10
     certificate.update(_provenance(problem, args.seed))

@@ -12,6 +12,7 @@ coercive BB*, the solution set is exactly the orthogonal projections
 
 from dataclasses import dataclass
 from itertools import product
+from math import sqrt
 from numbers import Integral
 from typing import NamedTuple
 
@@ -72,6 +73,7 @@ class SolutionReport:
     is_solution: bool
     maximality_gap: float | None = None
     comparison_margin: float | None = None
+    identity_defect: float | None = None
 
 
 def _require_form(cand, form):
@@ -219,15 +221,45 @@ def maximality_check(h, P):
     return float(np.linalg.eigvalsh(symmetrize(gap)).min())
 
 
+class ModeArrays(NamedTuple):
+    """Per-mode data of a comparison stage on a model whose A, BB*, Q_t
+    and Q_inf are all diagonal: the squared samples xs2 (one row per
+    sample), q = diag(Q_t), q_inf = diag(Q_inf), e2 = exp(2 t lambda),
+    a = diag(A) and beta = diag(BB*).  The arrays are read-only."""
+
+    xs2: np.ndarray
+    q: np.ndarray
+    q_inf: np.ndarray
+    e2: np.ndarray
+    a: np.ndarray
+    beta: np.ndarray
+
+
 class ComparisonStage(NamedTuple):
     """The candidate-independent part of ``comparison_check`` for one
     model, horizon, sample count and seed: the seeded sample stack, the
-    penalty-free stage of the auxiliary problem on it and the
-    finite-horizon values V(t, x).  The arrays are read-only."""
+    penalty-free stage of the auxiliary problem on it, the
+    finite-horizon values V(t, x) and, on a spectral model, the per-mode
+    arrays (None on any other model).  The arrays are read-only."""
 
     samples: np.ndarray
     flow: AuxiliaryFlow
     v_finite: np.ndarray
+    modes: ModeArrays | None
+
+
+def _mode_arrays(p, g, t, xs):
+    """The stage's per-mode arrays, or None unless the model is spectral
+    and both Gramians are exactly diagonal (a spectral model's always
+    are; one count of off-diagonal nonzeros checks it)."""
+    q_t, q_inf = g.matrix, h_space(p).matrix
+    if p.spectral is None or np.count_nonzero(
+            np.stack((q_t, q_inf))[:, ~np.eye(p.n, dtype=bool)]):
+        return None
+    a = p.A.diagonal().copy()
+    return ModeArrays(*(read_only(v) for v in (
+        xs * xs, q_t.diagonal().copy(), q_inf.diagonal().copy(),
+        np.exp(2.0 * t * a), a, p.BBt.diagonal().copy())))
 
 
 def _comparison_stage(p, g, t, samples, seed):
@@ -241,10 +273,30 @@ def _comparison_stage(p, g, t, samples, seed):
         xs = read_only(np.random.default_rng(seed).standard_normal((samples, p.n)))
         flow = auxiliary_flow(p, t, xs)
         v_fin = read_only(value_finite(p, t, xs))
-        stage = ComparisonStage(xs, flow, v_fin)
+        stage = ComparisonStage(xs, flow, v_fin, _mode_arrays(p, g, t, xs))
         if key is not None:
             g.comparison_stages[key] = stage
     return stage
+
+
+def _per_mode_comparison(m, pm):
+    """(lhs, V^P, residual, gap) of the diagonal candidate pm from the
+    per-mode arrays m.  With s = diag(P)/q_inf each mode is a scalar
+    auxiliary problem: V^P = half sum_i x_i^2 s_i / (s_i q_i + e2_i), whose
+    term is exactly 0 when s_i = 0 (even where e2_i underflows to 0).
+    Raises RankDeficient where a penalized mode's denominator is not
+    positive and finite, as the reduced solve would."""
+    d = pm.diagonal()
+    s = d / m.q_inf
+    denom = s * m.q + m.e2
+    free = s == 0.0
+    if not np.all(free | ((denom > 0.0) & (denom < np.inf))):
+        raise RankDeficient(
+            "the reduced auxiliary matrix E*GE + S is not positive definite "
+            f"(smallest mode denominator {denom[~free].min():.3g})")
+    w = s / np.where(free, 1.0, denom)
+    residual = np.abs((-2.0 * m.a - m.beta * s) * s).max() / (1.0 + sqrt(d @ d))
+    return 0.5 * (m.xs2 @ s), 0.5 * (m.xs2 @ w), float(residual), float((1.0 - d).min())
 
 
 def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
@@ -254,16 +306,22 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
 
     Requires a coercive BB* (so the chain holds from horizon t on, with
     no controllability waiting time) and at least one sample.  The
-    returned report carries the worst sampled margin of the left
-    inequality.
+    returned report carries the worst sampled margin of the chain and the
+    identity defect max |V^P - half <P x, x>_H| / max(1, half <P x, x>_H),
+    which vanishes for a solution.
 
     The samples, their membership checks, V(t, x) and the penalty-free
     stage of V^P are the same for every candidate; they are computed once
     per (model, horizon, samples, seed) and kept on the model's Gramian
     ``gramian_finite(p, t)``, so each further candidate pays only for its
-    penalty and solve.  ``hspace`` and ``gramian`` may be given, but only
-    as the model's own ``h_space(p)`` and ``gramian_finite(p, t)`` (the
-    same objects); anything else raises BadParameterError.
+    own part.  On a spectral model a candidate with no off-diagonal
+    nonzero has A, BB*, Q_t, Q_inf, e^{tA} and P all diagonal, so its
+    V^P, residual and maximality gap are computed mode by mode from the
+    stage's per-mode arrays; every other candidate takes the reduced
+    solve ``auxiliary_minimum``, ``are_residual_H`` and
+    ``maximality_check``.  ``hspace`` and ``gramian`` may be given, but
+    only as the model's own ``h_space(p)`` and ``gramian_finite(p, t)``
+    (the same objects); anything else raises BadParameterError.
     """
     _require_form(P, "H_form")
     if samples < 1:
@@ -276,17 +334,26 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     if gramian is not None and gramian is not g:
         raise BadParameterError("gramian must be the model's own gramian_finite(p, t)")
     stage = _comparison_stage(p, g, t, samples, seed)
-    xs = stage.samples
-    form = AuxiliaryCost(P.matrix).form_matrix(h)
-    lhs = 0.5 * np.sum((xs @ form) * xs, axis=1)
-    v_aux = auxiliary_minimum(stage.flow, form).value
-    margin = min(np.min(v_aux - lhs), np.min(stage.v_finite - v_aux))
-    residual = are_residual_H(p, h, P)
+    pm = P.matrix
+    # a candidate of the wrong shape goes to the reduced solve, which refuses it
+    if (stage.modes is not None and pm.shape == (p.n, p.n)
+            and np.count_nonzero(pm) == np.count_nonzero(pm.diagonal())):
+        lhs, v_aux, residual, gap = _per_mode_comparison(stage.modes, pm)
+    else:
+        xs = stage.samples
+        form = AuxiliaryCost(pm).form_matrix(h)
+        lhs = 0.5 * np.sum((xs @ form) * xs, axis=1)
+        v_aux = auxiliary_minimum(stage.flow, form).value
+        residual, gap = are_residual_H(p, h, P), maximality_check(h, P)
+    excess = v_aux - lhs
+    margin = min(excess.min(), (stage.v_finite - v_aux).min())
+    defect = (np.abs(excess) / np.maximum(1.0, lhs)).max()
     return SolutionReport(
         residual_norm=residual,
         is_solution=residual <= SOLUTION_RESIDUAL_TOL,
-        maximality_gap=maximality_check(h, P),
+        maximality_gap=gap,
         comparison_margin=float(margin),
+        identity_defect=float(defect),
     )
 
 
