@@ -55,7 +55,6 @@ from .landau import (
 from .operators import (
     ControlProblem,
     PseudoInverse,
-    SpectralModel,
     apply_control_weight,
     expm,
     load_model,

@@ -119,16 +119,16 @@ def cmd_gramian(args, problem):
 
 def _check_verify(args, problem):
     """Refuse a ``verify`` run that the model cannot serve, before any
-    file is written: the comparison certificate needs a coercive spectral
-    model, the candidates that a coercive spectral model enumerates must
+    file is written: the comparison certificate needs a coercive diagonal
+    model, the candidates that a coercive diagonal model enumerates must
     number at most ``--max-solutions``, and every certificate needs a
     full-rank reachability space."""
     if args.comparison:
         if not problem.coercive:
             raise NotCoercive("comparison certificates need a coercive BB*")
-        if problem.spectral is None:
+        if not problem.diagonal:
             raise NotSpectral("comparison certificates need a spectral-diagonal model")
-    if problem.spectral is not None and problem.coercive:
+    if problem.diagonal and problem.coercive:
         check_candidate_count(problem, args.max_solutions)
     if not h_space(problem).full_rank:
         raise RankDeficient("Riccati certificates need a full-rank "
@@ -153,7 +153,7 @@ def cmd_verify(args, problem):
             "full-rank reachability space; admissibility asserted, not tested"
         ],
     }
-    if problem.spectral is not None and problem.coercive:
+    if problem.diagonal and problem.coercive:
         h = h_space(problem)
         t = 2.0 if args.t is None else args.t
         samples = 50 if args.samples is None else args.samples

@@ -159,7 +159,12 @@ def _gramian_quadrature(p, t):
     matrix products, not 32 P propagators.
     """
     width = min(1.0, 1.0 / p.decay_omega, 4.0 / max(p.spectral_radius, 1e-12))
-    panels = max(1, int(np.ceil(t / width)))
+    ratio = t / width
+    if not np.isfinite(ratio):
+        raise BadParameterError(
+            f"horizon {t} over panels of width {width:.3g} overflows the "
+            "panel count")
+    panels = max(1, int(np.ceil(ratio)))
     delta = t / panels
     pts, wts = legendre_panels(0.0, delta, delta)
     props = p.propagator.at(np.append(pts, delta))
@@ -287,17 +292,15 @@ def gramian_infinite(p):
 def _solve_gramian_infinite(p):
     """Solve A Q + Q A* = -B B*.
 
-    A spectral model's solution is closed-form, Q = diag(b / (-2 lambdas))
-    with b the diagonal of BB*: that is b_diag up to the rounding of
-    sqrt(b_diag)^2, and it is the BB* that the finite Gramians integrate.
-    A dense model's is the Bartels-Stewart solve of ``scipy.linalg``,
-    imported here so that spectral models never load scipy.
+    A diagonal model's solution is closed-form, Q = diag(b / (-2 a)) with
+    a and b the diagonals of A and BB*.  Any other model's is the
+    Bartels-Stewart solve of ``scipy.linalg``, imported here so that
+    diagonal models never load scipy.
     """
     if p.spectral_abscissa >= 0.0:
         raise NotStable("infinite-horizon Gramian needs a stable model")
-    if p.spectral is not None:
-        return _as_gramian(np.diag(np.diag(p.BBt) / (-2.0 * p.spectral.lambdas)),
-                           np.inf)
+    if p.diagonal:
+        return _as_gramian(np.diag(np.diag(p.BBt) / (-2.0 * np.diag(p.A))), np.inf)
     import scipy.linalg
     Q = scipy.linalg.solve_continuous_lyapunov(p.A, -p.BBt)
     return _as_gramian(Q, np.inf)

@@ -5,13 +5,13 @@ control operator on finite-dimensional real spaces, together with the
 decay envelope ``norm(expm(A, t)) <= bound_M * exp(-decay_omega * t)``.
 A model factors A once, at construction, into its ``Propagator``; the
 metadata and the flows of A, A* and -A all come from that factorization.
-Spectral-diagonal models additionally remember their eigenvalue and
-input-weight vectors, which the commuting-case machinery relies on.
+A model whose A and BB* are both diagonal is flagged ``diagonal``, however
+it was built; the commuting-case machinery relies on that flag.
 """
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -44,18 +44,6 @@ def is_symmetric(m, tol=1e-10):
     return np.linalg.norm(m - m.T, "fro") <= tol * (1.0 + np.linalg.norm(m, "fro"))
 
 
-@dataclass(frozen=True)
-class SpectralModel:
-    """Diagonal data of a commuting model: eigenvalues and input weights.
-
-    ``lambdas`` is sorted descending; ties keep their input order so that
-    repeated-eigenvalue blocks occupy consecutive coordinates.
-    """
-
-    lambdas: np.ndarray
-    b_diag: np.ndarray
-
-
 def read_only(a):
     """Mark an array read-only and return it."""
     a.setflags(write=False)
@@ -66,17 +54,20 @@ def read_only(a):
 class ControlProblem:
     """State operator A, control operator B, and stability metadata.
 
-    A model is immutable: A and B are read-only.  ``propagator`` is the
-    one eigendecomposition of A, made at construction; the stability
-    metadata was read off it, and it also gives the flows of A* and -A.
-    The other factorizations are computed on first use and kept on the
-    model, so the spectral norm of A, BB* and the infinite-horizon Gramian
-    (which carries the reachability space) are computed once per model,
-    and each finite-horizon Gramian once per horizon and route.
+    A model is immutable: A, B and BBt = BB* are read-only.
+    ``propagator`` is the one eigendecomposition of A, made at
+    construction; the stability metadata was read off it, and it also
+    gives the flows of A* and -A.  ``diagonal`` is true when A and BB*
+    have no off-diagonal nonzero.  The other factorizations are computed
+    on first use and kept on the model, so the spectral norm of A and the
+    infinite-horizon Gramian (which carries the reachability space) are
+    computed once per model, and each finite-horizon Gramian once per
+    horizon and route.
     """
 
     A: np.ndarray
     B: np.ndarray
+    BBt: np.ndarray = field(compare=False, repr=False)
     n: int
     m: int
     spectral_abscissa: float
@@ -86,11 +77,7 @@ class ControlProblem:
     propagator: "Propagator" = field(compare=False, repr=False)
     commuting: bool = False
     coercive: bool = False
-    spectral: SpectralModel | None = field(default=None, compare=False)
-
-    @cached_property
-    def BBt(self):
-        return read_only(self.B @ self.B.T)
+    diagonal: bool = False
 
     @cached_property
     def a_norm2(self):
@@ -142,16 +129,20 @@ class PseudoInverse:
         return np.linalg.norm(off, axis=-1) <= tol * np.linalg.norm(x, axis=-1)
 
 
-def _commutation_flags(A, B):
-    bbt = B @ B.T
+def _structure_flags(A, bbt, symmetric):
+    """The commuting, coercive and diagonal flags of a model, from A, BB*
+    and whether A is symmetric; diagonal is exact: A and BB* have no
+    nonzero off their diagonals."""
     scale = np.linalg.norm(A, "fro") * np.linalg.norm(bbt, "fro")
     commuting = (
-        is_symmetric(A, 1e-12)
+        symmetric
         and np.linalg.norm(A @ bbt - bbt @ A, "fro") <= 1e-10 * (1.0 + scale)
     )
     eigs = np.linalg.eigvalsh(symmetrize(bbt))
     coercive = bool(eigs.min() > DEFAULT_REL_TOL * max(eigs.max(), 1.0))
-    return commuting, coercive
+    diagonal = all(np.count_nonzero(m) == np.count_nonzero(m.diagonal())
+                   for m in (A, bbt))
+    return bool(commuting), coercive, diagonal
 
 
 def _dense_operators(A, B):
@@ -189,12 +180,14 @@ def make_dense_model(A, B):
             "eigenvector basis is numerically singular; decay envelope "
             "cannot be estimated for a defective operator"
         )
-    commuting, coercive = _commutation_flags(A, B)
+    bbt = read_only(B @ B.T)
+    commuting, coercive, diagonal = _structure_flags(A, bbt, prop.symmetric)
     return ControlProblem(
-        A=A, B=read_only(B), n=A.shape[0], m=B.shape[1],
+        A=A, B=read_only(B), BBt=bbt, n=A.shape[0], m=B.shape[1],
         spectral_abscissa=abscissa, bound_M=max(1.0, prop.cond),
         decay_omega=-abscissa, spectral_radius=float(np.max(np.abs(prop.w))),
         propagator=prop, commuting=commuting, coercive=coercive,
+        diagonal=diagonal,
     )
 
 
@@ -214,19 +207,16 @@ def _spectral_vectors(lambdas, b_diag):
 
 
 def make_spectral_model(lambdas, b_diag):
-    """Build a diagonal commuting model A = diag(lambdas), B = diag(sqrt(b)).
+    """Build a diagonal model A = diag(lambdas), B = diag(sqrt(b)).
 
     Eigenvalues are sorted descending with input order preserved among
     ties, and the input weights are permuted accordingly.
     """
     lambdas, b_diag = _spectral_vectors(lambdas, b_diag)
     order = np.argsort(-lambdas, kind="stable")
-    lambdas = lambdas[order]
-    b_diag = b_diag[order]
     # diag(lambdas) is factored by eigh, so bound_M is 1
-    problem = make_dense_model(np.diag(lambdas), np.diag(np.sqrt(b_diag)))
-    return replace(problem, commuting=True,
-                   spectral=SpectralModel(lambdas=lambdas, b_diag=b_diag))
+    return make_dense_model(np.diag(lambdas[order]),
+                            np.diag(np.sqrt(b_diag[order])))
 
 
 def expm(A, t):
@@ -247,9 +237,10 @@ class Propagator:
 
     Factors A once, into read-only arrays: a symmetric A by ``eigh``, whose
     orthonormal basis has ``cond`` 1, any other by ``eig``, with ``cond``
-    the condition number of its eigenvector basis V.  Above a ``cond`` of
-    1e6 it falls back to per-value Pade exponentials.  ``adjoint()`` and
-    ``reversed()`` give the flows of A* and -A from the same factors.
+    the condition number of its eigenvector basis V; ``symmetric`` records
+    which.  Above a ``cond`` of 1e6 it falls back to per-value Pade
+    exponentials.  ``adjoint()`` and ``reversed()`` give the flows of A*
+    and -A from the same factors.
     """
 
     _COND_MAX = 1e6
@@ -257,7 +248,8 @@ class Propagator:
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
         self.A, self.n = A, A.shape[0]
-        if is_symmetric(A, 1e-12):
+        self.symmetric = is_symmetric(A, 1e-12)
+        if self.symmetric:
             w, v = np.linalg.eigh(symmetrize(A))
             vinv, self.cond = v.T, 1.0
         else:

@@ -98,7 +98,7 @@ class PanelGrid:
     ----------
     points : (K+1,) strictly increasing, points[0] = t0, points[-1] = t1
     weights : (K+1,) nonnegative, summing exactly to t1 - t0
-    panels, nodes_per_panel : panel structure (edge nodes are shared)
+    nodes_per_panel : nodes of each panel (edge nodes are shared)
     """
 
     def __init__(self, t0, t1, panels):
@@ -120,9 +120,7 @@ class PanelGrid:
         wts *= (t1 - t0) / wts.sum()
         self.points = pts
         self.weights = wts
-        self.panels = panels
         self.nodes_per_panel = q
-        self.panel_width = width
 
 
 def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048):

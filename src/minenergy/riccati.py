@@ -159,14 +159,17 @@ def projection_family_2d(a, sign):
 
 
 def _eigenspace_blocks(lambdas, rel_tol=1e-12):
-    """Consecutive index blocks of equal eigenvalues (input is sorted)."""
+    """Index blocks of equal eigenvalues, each ascending, ordered by their
+    first index; the eigenvalues need be neither sorted nor adjacent."""
+    order = np.argsort(-lambdas, kind="stable")
     blocks, start = [], 0
-    for i in range(1, lambdas.size + 1):
-        if i == lambdas.size or abs(lambdas[i] - lambdas[start]) > rel_tol * (
-                1.0 + abs(lambdas[start])):
-            blocks.append(range(start, i))
+    for i in range(1, order.size + 1):
+        lead = lambdas[order[start]]
+        if i == order.size or abs(lambdas[order[i]] - lead) > rel_tol * (
+                1.0 + abs(lead)):
+            blocks.append(sorted(order[start:i].tolist()))
             start = i
-    return blocks
+    return sorted(blocks)
 
 
 def check_candidate_count(p, max_count):
@@ -177,14 +180,15 @@ def check_candidate_count(p, max_count):
 
 
 def enumerate_commuting_solutions(p, max_count=4096):
-    """All diagonal 0/1 solutions of a spectral model, plus sampled
+    """All diagonal 0/1 solutions of a diagonal model, plus sampled
     non-diagonal family members on two-dimensional eigenspaces.
 
     With distinct eigenvalues the diagonal candidates exhaust the solution
-    set; a repeated pair contributes a one-parameter family of rotated
-    projections, represented here at the parameters 1/4, 1/2 and 3/4.
+    set; a repeated pair, adjacent or not, contributes a one-parameter
+    family of rotated projections, represented here at the parameters
+    1/4, 1/2 and 3/4.
     """
-    if p.spectral is None:
+    if not p.diagonal:
         raise NotSpectral("enumeration needs a spectral-diagonal model")
     if not p.coercive:
         raise NotCoercive("enumeration needs a coercive BB*")
@@ -194,8 +198,9 @@ def enumerate_commuting_solutions(p, max_count=4096):
         CandidateSolution("H_form", np.diag(np.array(bits, dtype=float)))
         for bits in product((0.0, 1.0), repeat=n)
     ]
-    scale = np.sqrt(p.spectral.b_diag / (-2.0 * p.spectral.lambdas))
-    for block in _eigenspace_blocks(p.spectral.lambdas):
+    # the metric square root: Q_inf is diagonal on a diagonal model
+    scale = np.sqrt(h_space(p).matrix.diagonal())
+    for block in _eigenspace_blocks(p.A.diagonal()):
         if len(block) != 2:
             continue
         i, j = block[0], block[1]
@@ -239,8 +244,9 @@ class ComparisonStage(NamedTuple):
     """The candidate-independent part of ``comparison_check`` for one
     model, horizon, sample count and seed: the seeded sample stack, the
     penalty-free stage of the auxiliary problem on it, the
-    finite-horizon values V(t, x) and, on a spectral model, the per-mode
-    arrays (None on any other model).  The arrays are read-only."""
+    finite-horizon values V(t, x) and, on a diagonal model, the per-mode
+    arrays (None where ``_mode_arrays`` finds none).  The arrays are
+    read-only."""
 
     samples: np.ndarray
     flow: AuxiliaryFlow
@@ -249,11 +255,12 @@ class ComparisonStage(NamedTuple):
 
 
 def _mode_arrays(p, g, t, xs):
-    """The stage's per-mode arrays, or None unless the model is spectral
-    and both Gramians are exactly diagonal (a spectral model's always
-    are; one count of off-diagonal nonzeros checks it)."""
+    """The stage's per-mode arrays, or None unless the model is diagonal
+    and both Gramians are exactly diagonal (one count of off-diagonal
+    nonzeros checks it: Q_t integrates e^{sA} B, and only BB* need be
+    diagonal)."""
     q_t, q_inf = g.matrix, h_space(p).matrix
-    if p.spectral is None or np.count_nonzero(
+    if not p.diagonal or np.count_nonzero(
             np.stack((q_t, q_inf))[:, ~np.eye(p.n, dtype=bool)]):
         return None
     a = p.A.diagonal().copy()
@@ -314,7 +321,7 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     stage of V^P are the same for every candidate; they are computed once
     per (model, horizon, samples, seed) and kept on the model's Gramian
     ``gramian_finite(p, t)``, so each further candidate pays only for its
-    own part.  On a spectral model a candidate with no off-diagonal
+    own part.  On a diagonal model a candidate with no off-diagonal
     nonzero has A, BB*, Q_t, Q_inf, e^{tA} and P all diagonal, so its
     V^P, residual and maximality gap are computed mode by mode from the
     stage's per-mode arrays; every other candidate takes the reduced

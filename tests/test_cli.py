@@ -39,6 +39,16 @@ TARGET_8 = "1,-0.5,0.25,0,0.5,-1,0,0.75"
 HEAT_8 = {"type": "spectral",
           "lambdas": (-0.5 * (np.arange(1, 9) * np.pi) ** 2).tolist(),
           "b_diag": [1.0] * 8}
+#: a diagonal weight keeps the model diagonal: the same model as
+#: WEIGHTED_EQUIVALENT, up to the rounding of the weighted input
+WEIGHTED_DIAGONAL = {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1.0, 1.0],
+                     "weight_C": [[2.0, 0.0], [0.0, 1.0]]}
+WEIGHTED_EQUIVALENT = {"type": "spectral", "lambdas": [-1.0, -2.0],
+                       "b_diag": [0.5, 1.0]}
+#: diagonal but unsorted, with the repeated eigenvalue -2 at states 0 and 2
+DENSE_DIAGONAL_PAIR = {"type": "dense",
+                       "A": [[-2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]],
+                       "B": np.eye(3).tolist()}
 
 
 @pytest.fixture
@@ -133,6 +143,46 @@ class TestVerifyCommand:
         assert run("verify", "--model", path, "--comparison", "--out", tmp_path) == 4
         assert "spectral-diagonal model" in capsys.readouterr().err
         assert run("verify", "--model", path, "--out", tmp_path) == 0
+
+    def test_weighted_diagonal_document_certified_like_spectral(self, model_file,
+                                                                 tmp_path):
+        certs = []
+        for name, doc in (("weighted", WEIGHTED_DIAGONAL),
+                          ("equivalent", WEIGHTED_EQUIVALENT)):
+            out = tmp_path / name
+            assert run("verify", "--model", model_file(doc, f"{name}.json"),
+                       "--comparison", "--out", out) == 0
+            certs.append(json.loads((out / "certificate.json").read_text()))
+        weighted, equivalent = (c["solutions"] for c in certs)
+        assert len(weighted) == len(equivalent) == 4
+        for a, b in zip(weighted, equivalent):
+            assert a["matrix"] == b["matrix"]
+            for key in ("comparison_margin", "residual", "maximality_gap",
+                        "identity_defect"):
+                assert abs(a[key] - b[key]) <= 1e-12, key
+
+    def test_dense_diagonal_unsorted_pair_certified(self, model_file, tmp_path):
+        # 2^3 diagonal candidates plus the 6 family members of the pair
+        # (0, 2), which is neither sorted nor adjacent
+        assert run("verify", "--model", model_file(DENSE_DIAGONAL_PAIR),
+                   "--comparison", "--out", tmp_path) == 0
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert len(cert["solutions"]) == 14
+        for entry in cert["solutions"]:
+            assert entry["comparison_margin"] >= -1e-8
+            assert entry["residual"] <= 1e-9
+            assert entry["maximality_gap"] >= -1e-10
+        family = [np.array(e["matrix"]) for e in cert["solutions"][8:]]
+        for mat in family:
+            assert np.count_nonzero(mat[1]) == np.count_nonzero(mat[:, 1]) == 0
+            assert mat[0, 2] != 0.0
+
+    def test_dense_diagonal_candidate_count_guarded(self, model_file, tmp_path,
+                                                    capsys):
+        doc = {"type": "dense", "A": np.diag(-np.arange(1.0, 14.0)).tolist(),
+               "B": np.eye(13).tolist()}
+        assert run("verify", "--model", model_file(doc), "--out", tmp_path) == 3
+        assert "2^13 diagonal candidates exceed" in capsys.readouterr().err
 
     def test_heat_model_certificate(self, model_file, tmp_path):
         k = np.arange(1, 9)
@@ -589,6 +639,20 @@ class TestExitCodeContract:
     def test_infinite_horizon_is_three(self, argv, model_file, tmp_path):
         assert run(*argv, "--model", model_file(SPECTRAL), "--t", "inf",
                    "--out", tmp_path) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["gramian"],
+        ["auxiliary", "--target", "1"],
+        ["synthesize", "--target", "1"],
+        ["verify", "--comparison"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_horizon_is_three(self, argv, model_file, tmp_path,
+                                          capsys):
+        # t / panel width overflows to inf: no panel count exists
+        doc = {"type": "spectral", "lambdas": [-10.0], "b_diag": [1.0]}
+        assert run(*argv, "--model", model_file(doc), "--t", "1e308",
+                   "--out", tmp_path) == 3
+        assert "overflows the panel count" in capsys.readouterr().err
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])
     @pytest.mark.parametrize("argv", [

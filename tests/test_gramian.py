@@ -322,6 +322,13 @@ class TestGramianFinite:
         with pytest.raises(BadParameterError):
             gramian_finite(scalar_problem, 1e308, "matrix_ode")
 
+    def test_panel_count_overflow_refused(self):
+        # the panel width is 0.1 here, so 1e308 / width is not a finite
+        # float and no panel count exists
+        p = make_spectral_model([-10.0], [1.0])
+        with pytest.raises(BadParameterError, match="overflows the panel count"):
+            gramian_finite(p, 1e308)
+
     def test_methods_agree(self, rng):
         for _ in range(3):
             p = random_problem(rng, n=6)

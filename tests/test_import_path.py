@@ -1,5 +1,5 @@
-"""scipy stays off the import path and out of every spectral command, and
-no command loads a process pool.
+"""scipy stays off the import path and out of every command on a diagonal
+model, and no command loads a process pool.
 
 pytest itself imports scipy (the ``filterwarnings`` setting names
 ``scipy.linalg.LinAlgWarning``), so each check runs in a fresh interpreter.
@@ -35,6 +35,14 @@ print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))
 SPECTRAL_8 = {"type": "spectral",
               "lambdas": [-0.5 * (k + 1) for k in range(8)],
               "b_diag": [1.0 + 0.1 * k for k in range(8)]}
+#: diagonal models that no constructor marks as such: a diagonal weight on
+#: a spectral document, and an unsorted diagonal dense one with the
+#: repeated pair (0, 2)
+WEIGHTED_DIAGONAL = {"type": "spectral", "lambdas": [-1.0, -2.0],
+                     "b_diag": [1.0, 1.0], "weight_C": [[2.0, 0.0], [0.0, 1.0]]}
+DENSE_DIAGONAL = {"type": "dense",
+                  "A": [[-2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]],
+                  "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
 DENSE_3 = {"type": "dense",
            "A": [[-1.0, 0.3, 0.0], [0.1, -2.0, 0.2], [0.0, 0.4, -1.5]],
            "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
@@ -57,25 +65,44 @@ def scipy_loaded(workdir, *argv):
 
 @pytest.fixture
 def models(tmp_path):
-    for name, doc in (("spectral.json", SPECTRAL_8), ("dense.json", DENSE_3)):
+    for name, doc in (("spectral.json", SPECTRAL_8), ("dense.json", DENSE_3),
+                      ("weighted.json", WEIGHTED_DIAGONAL),
+                      ("diagonal.json", DENSE_DIAGONAL)):
         (tmp_path / name).write_text(json.dumps(doc))
     return tmp_path
+
+
+#: ids of the model subcommands that ``model_commands`` lists, in its order
+COMMAND_IDS = ("gramian", "verify", "synthesize", "auxiliary",
+               "verify_comparison", "all_comparison")
+
+
+def model_commands(model, target):
+    """The model subcommands that must not import scipy, on one model."""
+    return [
+        ["gramian", "--model", model, "--t", "1", "--out", "out"],
+        ["verify", "--model", model, "--out", "out"],
+        ["synthesize", "--model", model, "--target", target, "--out", "out"],
+        ["auxiliary", "--model", model, f"--target={target}", "--out", "out"],
+        ["verify", "--model", model, "--comparison", "--out", "out"],
+        ["all", "--model", model, "--comparison", "--out", "out"],
+    ]
 
 
 @pytest.mark.parametrize("argv", [
     [],
     ["landau", "--out", "out"],
-    ["gramian", "--model", "spectral.json", "--t", "1", "--out", "out"],
-    ["verify", "--model", "spectral.json", "--out", "out"],
-    ["synthesize", "--model", "spectral.json", "--target", "1,0,0,0,0,0,0,0",
-     "--out", "out"],
-    ["auxiliary", "--model", "spectral.json", "--target=1,0,0,0,0,0,0,0",
-     "--out", "out"],
-    ["verify", "--model", "spectral.json", "--comparison", "--out", "out"],
-    ["all", "--model", "spectral.json", "--comparison", "--out", "out"],
-], ids=["import", "landau", "gramian", "verify", "synthesize", "auxiliary",
-        "verify_comparison", "all_comparison"])
+    *model_commands("spectral.json", "1,0,0,0,0,0,0,0"),
+], ids=["import", "landau", *COMMAND_IDS])
 def test_spectral_commands_never_import_scipy(argv, models):
+    assert not scipy_loaded(models, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    *model_commands("weighted.json", "1,0"),
+    *model_commands("diagonal.json", "1,0,0"),
+], ids=[f"{doc}_{cmd}" for doc in ("weighted", "diagonal") for cmd in COMMAND_IDS])
+def test_diagonal_documents_never_import_scipy(argv, models):
     assert not scipy_loaded(models, *argv)
 
 

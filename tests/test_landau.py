@@ -19,7 +19,7 @@ from minenergy.riccati import enumerate_commuting_solutions
 class TestBuild:
     def test_single_mode(self):
         m = build_lg_model(1, 0.2, 0.8)
-        assert_allclose(m.problem.spectral.lambdas, [-np.pi ** 2 / 2.0], rtol=1e-14)
+        assert_allclose(np.diag(m.problem.A), [-np.pi ** 2 / 2.0], rtol=1e-14)
         assert_allclose(np.diag(h_space(m.problem).matrix), [1.0 / np.pi ** 2],
                         rtol=1e-12)
 

@@ -89,6 +89,20 @@ class TestMakeDenseModel:
         q = random_problem(rng, n=4, symmetric=False)
         assert not q.commuting
 
+    def test_diagonal_flag_from_operators(self, rng):
+        # read off A and BB*, whatever built the model
+        assert make_spectral_model([-1.0, -2.0], [1.0, 3.0]).diagonal
+        p = make_dense_model(np.diag([-2.0, -1.0]), [[0.0, 1.0], [2.0, 0.0]])
+        assert p.diagonal and p.commuting and p.coercive
+        assert model_from_dict({"type": "spectral", "lambdas": [-1.0, -2.0],
+                                "b_diag": [1.0, 1.0],
+                                "weight_C": [[2.0, 0.0], [0.0, 1.0]]}).diagonal
+        assert not model_from_dict({"type": "spectral", "lambdas": [-1.0, -2.0],
+                                    "b_diag": [1.0, 1.0],
+                                    "weight_C": [[2.0, 0.5], [0.5, 1.0]]}).diagonal
+        assert not make_dense_model([[-1.0, 0.3], [0.0, -2.0]], np.eye(2)).diagonal
+        assert not random_problem(rng, n=3, symmetric=True).diagonal
+
 
 class TestMakeSpectralModel:
     def test_scalar(self):
@@ -105,13 +119,13 @@ class TestMakeSpectralModel:
 
     def test_descending_sort_with_weights(self):
         p = make_spectral_model([-2.0, -1.0], [4.0, 1.0])
-        assert_allclose(p.spectral.lambdas, [-1.0, -2.0])
-        assert_allclose(p.spectral.b_diag, [1.0, 4.0])
+        assert_allclose(np.diag(p.A), [-1.0, -2.0])
+        assert_allclose(np.diag(p.BBt), [1.0, 4.0])
 
     def test_stable_tie_order(self):
         p = make_spectral_model([-1.0, -2.0, -1.0], [3.0, 5.0, 7.0])
-        assert_allclose(p.spectral.lambdas, [-1.0, -1.0, -2.0])
-        assert_allclose(p.spectral.b_diag, [3.0, 7.0, 5.0])
+        assert_allclose(np.diag(p.A), [-1.0, -1.0, -2.0])
+        assert_allclose(np.diag(p.BBt), [3.0, 7.0, 5.0])
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):

@@ -185,11 +185,28 @@ class TestEnumeration:
         with pytest.raises(NotSpectral):
             enumerate_commuting_solutions(random_problem(rng, n=2))
 
+    def test_unsorted_nonadjacent_pair_on_dense_model(self):
+        # A is diagonal but unsorted and its pair (0, 2) is not adjacent: the
+        # family lives on that pair, and every candidate certifies
+        p = make_dense_model(np.diag([-2.0, -1.0, -2.0]), np.diag([1.0, 2.0, 0.5]))
+        assert p.diagonal
+        sols = enumerate_commuting_solutions(p)
+        assert len(sols) == 2 ** 3 + 6
+        for s in sols[8:]:
+            assert np.count_nonzero(s.matrix[1]) == np.count_nonzero(s.matrix[:, 1]) == 0
+            assert s.matrix[0, 2] != 0.0
+        for s in sols:
+            rep = comparison_check(p, s, 2.0)
+            assert rep.is_solution
+            assert rep.maximality_gap >= -1e-10
+            assert rep.comparison_margin >= -1e-8
+            assert rep.identity_defect <= 1e-9
+
     def test_eigenspace_invariance(self, repeated_problem):
         # candidates must map each eigenspace of the state operator into itself
         for p in (repeated_problem, make_spectral_model([-1.0, -1.0, -2.0],
                                                         [1.0, 1.0, 3.0])):
-            lams = p.spectral.lambdas
+            lams = np.diag(p.A)
             for s in enumerate_commuting_solutions(p):
                 for lam in np.unique(lams):
                     idx = np.flatnonzero(lams == lam)
@@ -332,7 +349,7 @@ class TestComparisonStage:
             """Margin on the model; it must equal the margin on a freshly
             built copy of that model, which holds no stage."""
             rep = comparison_check(model, cand, t, **kw)
-            fresh = make_spectral_model(model.spectral.lambdas, model.spectral.b_diag)
+            fresh = make_dense_model(model.A, model.B)
             assert rep == comparison_check(fresh, cand, t, **kw)
             return rep.comparison_margin
 
@@ -569,6 +586,7 @@ class TestRejectionOfNonSolutions:
             if np.linalg.norm(m @ m - m) <= 1e-6:       # skip accidental projections
                 continue
             assert are_residual_H(p, h, cand) > 1e-3
+            assert comparison_check(p, cand, 2.0).identity_defect > 1e-3
 
     def test_projection_criterion_both_ways(self, rng):
         # tiny commuting residual implies idempotency and commutation;
