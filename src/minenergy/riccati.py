@@ -98,15 +98,37 @@ def are_residual_X(p, R):
     return float(np.linalg.norm(res, "fro") / (1.0 + np.linalg.norm(r, "fro")))
 
 
+def _diagonal_of(h, P):
+    """diag(P) if P and Q_inf = h.matrix have one shape and no off-diagonal
+    nonzero, else None."""
+    pm, q = P.matrix, h.matrix
+    if pm.shape == q.shape and np.count_nonzero(pm) == np.count_nonzero(
+            pm.diagonal()) and np.count_nonzero(q) == np.count_nonzero(q.diagonal()):
+        return pm.diagonal()
+    return None
+
+
+def _diagonal_residual(p, h, d):
+    """The residual of diag(d) on a diagonal model and Q_inf: with
+    s = d / diag(Q_inf), max_i |(-2 A_ii - BB*_ii s_i) s_i| / (1 + |d|)."""
+    s = d / h.matrix.diagonal()
+    res = (-2.0 * p.A.diagonal() - p.BBt.diagonal() * s) * s
+    return float(np.abs(res).max() / (1.0 + sqrt(d.dot(d))))
+
+
 def are_residual_H(p, h, P):
     """Scaled max bilinear-form residual of the metric-form equation.
 
     Evaluated on canonical basis pairs via L = Q^{-1} P:
-    -A*L - L*A - L*BB*L, entrywise max, scaled by 1 + |P|.
+    -A*L - L*A - L*BB*L, entrywise max, scaled by 1 + |P|.  L is diagonal,
+    and read mode by mode, when the model, Q_inf and P are all diagonal.
     """
     _require_form(P, "H_form")
     if not h.full_rank:
         raise RankDeficient("metric-form residual needs a full-rank Gramian")
+    d = _diagonal_of(h, P) if p.diagonal else None
+    if d is not None:
+        return _diagonal_residual(p, h, d)
     lam = h.pinv.inverse_on_range @ P.matrix
     res = -(p.A.T @ lam) - lam.T @ p.A - lam.T @ p.BBt @ lam
     return float(np.max(np.abs(res)) / (1.0 + np.linalg.norm(P.matrix, "fro")))
@@ -218,26 +240,27 @@ def enumerate_commuting_solutions(p, max_count=4096):
 
 def maximality_check(h, P):
     """Smallest eigenvalue of I - P in the reachability metric; it is
-    nonnegative exactly when the candidate sits below the identity."""
+    nonnegative exactly when the candidate sits below the identity; it is
+    min(1 - diag(P)) when P and Q_inf are diagonal."""
     _require_form(P, "H_form")
     if not h.full_rank:
         raise RankDeficient("metric eigenproblem needs a full-rank Gramian")
+    d = _diagonal_of(h, P)
+    if d is not None:     # min(1 - d), as rounding is monotone
+        return float(1.0 - d.max())
     gap = _h_metric_matrix(h, np.eye(h.matrix.shape[0]) - P.matrix)
     return float(np.linalg.eigvalsh(symmetrize(gap)).min())
 
 
 class ModeArrays(NamedTuple):
     """Per-mode data of a comparison stage on a model whose A, BB*, Q_t
-    and Q_inf are all diagonal: the squared samples xs2 (one row per
-    sample), q = diag(Q_t), q_inf = diag(Q_inf), e2 = exp(2 t lambda),
-    a = diag(A) and beta = diag(BB*).  The arrays are read-only."""
+    and Q_inf are all diagonal: hx2 = x^2 / 2 (a row per sample), q = diag(Q_t),
+    q_inf = diag(Q_inf) and e2 = exp(2t diag(A)), all read-only."""
 
-    xs2: np.ndarray
+    hx2: np.ndarray
     q: np.ndarray
     q_inf: np.ndarray
     e2: np.ndarray
-    a: np.ndarray
-    beta: np.ndarray
 
 
 class ComparisonStage(NamedTuple):
@@ -263,10 +286,9 @@ def _mode_arrays(p, g, t, xs):
     if not p.diagonal or np.count_nonzero(
             np.stack((q_t, q_inf))[:, ~np.eye(p.n, dtype=bool)]):
         return None
-    a = p.A.diagonal().copy()
     return ModeArrays(*(read_only(v) for v in (
-        xs * xs, q_t.diagonal().copy(), q_inf.diagonal().copy(),
-        np.exp(2.0 * t * a), a, p.BBt.diagonal().copy())))
+        0.5 * xs * xs, q_t.diagonal().copy(), q_inf.diagonal().copy(),
+        np.exp(2.0 * t * p.A.diagonal()))))
 
 
 def _comparison_stage(p, g, t, samples, seed):
@@ -286,24 +308,20 @@ def _comparison_stage(p, g, t, samples, seed):
     return stage
 
 
-def _per_mode_comparison(m, pm):
-    """(lhs, V^P, residual, gap) of the diagonal candidate pm from the
-    per-mode arrays m.  With s = diag(P)/q_inf each mode is a scalar
-    auxiliary problem: V^P = half sum_i x_i^2 s_i / (s_i q_i + e2_i), whose
-    term is exactly 0 when s_i = 0 (even where e2_i underflows to 0).
-    Raises RankDeficient where a penalized mode's denominator is not
-    positive and finite, as the reduced solve would."""
-    d = pm.diagonal()
+def _per_mode_comparison(m, d):
+    """(half <P x, x>_H, V^P) of diag(d) from the per-mode arrays m.  With
+    s = d/q_inf each mode is a scalar auxiliary problem: V^P = half sum_i
+    x_i^2 s_i / (s_i q_i + e2_i), a term exactly 0 when s_i = 0 (even where
+    e2_i underflows to 0).  Raises RankDeficient where a penalized mode's
+    denominator is not positive and finite, as the reduced solve would."""
     s = d / m.q_inf
-    denom = s * m.q + m.e2
-    free = s == 0.0
-    if not np.all(free | ((denom > 0.0) & (denom < np.inf))):
+    denom = np.where(s == 0.0, 1.0, s * m.q + m.e2)
+    ok = (denom > 0.0) & (denom < np.inf)
+    if np.count_nonzero(ok) < ok.size:
         raise RankDeficient(
             "the reduced auxiliary matrix E*GE + S is not positive definite "
-            f"(smallest mode denominator {denom[~free].min():.3g})")
-    w = s / np.where(free, 1.0, denom)
-    residual = np.abs((-2.0 * m.a - m.beta * s) * s).max() / (1.0 + sqrt(d @ d))
-    return 0.5 * (m.xs2 @ s), 0.5 * (m.xs2 @ w), float(residual), float((1.0 - d).min())
+            f"(smallest mode denominator {denom[~ok].min():.3g})")
+    return m.hx2 @ s, m.hx2 @ (s / denom)
 
 
 def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
@@ -323,9 +341,9 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     ``gramian_finite(p, t)``, so each further candidate pays only for its
     own part.  On a diagonal model a candidate with no off-diagonal
     nonzero has A, BB*, Q_t, Q_inf, e^{tA} and P all diagonal, so its
-    V^P, residual and maximality gap are computed mode by mode from the
-    stage's per-mode arrays; every other candidate takes the reduced
-    solve ``auxiliary_minimum``, ``are_residual_H`` and
+    V^P is computed mode by mode from the stage's per-mode arrays; every
+    other candidate takes the reduced solve ``auxiliary_minimum``.  Both
+    take the residual and gap from ``are_residual_H`` and
     ``maximality_check``.  ``hspace`` and ``gramian`` may be given, but
     only as the model's own ``h_space(p)`` and ``gramian_finite(p, t)``
     (the same objects); anything else raises BadParameterError.
@@ -341,17 +359,16 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     if gramian is not None and gramian is not g:
         raise BadParameterError("gramian must be the model's own gramian_finite(p, t)")
     stage = _comparison_stage(p, g, t, samples, seed)
-    pm = P.matrix
     # a candidate of the wrong shape goes to the reduced solve, which refuses it
-    if (stage.modes is not None and pm.shape == (p.n, p.n)
-            and np.count_nonzero(pm) == np.count_nonzero(pm.diagonal())):
-        lhs, v_aux, residual, gap = _per_mode_comparison(stage.modes, pm)
+    d = None if stage.modes is None else _diagonal_of(h, P)
+    if d is not None:
+        lhs, v_aux = _per_mode_comparison(stage.modes, d)
     else:
         xs = stage.samples
-        form = AuxiliaryCost(pm).form_matrix(h)
+        form = AuxiliaryCost(P.matrix).form_matrix(h)
         lhs = 0.5 * np.sum((xs @ form) * xs, axis=1)
         v_aux = auxiliary_minimum(stage.flow, form).value
-        residual, gap = are_residual_H(p, h, P), maximality_check(h, P)
+    residual, gap = are_residual_H(p, h, P), maximality_check(h, P)
     excess = v_aux - lhs
     margin = min(excess.min(), (stage.v_finite - v_aux).min())
     defect = (np.abs(excess) / np.maximum(1.0, lhs)).max()

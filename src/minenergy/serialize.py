@@ -19,24 +19,22 @@ def fmt(x):
 
 
 def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+    """``json.dump``'s hook for the numpy leaves it cannot write (a float64
+    is a float, written by ``float.__repr__``): each becomes Python's."""
     if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_report(path, doc):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_plain(doc), fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, default=_plain)
         fh.write("\n")
 
 

@@ -250,6 +250,38 @@ class TestComparisonWorkCounts:
         assert counts["value_finite"] == 1
         assert counts["Propagator.at"] <= 2
 
+    @pytest.mark.parametrize("flags", [[], ["--comparison", "--t", "2"]],
+                             ids=["plain", "comparison"])
+    def test_dense_checks_only_for_family_candidates(self, model_file, tmp_path,
+                                                     monkeypatch, flags):
+        # a diagonal candidate's residual and maximality gap are read mode
+        # by mode, with no metric congruence; each of the six rotated family
+        # candidates of a repeated pair takes one congruence for its gap
+        counts = {}
+
+        def counted(name):
+            fn = getattr(riccati, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("_h_metric_matrix", "_diagonal_residual")
+        for name in names:
+            monkeypatch.setattr(riccati, name, counted(name))
+        b_diag = [0.6, 1.3, 0.9, 1.7, 1.1, 0.8, 1.5, 1.2]
+        for lambdas, family in (([-0.3, -0.55, -0.8, -1.2, -1.6, -2.1, -2.7, -3.4], 0),
+                                ([-0.3, -0.55, -0.8, -1.2, -1.2, -2.1, -2.7, -3.4], 6)):
+            counts.update(dict.fromkeys(names, 0))
+            doc = {"type": "spectral", "lambdas": lambdas, "b_diag": b_diag}
+            assert run("verify", "--model", model_file(doc), *flags,
+                       "--out", tmp_path) == 0
+            cert = json.loads((tmp_path / "certificate.json").read_text())
+            assert len(cert["solutions"]) == 256 + family
+            # the canonical identity is one more diagonal residual
+            assert counts == {"_h_metric_matrix": family, "_diagonal_residual": 257}
+
 
 class TestFactorCounts:
     NON_NORMAL_4 = {"type": "dense",

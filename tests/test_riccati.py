@@ -422,17 +422,32 @@ class TestComparisonStage:
                          seed=DEFAULT_SEED)
         (stage,) = gramian_finite(p, 2.0).comparison_stages.values()
         assert stage._fields == ("samples", "flow", "v_finite", "modes")
-        assert stage.modes._fields == ("xs2", "q", "q_inf", "e2", "a", "beta")
+        assert stage.modes._fields == ("hx2", "q", "q_inf", "e2")
         for a in (stage.samples, stage.v_finite, *stage.flow, *stage.modes):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
 
 
+def dense_residual(p, h, cand):
+    """The metric-form residual by its dense formula: L = Q_inf^+ P,
+    max |-A*L - L*A - L*BB*L| / (1 + |P|_F)."""
+    lam = h.pinv.inverse_on_range @ cand.matrix
+    res = -(p.A.T @ lam) - lam.T @ p.A - lam.T @ p.BBt @ lam
+    return np.abs(res).max() / (1.0 + np.linalg.norm(cand.matrix, "fro"))
+
+
+def dense_gap(h, cand):
+    """The maximality gap by its dense formula: the smallest eigenvalue of
+    S^+ (I - P) S, S the square root of Q_inf, symmetrized."""
+    root, root_pinv = h.sqrt
+    gap = root_pinv @ (np.eye(h.matrix.shape[0]) - cand.matrix) @ root
+    return np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()
+
+
 def reduced_solve_report(p, cand, t, samples, seed=DEFAULT_SEED):
     """Margin, residual, maximality gap and identity defect of a candidate
     by the reduced solve, one sample at a time: ``value_auxiliary`` and
-    ``value_finite`` per sample, ``are_residual_H`` and
-    ``maximality_check``."""
+    ``value_finite`` per sample, and the dense residual and gap formulas."""
     h = h_space(p)
     cost = AuxiliaryCost(cand.matrix)
     form = cost.form_matrix(h)
@@ -442,7 +457,7 @@ def reduced_solve_report(p, cand, t, samples, seed=DEFAULT_SEED):
         lhs = 0.5 * float(x @ form @ x)
         margin = min(margin, v_aux - lhs, value_finite(p, t, x) - v_aux)
         defect = max(defect, abs(v_aux - lhs) / max(1.0, lhs))
-    return margin, are_residual_H(p, h, cand), maximality_check(h, cand), defect
+    return margin, dense_residual(p, h, cand), dense_gap(h, cand), defect
 
 
 class TestPerModeRoute:
@@ -495,6 +510,80 @@ class TestPerModeRoute:
         dense = make_dense_model([[-1.0, 0.3], [0.0, -2.0]], np.eye(2))
         comparison_check(dense, CandidateSolution("H_form", np.eye(2)), 2.0)
         assert len(calls) == 7
+
+
+class TestDiagonalChecks:
+    """A candidate with no off-diagonal nonzero, on a diagonal model with
+    a diagonal Q_inf, has its residual and maximality gap read mode by
+    mode; every other case keeps the dense formulas, and both routes give
+    their figures."""
+
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        # a diagonal residual, and a dense gap's metric congruence
+        counts = {"_diagonal_residual": 0, "_h_metric_matrix": 0}
+
+        def counted(name):
+            fn = getattr(riccati, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(riccati, name, counted(name))
+        return counts
+
+    @pytest.mark.parametrize("lambdas", [EIGHT_DISTINCT, EIGHT_REPEATED_PAIR],
+                             ids=["distinct", "repeated_pair"])
+    def test_matches_dense_formulas(self, lambdas, routed):
+        p = make_spectral_model(lambdas, EIGHT_WEIGHTS)
+        h, n = h_space(p), p.n
+        cands = enumerate_commuting_solutions(p) + [
+            CandidateSolution("H_form", m) for m in (
+                np.zeros((n, n)), np.eye(n), np.diag(np.linspace(0.2, 0.9, n)),
+                np.diag([1.0] * (n - 1) + [-1.0]))]
+        for cand in cands:
+            assert abs(are_residual_H(p, h, cand) - dense_residual(p, h, cand)) <= 1e-14
+            assert abs(maximality_check(h, cand) - dense_gap(h, cand)) <= 1e-14
+        # the rotated family of the repeated pair keeps the dense route
+        family = 6 if lambdas is EIGHT_REPEATED_PAIR else 0
+        assert len(cands) == 2 ** n + 4 + family
+        assert routed == {"_diagonal_residual": 2 ** n + 4, "_h_metric_matrix": family}
+
+    def test_non_diagonal_gramian_or_model_takes_dense_route(self, rng, routed):
+        p = make_spectral_model(EIGHT_DISTINCT, EIGHT_WEIGHTS)
+        dense = random_problem(rng, n=p.n)
+        h, h_dense = h_space(p), h_space(dense)
+        assert np.count_nonzero(h_dense.matrix - np.diag(h_dense.matrix.diagonal()))
+        cand = CandidateSolution("H_form", np.diag(np.linspace(0.2, 0.9, p.n)))
+        # another model's non-diagonal Gramian
+        assert abs(are_residual_H(p, h_dense, cand)
+                   - dense_residual(p, h_dense, cand)) <= 1e-14
+        assert abs(maximality_check(h_dense, cand) - dense_gap(h_dense, cand)) <= 1e-14
+        # a model that is not diagonal, with a diagonal Gramian: only the
+        # gap, which does not read the model, is mode by mode
+        assert abs(are_residual_H(dense, h, cand) - dense_residual(dense, h, cand)) <= 1e-14
+        assert routed == {"_diagonal_residual": 0, "_h_metric_matrix": 1}
+        assert maximality_check(h, cand) == pytest.approx(0.1, abs=1e-15)
+        assert routed == {"_diagonal_residual": 0, "_h_metric_matrix": 1}
+
+    def test_refusals_kept(self):
+        p = make_spectral_model([-1.0, -2.0], [1.0, 1.0])
+        with pytest.raises(WrongForm):
+            are_residual_H(p, h_space(p), CandidateSolution("X_form", np.eye(2)))
+        with pytest.raises(WrongForm):
+            maximality_check(h_space(p), CandidateSolution("X_form", np.eye(2)))
+        deficient = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
+        h = h_space(deficient)
+        assert deficient.diagonal and np.count_nonzero(h.matrix) == 1
+        for d in ([1.0, 0.0], [0.0, 0.0]):
+            cand = CandidateSolution("H_form", np.diag(d))
+            with pytest.raises(RankDeficient):
+                are_residual_H(deficient, h, cand)
+            with pytest.raises(RankDeficient):
+                maximality_check(h, cand)
 
 
 CRITERION_7_MODELS = [([-1.0, -2.0], [1.0, 1.0]),
