@@ -82,9 +82,12 @@ def _parse_target(text, n):
 
 def _parse_seed(text):
     try:
-        return int(text, 0)
+        seed = int(text, 0)
     except ValueError as exc:
         raise ParseError(f"seed must be an integer (hex accepted): {exc}")
+    if seed < 0:
+        raise ParseError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _outdir(args):
@@ -98,20 +101,18 @@ def _provenance(problem, seed):
 
 
 def cmd_gramian(args, problem):
+    """The Gramians and their report; the rank is decided before any write."""
     out = _outdir(args)
     q_inf = gramian_infinite(problem)
-    matrix_csv(out / "gramian_inf.csv", q_inf.matrix)
-    if args.t is not None:
-        g = gramian_finite(problem, args.t)
-        matrix_csv(out / "gramian_t.csv", g.matrix)
-        horizon, rank = args.t, g.rank
-    else:
-        horizon, rank = "+inf", q_inf.rank
+    g = q_inf if args.t is None else gramian_finite(problem, args.t)
     report = {
-        "horizon": horizon,
-        "rank": rank,
+        "horizon": "+inf" if args.t is None else args.t,
+        "rank": g.rank,
         "lyapunov_residual": lyapunov_residual(problem, q_inf),
     }
+    matrix_csv(out / "gramian_inf.csv", q_inf.matrix)
+    if args.t is not None:
+        matrix_csv(out / "gramian_t.csv", g.matrix)
     report.update(_provenance(problem, args.seed))
     write_report(out / "gramian_report.json", report)
     return 0

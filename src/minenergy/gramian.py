@@ -23,6 +23,7 @@ from .errors import (
     RankDeficient,
 )
 from .operators import (
+    exact_diagonal,
     expm,
     pseudo_inverse,
     read_only,
@@ -99,11 +100,11 @@ class Gramian:
     """Symmetric PSD controllability operator for one horizon.
 
     ``gramian_finite`` makes one per model, horizon and route and keeps it
-    on the model.  The pseudoinverse, and the rank decided with it, are
-    computed on first access and kept.  ``comparison_stages`` keeps the
-    candidate-independent stages of ``riccati.comparison_check`` for this
-    model and horizon, by sample count and seed, so they live exactly as
-    long as the model does.
+    on the model.  The pseudoinverse, the rank decided with it and
+    ``diagonal = exact_diagonal(matrix)`` are computed on first access and
+    kept.  ``comparison_stages`` keeps the candidate-independent stages of
+    ``riccati.comparison_check`` for this model and horizon, by sample
+    count and seed, so they live exactly as long as the model does.
     """
 
     horizon: float
@@ -116,6 +117,10 @@ class Gramian:
     @cached_property
     def rank(self):
         return self.pinv.rank
+
+    @cached_property
+    def diagonal(self):
+        return exact_diagonal(self.matrix)
 
     @property
     def full_rank(self):

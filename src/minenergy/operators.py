@@ -24,6 +24,7 @@ from .errors import (
     NotStable,
     NotSymmetric,
     ParseError,
+    RankDeficient,
 )
 
 #: relative singular-value cutoff shared by every rank decision
@@ -48,6 +49,14 @@ def read_only(a):
     """Mark an array read-only and return it."""
     a.setflags(write=False)
     return a
+
+
+def exact_diagonal(m):
+    """diag(m), read-only, if m is square and zero off its diagonal, else None."""
+    square = m.ndim == 2 and m.shape[0] == m.shape[1]
+    if square and np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+        return m.diagonal()
+    return None
 
 
 @dataclass(frozen=True)
@@ -140,8 +149,7 @@ def _structure_flags(A, bbt, symmetric):
     )
     eigs = np.linalg.eigvalsh(symmetrize(bbt))
     coercive = bool(eigs.min() > DEFAULT_REL_TOL * max(eigs.max(), 1.0))
-    diagonal = all(np.count_nonzero(m) == np.count_nonzero(m.diagonal())
-                   for m in (A, bbt))
+    diagonal = all(exact_diagonal(m) is not None for m in (A, bbt))
     return bool(commuting), coercive, diagonal
 
 
@@ -304,7 +312,8 @@ def pseudo_inverse(Msym, rel_tol=DEFAULT_REL_TOL):
     """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
 
     Singular values below ``rel_tol`` times the largest are treated as
-    zero.  Raises NotSymmetric for asymmetric input.
+    zero.  Raises NotSymmetric for asymmetric input, and RankDeficient
+    where a retained eigenvalue's reciprocal overflows (a subnormal one).
     """
     Msym = np.asarray(Msym, dtype=float)
     if not (0.0 < rel_tol < 1.0):
@@ -315,8 +324,10 @@ def pseudo_inverse(Msym, rel_tol=DEFAULT_REL_TOL):
     sigma = np.abs(w)
     smax = sigma.max(initial=0.0)
     keep = sigma > rel_tol * smax if smax > 0.0 else np.zeros_like(sigma, bool)
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
+    with np.errstate(over="ignore"):
+        inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    if not np.isfinite(inv).all():
+        raise RankDeficient(f"pseudoinverse overflows: 1/{sigma[keep].min():.3g}")
     return PseudoInverse(
         eigvals=read_only(w), eigvecs=read_only(v), keep=read_only(keep),
         inverse_on_range=read_only(symmetrize((v * inv) @ v.T)),

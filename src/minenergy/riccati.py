@@ -10,7 +10,7 @@ coercive BB*, the solution set is exactly the orthogonal projections
 (in the reachability metric) commuting with the restricted operator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import sqrt
 from numbers import Integral
@@ -37,7 +37,7 @@ from .errors import (
     WrongForm,
 )
 from .gramian import gramian_finite, h_space
-from .operators import is_symmetric, read_only, symmetrize
+from .operators import exact_diagonal, is_symmetric, read_only, symmetrize
 
 DEFAULT_SEED = 0x5EED
 
@@ -52,19 +52,22 @@ class CandidateSolution:
     X_form candidates act on the ambient space; H_form candidates act on
     the reachability space but are stored in ambient coordinates, so
     their metric-symmetry involves the Gramian and is checked by the
-    operations that receive one.
+    operations that receive one.  ``matrix`` is a read-only copy, and
+    ``diagonal`` its ``exact_diagonal``.
     """
 
     form: str
     matrix: np.ndarray
+    diagonal: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.form not in ("X_form", "H_form"):
             raise WrongForm(f"unknown candidate form {self.form!r}")
-        matrix = np.asarray(self.matrix, dtype=float)
+        matrix = read_only(np.array(self.matrix, dtype=float))
         if self.form == "X_form" and not is_symmetric(matrix):
             raise NotSymmetric("ambient-form candidates must be symmetric")
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "diagonal", exact_diagonal(matrix))
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,11 @@ class SolutionReport:
     identity_defect: float | None = None
 
 
-def _require_form(cand, form):
+def _require_form(cand, form, n):
     if cand.form != form:
         raise WrongForm(f"expected a {form} candidate, got {cand.form}")
+    if cand.matrix.shape != (n, n):
+        raise BadParameterError(f"candidate must be {n}x{n}, got {cand.matrix.shape}")
 
 
 def _full_rank_h(p):
@@ -92,26 +97,16 @@ def _full_rank_h(p):
 def are_residual_X(p, R):
     """Scaled operator residual of the ambient-form equation
     A*R + RA + R BB* R = 0."""
-    _require_form(R, "X_form")
+    _require_form(R, "X_form", p.n)
     r = R.matrix
     res = p.A.T @ r + r @ p.A + r @ p.BBt @ r
     return float(np.linalg.norm(res, "fro") / (1.0 + np.linalg.norm(r, "fro")))
 
 
-def _diagonal_of(h, P):
-    """diag(P) if P and Q_inf = h.matrix have one shape and no off-diagonal
-    nonzero, else None."""
-    pm, q = P.matrix, h.matrix
-    if pm.shape == q.shape and np.count_nonzero(pm) == np.count_nonzero(
-            pm.diagonal()) and np.count_nonzero(q) == np.count_nonzero(q.diagonal()):
-        return pm.diagonal()
-    return None
-
-
 def _diagonal_residual(p, h, d):
     """The residual of diag(d) on a diagonal model and Q_inf: with
     s = d / diag(Q_inf), max_i |(-2 A_ii - BB*_ii s_i) s_i| / (1 + |d|)."""
-    s = d / h.matrix.diagonal()
+    s = d / h.diagonal
     res = (-2.0 * p.A.diagonal() - p.BBt.diagonal() * s) * s
     return float(np.abs(res).max() / (1.0 + sqrt(d.dot(d))))
 
@@ -123,12 +118,11 @@ def are_residual_H(p, h, P):
     -A*L - L*A - L*BB*L, entrywise max, scaled by 1 + |P|.  L is diagonal,
     and read mode by mode, when the model, Q_inf and P are all diagonal.
     """
-    _require_form(P, "H_form")
+    _require_form(P, "H_form", p.n)
     if not h.full_rank:
         raise RankDeficient("metric-form residual needs a full-rank Gramian")
-    d = _diagonal_of(h, P) if p.diagonal else None
-    if d is not None:
-        return _diagonal_residual(p, h, d)
+    if p.diagonal and h.diagonal is not None and P.diagonal is not None:
+        return _diagonal_residual(p, h, P.diagonal)
     lam = h.pinv.inverse_on_range @ P.matrix
     res = -(p.A.T @ lam) - lam.T @ p.A - lam.T @ p.BBt @ lam
     return float(np.max(np.abs(res)) / (1.0 + np.linalg.norm(P.matrix, "fro")))
@@ -138,10 +132,8 @@ def verify_canonical_solutions(p):
     """Check the two canonical solutions: the inverse Gramian in ambient
     form and the metric identity.  Returns their reports as a pair."""
     h = _full_rank_h(p)
-    r_canon = CandidateSolution("X_form", h.pinv.inverse_on_range)
-    x_res = are_residual_X(p, r_canon)
-    p_canon = CandidateSolution("H_form", np.eye(p.n))
-    h_res = are_residual_H(p, h, p_canon)
+    x_res = are_residual_X(p, CandidateSolution("X_form", h.pinv.inverse_on_range))
+    h_res = are_residual_H(p, h, CandidateSolution("H_form", np.eye(p.n)))
     return (
         SolutionReport(residual_norm=x_res, is_solution=x_res <= SOLUTION_RESIDUAL_TOL),
         SolutionReport(residual_norm=h_res, is_solution=h_res <= SOLUTION_RESIDUAL_TOL),
@@ -160,7 +152,7 @@ def commuting_residual(p, P):
     if not (p.commuting and p.coercive):
         raise NotCommutingModel("commuting residual needs a selfadjoint state "
                                 "operator commuting with a coercive BB*")
-    _require_form(P, "H_form")
+    _require_form(P, "H_form", p.n)
     h = _full_rank_h(p)
     a0, pm = p.A, P.matrix
     res = a0 @ pm + pm @ a0 - 2.0 * (pm @ a0 @ pm)
@@ -221,41 +213,37 @@ def enumerate_commuting_solutions(p, max_count=4096):
         for bits in product((0.0, 1.0), repeat=n)
     ]
     # the metric square root: Q_inf is diagonal on a diagonal model
-    scale = np.sqrt(h_space(p).matrix.diagonal())
+    scale = np.sqrt(h_space(p).diagonal)
     for block in _eigenspace_blocks(p.A.diagonal()):
         if len(block) != 2:
             continue
-        i, j = block[0], block[1]
-        for a in (0.25, 0.5, 0.75):
-            for sign in (1.0, -1.0):
-                fam = projection_family_2d(a, sign)
-                # conjugate from metric-orthonormal to ambient coordinates
-                s = np.diag([scale[i], scale[j]])
-                blk = s @ fam @ np.linalg.inv(s)
-                mat = np.zeros((n, n))
-                mat[np.ix_([i, j], [i, j])] = blk
-                solutions.append(CandidateSolution("H_form", mat))
+        # conjugate from metric-orthonormal to ambient coordinates
+        s = np.diag(scale[block])
+        s_inv = np.linalg.inv(s)
+        for a, sign in product((0.25, 0.5, 0.75), (1.0, -1.0)):
+            mat = np.zeros((n, n))
+            mat[np.ix_(block, block)] = s @ projection_family_2d(a, sign) @ s_inv
+            solutions.append(CandidateSolution("H_form", mat))
     return solutions
 
 
 def maximality_check(h, P):
-    """Smallest eigenvalue of I - P in the reachability metric; it is
-    nonnegative exactly when the candidate sits below the identity; it is
-    min(1 - diag(P)) when P and Q_inf are diagonal."""
-    _require_form(P, "H_form")
+    """Smallest eigenvalue of I - P in the reachability metric, nonnegative
+    exactly when the candidate sits below the identity; when P and Q_inf are
+    diagonal it is min(1 - diag P) = 1 - max diag P, as rounding is monotone."""
+    _require_form(P, "H_form", h.matrix.shape[0])
     if not h.full_rank:
         raise RankDeficient("metric eigenproblem needs a full-rank Gramian")
-    d = _diagonal_of(h, P)
-    if d is not None:     # min(1 - d), as rounding is monotone
-        return float(1.0 - d.max())
+    if h.diagonal is not None and P.diagonal is not None:
+        return float(1.0 - P.diagonal.max())
     gap = _h_metric_matrix(h, np.eye(h.matrix.shape[0]) - P.matrix)
     return float(np.linalg.eigvalsh(symmetrize(gap)).min())
 
 
 class ModeArrays(NamedTuple):
     """Per-mode data of a comparison stage on a model whose A, BB*, Q_t
-    and Q_inf are all diagonal: hx2 = x^2 / 2 (a row per sample), q = diag(Q_t),
-    q_inf = diag(Q_inf) and e2 = exp(2t diag(A)), all read-only."""
+    and Q_inf are all diagonal: hx2 = x^2 / 2 (a row per sample), the
+    Gramians' ``diagonal`` q and q_inf, and e2 = exp(2t diag(A)); read-only."""
 
     hx2: np.ndarray
     q: np.ndarray
@@ -278,17 +266,14 @@ class ComparisonStage(NamedTuple):
 
 
 def _mode_arrays(p, g, t, xs):
-    """The stage's per-mode arrays, or None unless the model is diagonal
-    and both Gramians are exactly diagonal (one count of off-diagonal
-    nonzeros checks it: Q_t integrates e^{sA} B, and only BB* need be
+    """The stage's per-mode arrays, or None unless the model and both
+    Gramians are diagonal (Q_t integrates e^{sA} B, and only BB* need be
     diagonal)."""
-    q_t, q_inf = g.matrix, h_space(p).matrix
-    if not p.diagonal or np.count_nonzero(
-            np.stack((q_t, q_inf))[:, ~np.eye(p.n, dtype=bool)]):
+    h = h_space(p)
+    if not p.diagonal or g.diagonal is None or h.diagonal is None:
         return None
-    return ModeArrays(*(read_only(v) for v in (
-        0.5 * xs * xs, q_t.diagonal().copy(), q_inf.diagonal().copy(),
-        np.exp(2.0 * t * p.A.diagonal()))))
+    return ModeArrays(read_only(0.5 * xs * xs), g.diagonal, h.diagonal,
+                      read_only(np.exp(2.0 * t * p.A.diagonal())))
 
 
 def _comparison_stage(p, g, t, samples, seed):
@@ -348,7 +333,7 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     only as the model's own ``h_space(p)`` and ``gramian_finite(p, t)``
     (the same objects); anything else raises BadParameterError.
     """
-    _require_form(P, "H_form")
+    _require_form(P, "H_form", p.n)
     if samples < 1:
         raise BadParameterError(f"comparison needs at least one sample, got {samples}")
     if not p.coercive:
@@ -359,10 +344,8 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     if gramian is not None and gramian is not g:
         raise BadParameterError("gramian must be the model's own gramian_finite(p, t)")
     stage = _comparison_stage(p, g, t, samples, seed)
-    # a candidate of the wrong shape goes to the reduced solve, which refuses it
-    d = None if stage.modes is None else _diagonal_of(h, P)
-    if d is not None:
-        lhs, v_aux = _per_mode_comparison(stage.modes, d)
+    if stage.modes is not None and P.diagonal is not None:
+        lhs, v_aux = _per_mode_comparison(stage.modes, P.diagonal)
     else:
         xs = stage.samples
         form = AuxiliaryCost(P.matrix).form_matrix(h)

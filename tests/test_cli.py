@@ -634,6 +634,30 @@ class TestExitCodeContract:
         assert capsys.readouterr().err.startswith("error: seed must be an integer")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, seed", [("verify", "-1"), ("all", "-3")])
+    def test_negative_seed_is_two_and_writes_nothing(self, command, seed, model_file,
+                                                     tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(command, "--model", model_file(SPECTRAL), "--comparison",
+                   "--seed", seed, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: seed must be non-negative, got {seed}")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["synthesize", "auxiliary", "gramian", "all"])
+    def test_subnormal_horizon_is_four_without_nan(self, command, model_file,
+                                                   tmp_path, capsys):
+        # Q_t ~ t BB* is subnormal, so its inverse would overflow to inf and
+        # give NaN; the pseudoinverse refuses it instead
+        out = tmp_path / "out"
+        target = [] if command == "gramian" else ["--target", "1,1"]
+        assert run(command, "--model", model_file(SPECTRAL), *target,
+                   "--t", "1e-320", "--out", out) == 4
+        assert "error: pseudoinverse overflows: 1/" in capsys.readouterr().err
+        assert not any("NaN" in f.read_text() for f in out.iterdir())
+        assert list(out.iterdir()) == []
+
     def test_parse_is_two(self, tmp_path):
         assert run("gramian", "--model", tmp_path / "nope.json",
                    "--out", tmp_path) == 2

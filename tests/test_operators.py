@@ -12,12 +12,14 @@ from minenergy.errors import (
     NotStable,
     NotSymmetric,
     ParseError,
+    RankDeficient,
 )
 from minenergy.gramian import gramian_infinite
 from minenergy.serialize import model_hash
 from minenergy.operators import (
     Propagator,
     apply_control_weight,
+    exact_diagonal,
     expm,
     make_dense_model,
     make_spectral_model,
@@ -209,6 +211,11 @@ class TestPseudoInverse:
         with pytest.raises(NotSymmetric):
             pseudo_inverse(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_subnormal_eigenvalue_refused(self):
+        # 1/1e-320 overflows to inf; refused without a RuntimeWarning
+        with pytest.raises(RankDeficient, match="pseudoinverse overflows: 1/1e-320"):
+            pseudo_inverse(np.diag([1e-320, 2e-320]))
+
     def test_in_range_one_answer_per_row(self):
         pi = pseudo_inverse(np.diag([2.0, 0.0]), 1e-8)
         stack = np.array([[0.0, 0.0], [3.0, 1e-12], [1.0, 1.0]])
@@ -236,6 +243,24 @@ class TestPseudoInverse:
         proj = pi.range_projector
         assert np.linalg.norm(proj - proj.T) <= 1e-10
         assert np.linalg.norm(proj @ proj - proj) <= 1e-10
+
+
+class TestExactDiagonal:
+    def test_diagonal_read_only(self):
+        m = np.diag([1.0, 0.0, -2.0])
+        m[0, 1] = -0.0
+        d = exact_diagonal(m)
+        assert d.tolist() == [1.0, 0.0, -2.0] and not d.flags.writeable
+
+    @pytest.mark.parametrize("m", [np.array([[1.0, 1e-300], [0.0, 1.0]]),
+                                   np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 2))],
+                             ids=["off_diagonal", "rectangular", "vector", "stack"])
+    def test_none_otherwise(self, m):
+        assert exact_diagonal(m) is None
+
+    def test_model_flag(self):
+        assert make_spectral_model([-1.0, -2.0], [1.0, 1.0]).diagonal
+        assert not make_dense_model([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]).diagonal
 
 
 class TestControlWeight:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from minenergy import riccati
+from minenergy import gramian, operators, riccati
 from minenergy.energy import (
     AuxiliaryCost,
     auxiliary_minimum,
@@ -25,7 +25,7 @@ from minenergy.errors import (
 )
 from minenergy.gramian import Gramian, gramian_finite, h_space
 from minenergy.landau import build_lg_model
-from minenergy.operators import make_dense_model, make_spectral_model
+from minenergy.operators import exact_diagonal, make_dense_model, make_spectral_model
 from minenergy.riccati import (
     DEFAULT_SEED,
     CandidateSolution,
@@ -584,6 +584,78 @@ class TestDiagonalChecks:
                 are_residual_H(deficient, h, cand)
             with pytest.raises(RankDeficient):
                 maximality_check(h, cand)
+
+
+class TestCandidateStructure:
+    """A candidate keeps a read-only copy of its matrix and decides its
+    diagonal structure once; the checks read it and the Gramians' kept
+    ``diagonal`` instead of testing structure again."""
+
+    def test_matrix_is_read_only_copy(self):
+        given = np.diag([1.0, 0.0])
+        cand = CandidateSolution("H_form", given)
+        assert given.flags.writeable
+        given[0, 0] = 5.0
+        assert cand.matrix[0, 0] == 1.0 and cand.diagonal.tolist() == [1.0, 0.0]
+        for a in (cand.matrix, cand.diagonal):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 2.0
+        assert CandidateSolution("H_form", [[1.0, 0.5], [0.5, 1.0]]).diagonal is None
+
+    def test_structure_decided_once(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return exact_diagonal(m)
+
+        for module in (operators, gramian, riccati):
+            monkeypatch.setattr(module, "exact_diagonal", counted)
+        p = make_spectral_model(EIGHT_REPEATED_PAIR, EIGHT_WEIGHTS)
+        cands = enumerate_commuting_solutions(p)
+        h, g = h_space(p), gramian_finite(p, 2.0)
+        assert h.diagonal is not None and g.diagonal is not None
+        # A and BB*, each candidate, Q_inf and Q_t
+        assert len(calls) == 2 + len(cands) + 2 == 266
+        for cand in cands:
+            comparison_check(p, cand, 2.0, hspace=h, gramian=g)
+            are_residual_H(p, h, cand)
+            maximality_check(h, cand)
+        assert len(calls) == 266
+
+    def test_mis_sized_candidate_refused(self):
+        p = make_spectral_model([-1.0, -2.0], [1.0, 1.0])
+        h, cand = h_space(p), CandidateSolution("H_form", [[1.0]])
+        for check in (lambda: maximality_check(h, cand),
+                      lambda: are_residual_H(p, h, cand),
+                      lambda: comparison_check(p, cand, 2.0),
+                      lambda: commuting_residual(p, cand),
+                      lambda: are_residual_X(p, CandidateSolution("X_form", [[1.0]]))):
+            with pytest.raises(BadParameterError, match="candidate must be 2x2"):
+                check()
+
+
+class TestBenchmarkCallShapes:
+    """The call sequence of perfbench's certify task
+    (``perfbench/workloads.py::Certify._model_tasks``), with its functions,
+    positional arguments and keywords, on one spectral model; a change that
+    breaks the benchmark's calls fails here."""
+
+    def test_certify_task_sequence(self):
+        p = make_spectral_model(EIGHT_REPEATED_PAIR, EIGHT_WEIGHTS)
+        h = h_space(p)
+        gram = gramian_finite(p, 2.0)
+        canonical = verify_canonical_solutions(p)
+        cands = enumerate_commuting_solutions(p, 4096)
+        assert max(r.residual_norm for r in canonical) <= 1e-9
+        assert len(cands) == 262
+        for cand in cands:
+            residual = are_residual_H(p, h, cand)
+            gap = maximality_check(h, cand)
+            rep = comparison_check(p, cand, 2.0, samples=50,
+                                   seed=DEFAULT_SEED, hspace=h, gramian=gram)
+            assert residual <= 1e-9 and gap >= -1e-10
+            assert rep.comparison_margin >= -1e-8
 
 
 CRITERION_7_MODELS = [([-1.0, -2.0], [1.0, 1.0]),
