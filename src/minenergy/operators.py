@@ -199,8 +199,8 @@ def make_dense_model(A, B):
     )
 
 
-def _spectral_vectors(lambdas, b_diag):
-    """Checked float vectors of eigenvalues and input weights, in input order."""
+def _spectral_operators(lambdas, b_diag):
+    """diag(lambdas) and diag(sqrt(b_diag)), checked, in the order given."""
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     b_diag = np.atleast_1d(np.asarray(b_diag, dtype=float))
     if lambdas.shape != b_diag.shape or lambdas.ndim != 1 or lambdas.size == 0:
@@ -211,20 +211,13 @@ def _spectral_vectors(lambdas, b_diag):
         raise NegativeWeight("b_diag entries must be nonnegative")
     if np.any(lambdas >= 0.0):
         raise NotStable("all eigenvalues must be strictly negative")
-    return lambdas, b_diag
+    return np.diag(lambdas), np.diag(np.sqrt(b_diag))
 
 
 def make_spectral_model(lambdas, b_diag):
-    """Build a diagonal model A = diag(lambdas), B = diag(sqrt(b)).
-
-    Eigenvalues are sorted descending with input order preserved among
-    ties, and the input weights are permuted accordingly.
-    """
-    lambdas, b_diag = _spectral_vectors(lambdas, b_diag)
-    order = np.argsort(-lambdas, kind="stable")
-    # diag(lambdas) is factored by eigh, so bound_M is 1
-    return make_dense_model(np.diag(lambdas[order]),
-                            np.diag(np.sqrt(b_diag[order])))
+    """Build a diagonal model A = diag(lambdas), B = diag(sqrt(b_diag)),
+    its states in the order given."""
+    return make_dense_model(*_spectral_operators(lambdas, b_diag))
 
 
 def expm(A, t):
@@ -336,8 +329,10 @@ def pseudo_inverse(Msym, rel_tol=DEFAULT_REL_TOL):
 
 
 def _weighted_input(B, C):
-    """B C^{-1/2} for a symmetric positive definite weight C."""
-    C = np.asarray(C, dtype=float)
+    """B C^{-1/2} for a symmetric positive definite m-by-m weight C."""
+    C, m = np.asarray(C, dtype=float), B.shape[1]
+    if C.shape != (m, m):
+        raise ParseError(f"weight_C must be {m}x{m}, got shape {C.shape}")
     if not is_symmetric(C):
         raise NotSymmetric("control weight must be symmetric")
     w, v = np.linalg.eigh(symmetrize(C))
@@ -375,33 +370,27 @@ def model_from_dict(doc):
         {"type": "dense", "A": [[...]], "B": [[...]]}
         {"type": "spectral", "lambdas": [...], "b_diag": [...]}
 
-    with an optional m-by-m ``"weight_C": [[...]]``, applied to B in the
-    document's coordinates: a weighted document is the dense model
-    (A, B C^{-1/2}), with a spectral one's A and B diagonal in input order.
-    Non-numeric or non-finite entries raise ParseError.
+    with an optional m-by-m ``"weight_C": [[...]]``.  Every document is the
+    dense model (A, B C^{-1/2}), its states in the order the document lists
+    them: a spectral document gives A = diag(lambdas) and
+    B = diag(sqrt(b_diag)), and the weight acts on that B.  Non-numeric or
+    non-finite entries raise ParseError.
     """
     if not isinstance(doc, dict):
         raise ParseError("model document must be a JSON object")
     kind = doc.get("type")
-    keys = {"dense": ("A", "B"), "spectral": ("lambdas", "b_diag")}.get(kind)
-    if keys is None:
+    layout = {"dense": (("A", "B"), _dense_operators),
+              "spectral": (("lambdas", "b_diag"), _spectral_operators)}.get(kind)
+    if layout is None:
         raise ParseError(f"unknown model type {kind!r}")
+    keys, make_operators = layout
     try:
-        first, second = [_finite_field(doc, key) for key in keys]
+        A, B = make_operators(*[_finite_field(doc, key) for key in keys])
     except KeyError as exc:
         raise ParseError(f"model document is missing field {exc}") from exc
-    if "weight_C" not in doc:
-        return (make_dense_model if kind == "dense" else make_spectral_model)(
-            first, second)
-    if kind == "dense":
-        A, B = _dense_operators(first, second)
-    else:
-        lambdas, b_diag = _spectral_vectors(first, second)
-        A, B = np.diag(lambdas), np.diag(np.sqrt(b_diag))
-    C, m = _finite_field(doc, "weight_C"), B.shape[1]
-    if C.shape != (m, m):
-        raise ParseError(f"weight_C must be {m}x{m}, got shape {C.shape}")
-    return make_dense_model(A, _weighted_input(B, C))
+    if "weight_C" in doc:
+        B = _weighted_input(B, _finite_field(doc, "weight_C"))
+    return make_dense_model(A, B)
 
 
 def load_model(path):

@@ -119,6 +119,8 @@ def are_residual_H(p, h, P):
     and read mode by mode, when the model, Q_inf and P are all diagonal.
     """
     _require_form(P, "H_form", p.n)
+    if h.matrix.shape != (p.n, p.n):
+        raise BadParameterError(f"space must be {p.n}x{p.n}, got {h.matrix.shape}")
     if not h.full_rank:
         raise RankDeficient("metric-form residual needs a full-rank Gramian")
     if p.diagonal and h.diagonal is not None and P.diagonal is not None:
@@ -200,7 +202,8 @@ def enumerate_commuting_solutions(p, max_count=4096):
     With distinct eigenvalues the diagonal candidates exhaust the solution
     set; a repeated pair, adjacent or not, contributes a one-parameter
     family of rotated projections, represented here at the parameters
-    1/4, 1/2 and 3/4.
+    1/4, 1/2 and 3/4.  An eigenspace of dimension 3 or more contributes
+    only its diagonal candidates: its rotated projections are not sampled.
     """
     if not p.diagonal:
         raise NotSpectral("enumeration needs a spectral-diagonal model")

@@ -473,6 +473,34 @@ class TestNegativeTarget:
         assert reports[0] == reports[1]
 
 
+class TestDocumentOrder:
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--target", "1,0.5,-1"],
+        ["auxiliary", "--target", "1,0.5,-1"],
+        ["verify", "--comparison"],
+    ], ids=lambda argv: argv[0])
+    def test_unsorted_spectral_document_is_its_dense_twin(self, argv, model_file,
+                                                          tmp_path):
+        # every document keeps its states in the order it lists them, so
+        # the target, the CSV columns and the certificate matrices agree
+        spectral = {"type": "spectral", "lambdas": [-2.0, -1.0, -2.0],
+                    "b_diag": [1.0, 3.0, 0.5]}
+        twins = {
+            "spectral": spectral,
+            "identity_weight": dict(spectral, weight_C=np.eye(3).tolist()),
+            "dense": {"type": "dense", "A": np.diag(spectral["lambdas"]).tolist(),
+                      "B": np.diag(np.sqrt(spectral["b_diag"])).tolist()},
+        }
+        files = {}
+        for name, doc in twins.items():
+            out = tmp_path / name
+            assert run(*argv, "--model", model_file(doc, f"{name}.json"),
+                       "--out", out) == 0
+            files[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert files["spectral"]
+        assert files["spectral"] == files["identity_weight"] == files["dense"]
+
+
 class TestAllCommand:
     def test_spectral_battery(self, model_file, tmp_path):
         assert run("all", "--model", model_file(SPECTRAL), "--out", tmp_path) == 0

@@ -119,15 +119,15 @@ class TestMakeSpectralModel:
     def test_repeated_eigenvalues(self, repeated_problem):
         assert_allclose(repeated_problem.A, -np.eye(2))
 
-    def test_descending_sort_with_weights(self):
+    def test_input_order_with_weights(self):
         p = make_spectral_model([-2.0, -1.0], [4.0, 1.0])
-        assert_allclose(np.diag(p.A), [-1.0, -2.0])
-        assert_allclose(np.diag(p.BBt), [1.0, 4.0])
+        assert np.diag(p.A).tolist() == [-2.0, -1.0]
+        assert np.diag(p.BBt).tolist() == [4.0, 1.0]
 
-    def test_stable_tie_order(self):
+    def test_input_order_with_ties(self):
         p = make_spectral_model([-1.0, -2.0, -1.0], [3.0, 5.0, 7.0])
-        assert_allclose(np.diag(p.A), [-1.0, -1.0, -2.0])
-        assert_allclose(np.diag(p.BBt), [3.0, 7.0, 5.0])
+        assert np.diag(p.A).tolist() == [-1.0, -2.0, -1.0]
+        assert_allclose(np.diag(p.BBt), [3.0, 5.0, 7.0], rtol=1e-15)
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
@@ -282,6 +282,13 @@ class TestControlWeight:
         with pytest.raises(NotSymmetric):
             apply_control_weight(spectral_problem, [[1.0, 0.2], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("C", [np.eye(2), np.ones((1, 1, 1))], ids=["2x2", "3d"])
+    def test_mis_sized_weight(self, C):
+        # one input: the weight must be 1x1, as in a document's weight_C
+        p = make_dense_model(np.diag([-1.0, -2.0]), [[1.0], [1.0]])
+        with pytest.raises(ParseError, match="weight_C must be 1x1"):
+            apply_control_weight(p, C)
+
     def test_weighted_gramian_consistency(self, rng):
         # weighting B then solving the Lyapunov equation must match the
         # Lyapunov solve with BB* replaced by B C^{-1} B*
@@ -310,15 +317,20 @@ class TestIngestion:
         assert_allclose(p.B, [[0.5]])
 
     def test_weight_applied_in_document_coordinates(self):
-        # the weight acts on the inputs as the document orders them, so a
-        # spectral document and its dense equivalent are one model
-        weight = [[1.0, 0.0], [0.0, 100.0]]
-        spectral = model_from_dict({"type": "spectral", "lambdas": [-2.0, -1.0],
-                                    "b_diag": [1.0, 4.0], "weight_C": weight})
-        dense = model_from_dict({"type": "dense", "A": [[-2.0, 0.0], [0.0, -1.0]],
-                                 "B": [[1.0, 0.0], [0.0, 2.0]], "weight_C": weight})
-        assert model_hash(spectral) == model_hash(dense)
-        assert_allclose(np.diag(spectral.BBt), [1.0, 0.04], rtol=1e-14)
+        # every document keeps the order it lists its states in, and the
+        # weight acts on the inputs in that order, so a spectral document
+        # and its dense equivalent are one model, weighted or not
+        for weight, bbt in ((None, [1.0, 4.0]),
+                            ([[1.0, 0.0], [0.0, 1.0]], [1.0, 4.0]),
+                            ([[1.0, 0.0], [0.0, 100.0]], [1.0, 0.04])):
+            extra = {} if weight is None else {"weight_C": weight}
+            spectral = model_from_dict({"type": "spectral", "lambdas": [-2.0, -1.0],
+                                        "b_diag": [1.0, 4.0], **extra})
+            dense = model_from_dict({"type": "dense", "A": [[-2.0, 0.0], [0.0, -1.0]],
+                                     "B": [[1.0, 0.0], [0.0, 2.0]], **extra})
+            assert model_hash(spectral) == model_hash(dense), weight
+            assert np.array_equal(spectral.BBt, dense.BBt), weight
+            assert_allclose(np.diag(spectral.BBt), bbt, rtol=1e-14)
 
     def test_bad_documents(self):
         with pytest.raises(ParseError):

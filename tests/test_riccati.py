@@ -634,6 +634,14 @@ class TestCandidateStructure:
             with pytest.raises(BadParameterError, match="candidate must be 2x2"):
                 check()
 
+    def test_mis_sized_space_refused(self):
+        # the size is checked, not the identity: another model's space of
+        # the right size is accepted (the dense-route test passes one)
+        p = make_spectral_model([-1.0, -2.0], [1.0, 1.0])
+        h = h_space(make_spectral_model([-1.0, -2.0, -3.0], [1.0, 1.0, 1.0]))
+        with pytest.raises(BadParameterError, match=r"space must be 2x2, got \(3, 3\)"):
+            are_residual_H(p, h, CandidateSolution("H_form", np.eye(2)))
+
 
 class TestBenchmarkCallShapes:
     """The call sequence of perfbench's certify task
