@@ -108,7 +108,7 @@ def default_grid(p, t0, t1=0.0, target_points=2048):
 def _grid_arrays(grid):
     """Normalize a grid argument to (points, weights, panel_nodes)."""
     if isinstance(grid, PanelGrid):
-        return grid.points, grid.weights, grid.nodes_per_panel
+        return grid
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise GridMismatch("grid must be a 1-d array of at least two times")

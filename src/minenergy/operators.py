@@ -11,6 +11,7 @@ it was built; the commuting-case machinery relies on that flag.
 
 import copy
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -157,8 +158,8 @@ def _dense_operators(A, B):
     """Float copies of A and B, a vector B as one column, checked for shape."""
     A = np.array(A, dtype=float)
     B = np.array(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParseError(f"A must be square, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ParseError(f"A must be square and nonempty, got shape {A.shape}")
     if B.ndim == 1:
         B = B[:, None]
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
@@ -173,15 +174,17 @@ def make_dense_model(A, B):
     A and B are copied and the model keeps them read-only.  A is factored
     once, into the model's Propagator, and the stability metadata is read
     off its eigenvalues and cond(V).  Raises ParseError for ill-shaped
-    operators, NotStable when some eigenvalue of A has nonnegative real
-    part, NotDiagonalizable when A is numerically defective.
+    operators, NotStable unless the decay rate -max Re(eig A) is at least
+    the smallest normal float (a subnormal rate overflows the closed-form
+    Q_inf), NotDiagonalizable when A is numerically defective.
     """
     A, B = _dense_operators(A, B)
     prop = Propagator(read_only(A))
     abscissa = float(np.max(prop.w.real))
-    if abscissa >= 0.0:
+    if -abscissa < np.finfo(float).tiny:
         raise NotStable(
-            f"state operator has an eigenvalue with real part {abscissa:.3g} >= 0"
+            f"state operator's decay rate -max Re(eig A) is {-abscissa:.3g}; "
+            f"a stable model needs at least {np.finfo(float).tiny:.3g}"
         )
     if not np.isfinite(prop.cond) or prop.cond > _DIAGONALIZABLE_COND_MAX:
         raise NotDiagonalizable(
@@ -352,11 +355,17 @@ def apply_control_weight(p, C):
 
 def _finite_field(doc, key):
     """A document field as a float array; ParseError unless every entry is
-    a finite number."""
+    a finite real number: a bool, a numeric string or a ragged row is not."""
+    entries = np.asarray(doc[key], dtype=object)
+    kinds = set(map(type, entries.flat))
+    bad = sorted(k.__name__ for k in kinds
+                 if k is bool or not issubclass(k, numbers.Real))
+    if bad:
+        raise ParseError(f"{key} must hold only numbers, got {', '.join(bad)}")
     try:
-        arr = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{key} must be numeric: {exc}") from exc
+        arr = entries.astype(float)
+    except OverflowError as exc:
+        raise ParseError(f"{key} has an entry too large for a float") from exc
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"{key} has a non-finite entry")
     return arr

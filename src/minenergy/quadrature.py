@@ -11,6 +11,7 @@ Two node families are used:
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -28,7 +29,12 @@ def _legendre_rule_cached(q):
 
 
 @lru_cache(maxsize=None)
-def _lobatto_rule_cached(q):
+def lobatto_rule(q):
+    """Read-only nodes and weights of the q-point Lobatto rule on [-1, 1].
+
+    Exact for polynomials of degree 2q - 3.  q=2 is the trapezoid rule,
+    q=3 is Simpson's rule.
+    """
     if q < 2:
         raise ValueError("Lobatto rule needs at least 2 nodes")
     c = np.zeros(q)
@@ -41,35 +47,21 @@ def _lobatto_rule_cached(q):
     return x, w
 
 
-def lobatto_rule(q):
-    """Nodes and weights of the q-point Gauss-Lobatto rule on [-1, 1].
-
-    Exact for polynomials of degree 2q - 3.  q=2 is the trapezoid rule,
-    q=3 is Simpson's rule.
-    """
-    x, w = _lobatto_rule_cached(int(q))
-    return x.copy(), w.copy()
-
-
 @lru_cache(maxsize=None)
-def _prefix_weights_cached(q):
-    x, _ = _lobatto_rule_cached(q)
+def lobatto_prefix_weights(q):
+    """Read-only prefix-integration matrix W of the q-point Lobatto rule.
+
+    W[j, k] = integral over [-1, x_j] of the k-th Lagrange cardinal
+    polynomial on the Lobatto nodes, so that for samples f_k of a smooth f,
+    sum_k W[j, k] f_k approximates the integral of f from -1 to x_j.
+    """
+    x, _ = lobatto_rule(q)
     vander = legendre.legvander(x, q - 1)
     coeffs = np.linalg.inv(vander)          # column k: Legendre coeffs of l_k
     prim = legendre.legint(coeffs, lbnd=-1.0)
     out = legendre.legval(x, prim).T
     out.setflags(write=False)
     return out
-
-
-def lobatto_prefix_weights(q):
-    """Prefix-integration matrix W of the q-point Lobatto rule.
-
-    W[j, k] = integral over [-1, x_j] of the k-th Lagrange cardinal
-    polynomial on the Lobatto nodes, so that for samples f_k of a smooth f,
-    sum_k W[j, k] f_k approximates the integral of f from -1 to x_j.
-    """
-    return _prefix_weights_cached(int(q)).copy()
 
 
 def legendre_panels(t0, t1, max_width):
@@ -91,7 +83,7 @@ def legendre_panels(t0, t1, max_width):
     return pts, wts
 
 
-class PanelGrid:
+class PanelGrid(NamedTuple):
     """Gauss-Lobatto grid on [t0, t1] of uniform LOBATTO_NODES-point panels.
 
     Attributes
@@ -101,26 +93,9 @@ class PanelGrid:
     nodes_per_panel : nodes of each panel (edge nodes are shared)
     """
 
-    def __init__(self, t0, t1, panels):
-        if t1 <= t0:
-            raise ValueError("empty grid interval")
-        q = LOBATTO_NODES
-        panels = int(panels)
-        x, w = lobatto_rule(q)
-        edges = np.linspace(t0, t1, panels + 1)
-        width = (t1 - t0) / panels
-        pts = np.empty(panels * (q - 1) + 1)
-        wts = np.zeros_like(pts)
-        for p in range(panels):
-            lo = p * (q - 1)
-            mid = 0.5 * (edges[p] + edges[p + 1])
-            pts[lo:lo + q] = mid + 0.5 * width * x
-            wts[lo:lo + q] += 0.5 * width * w
-        pts[0], pts[-1] = t0, t1
-        wts *= (t1 - t0) / wts.sum()
-        self.points = pts
-        self.weights = wts
-        self.nodes_per_panel = q
+    points: np.ndarray
+    weights: np.ndarray
+    nodes_per_panel: int
 
 
 def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048):
@@ -129,8 +104,21 @@ def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048):
     The panel count is chosen so the panel width respects ``max_panel_width``
     and the total node count is close to ``target_points``.
     """
+    if t1 <= t0:
+        raise ValueError("empty grid interval")
     length = float(t1 - t0)
     q = LOBATTO_NODES
     panels = max(int(np.ceil(length / max_panel_width)),
                  int(np.ceil(max(target_points - 1, q - 1) / (q - 1))))
-    return PanelGrid(t0, t1, panels)
+    x, w = lobatto_rule(q)
+    edges = np.linspace(t0, t1, panels + 1)
+    width = (t1 - t0) / panels
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * width * x
+    pts = np.append(nodes[:, :-1], t1)
+    pts[0] = t0
+    half = 0.5 * width * w
+    wts = np.append(np.tile(half[:-1], panels), half[-1])
+    # an edge node shared by two panels carries both of their weights
+    wts[q - 1:-1:q - 1] = half[-1] + half[0]
+    wts *= (t1 - t0) / wts.sum()
+    return PanelGrid(pts, wts, q)

@@ -27,6 +27,9 @@ HOSTILE = {
     "bool_entries": ({"type": "dense", "A": [[-1.0]], "B": [[True]]}, 1),
     "string_entries": ({"type": "spectral", "lambdas": ["x", -2.0],
                         "b_diag": [1.0, 1.0]}, 2),
+    "numeric_string_entries": ({"type": "spectral", "lambdas": ["-1", -2.0],
+                                "b_diag": [1.0, 1.0]}, 2),
+    "integer_overflow": ({"type": "dense", "A": [[-10 ** 400]], "B": [[1.0]]}, 1),
     "spectral_empty": ({"type": "spectral", "lambdas": [], "b_diag": []}, 1),
     "spectral_2d": ({"type": "spectral", "lambdas": [[-1.0, -2.0]],
                      "b_diag": [[1.0, 1.0]]}, 2),
@@ -36,12 +39,8 @@ HOSTILE = {
     "weight_string": (dict(SPECTRAL, weight_C="identity"), 2),
     "non_normal_large": ({"type": "dense", "A": [[-1.0, 1e6], [0.0, -2.0]],
                           "B": [[1.0, 0.0], [0.0, 1.0]]}, 2),
-    "subnormal_eigenvalue": pytest.param(
-        {"type": "spectral", "lambdas": [-5e-324, -1.0], "b_diag": [1.0, 1.0]}, 2,
-        marks=pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
-            "the closed-form Q_inf = b/(-2 lambda) overflows; without the "
-            "warning filter the run exits 4 with the misleading "
-            "'pseudo_inverse requires a symmetric matrix'"))),
+    "subnormal_eigenvalue": ({"type": "spectral", "lambdas": [-5e-324, -1.0],
+                              "b_diag": [1.0, 1.0]}, 2),
     "huge_weights": pytest.param(
         {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1e308, 1e308]}, 2,
         marks=pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
@@ -60,14 +59,29 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("doc, n", list(HOSTILE.values()), ids=list(HOSTILE))
-def test_documented_exit_and_no_file_after_refusal(doc, n, tmp_path):
+def run_all(doc, n, tmp_path):
+    """Exit code of each command on the document, by command name; each
+    command writes to the folder of its own name under tmp_path."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
+    codes = {}
     for name, argv in COMMANDS.items():
         argv = argv + [",".join(["1"] * n)] if argv[-1] == "--target" else argv
-        out = tmp_path / name
-        code = main([*argv, "--model", str(path), "--out", str(out)])
+        codes[name] = main([*argv, "--model", str(path), "--out", str(tmp_path / name)])
+    return codes
+
+
+@pytest.mark.parametrize("doc, n", list(HOSTILE.values()), ids=list(HOSTILE))
+def test_documented_exit_and_no_file_after_refusal(doc, n, tmp_path):
+    for name, code in run_all(doc, n, tmp_path).items():
         assert code in {0, 2, 3, 4, 5, 6}, name
         if code in {2, 3, 4, 6}:
+            out = tmp_path / name
             assert not out.exists() or not any(out.iterdir()), name
+
+
+@pytest.mark.parametrize("name", ["bool_entries", "numeric_string_entries"])
+def test_non_number_entries_are_parse_errors(name, tmp_path):
+    doc, n = HOSTILE[name]
+    assert run_all(doc, n, tmp_path) == dict.fromkeys(COMMANDS, 2)
+    assert not any(path.is_dir() for path in tmp_path.iterdir())

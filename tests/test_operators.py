@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -136,6 +138,14 @@ class TestMakeSpectralModel:
     def test_not_stable(self):
         with pytest.raises(NotStable):
             make_spectral_model([0.0], [1.0])
+
+    def test_subnormal_decay_rate_refused(self):
+        # Q_inf = b/(-2 lambda) would overflow; the model is refused when it
+        # is built, before any warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotStable, match="4.94e-324"):
+                make_spectral_model([-5e-324, -1.0], [1.0, 1.0])
 
     def test_tiny_weight_not_coercive(self):
         # the dense rule min > 1e-10 * max(max, 1) decides, not min > 0
@@ -339,3 +349,7 @@ class TestIngestion:
             model_from_dict({"type": "dense", "A": [[-1.0]]})
         with pytest.raises(ParseError):
             model_from_dict([1, 2, 3])
+
+    def test_empty_operators_refused(self):
+        with pytest.raises(ParseError, match="nonempty"):
+            make_dense_model(np.zeros((0, 0)), np.zeros((0, 0)))
