@@ -75,6 +75,8 @@ def _parse_target(text, n):
         vec = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ParseError(f"target must be a comma-separated float list: {exc}")
+    if not np.isfinite(vec).all():
+        raise ParseError(f"target entries must be finite, got {text!r}")
     if vec.size != n:
         raise BadParameterError(f"target has {vec.size} entries, model needs {n}")
     return vec
@@ -186,8 +188,8 @@ def cmd_synthesize(args, problem):
     CSV files are written by one ``write_files`` call: on two CPUs a forked
     child writes ``control.csv`` while this process writes
     ``trajectory.csv``, and the bytes are those of writing both here."""
-    out = _outdir(args)
     x = _parse_target(args.target, problem.n)
+    out = _outdir(args)
     span = t_max(problem, np.linalg.norm(x))
     horizon = args.t if args.t is not None else span
     report = {"t": horizon, "V": "+inf", "V_inf": "+inf", "gap": "+inf"}
@@ -223,8 +225,8 @@ def cmd_synthesize(args, problem):
 
 
 def cmd_auxiliary(args, problem):
-    out = _outdir(args)
     x = _parse_target(args.target, problem.n)
+    out = _outdir(args)
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
     aux = value_auxiliary(problem, cost, args.t, x)
     v_fin = value_finite(problem, args.t, x)
@@ -253,12 +255,12 @@ def cmd_auxiliary(args, problem):
 def cmd_landau(args, _problem):
     # takes no model document: the heat model is built from the options
     model = build_lg_model(args.modes, args.rho_minus, args.rho_plus)
-    out = _outdir(args)
     if args.target is None:
         y0 = np.zeros(model.n_modes)
         y0[0] = 1.0
     else:
         y0 = _parse_target(args.target, model.n_modes)
+    out = _outdir(args)
     check = lg_value_check(model, y0)
     xi, profiles = synthesize_profile(model, y0, PROFILE_TIMES)
     profile_csv(out / "profile.csv", xi, profiles, PROFILE_TIMES)

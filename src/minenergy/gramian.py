@@ -2,9 +2,9 @@
 
 The finite-horizon Gramian integrates e^{rA} B B* e^{rA*} over [0, t];
 the infinite-horizon one solves the Lyapunov equation
-A Q + Q A* + B B* = 0.  The reachability space is range(S), with S the
-symmetric square root of the infinite-horizon Gramian, and carries the
-inner product <x, y> = <S^+ x, S^+ y>; the Gramian itself stands for it.
+A Q + Q A* + B B* = 0.  The reachability space is range(Q^{1/2}) of the
+infinite-horizon Gramian Q, with <x, y> = <Q^{-1/2} x, Q^{-1/2} y>; the
+Gramian stands for it, and its metric is read from Q's eigenpairs.
 """
 
 from dataclasses import dataclass
@@ -125,17 +125,6 @@ class Gramian:
     @property
     def full_rank(self):
         return self.rank == self.matrix.shape[0]
-
-    @cached_property
-    def sqrt(self):
-        """The read-only pair (S, S^+) of the symmetric PSD square root and
-        its pseudoinverse, on ``pinv``'s eigenpairs and rank; kept."""
-        w, v, keep = self.pinv.eigvals, self.pinv.eigvecs, self.pinv.keep
-        root = np.sqrt(np.clip(w, 0.0, None))
-        inv = np.zeros_like(root)
-        inv[keep] = 1.0 / root[keep]
-        return (read_only(symmetrize((v * root) @ v.T)),
-                read_only(symmetrize((v * inv) @ v.T)))
 
     @cached_property
     def comparison_stages(self):
@@ -322,8 +311,8 @@ def lyapunov_residual(p, g):
 
 def h_space(p):
     """The reachability space, carried by the infinite-horizon Gramian:
-    ``h_space(p) is gramian_infinite(p)``.  Its metric is read from
-    ``Gramian.sqrt`` and its membership test is ``reachable_membership``."""
+    ``h_space(p) is gramian_infinite(p)``.  Its metric is read from the
+    eigenpairs of ``pinv`` and its membership test is ``reachable_membership``."""
     return p.gramian_infinite
 
 
@@ -334,7 +323,9 @@ def h_basis(h):
 
 
 def h_inner(h, x, y, tol=1e-8):
-    """Reachability-space inner product of two member vectors.
+    """Reachability-space inner product of two member vectors, as the sum
+    of (v*x)(v*y)/w over the kept eigenpairs (w, v) of ``h.pinv``: unlike
+    x @ Q^+ @ y, it keeps its relative accuracy along large eigenvalues.
 
     Raises NotInH when either argument has a relative component larger
     than ``tol`` outside the space.
@@ -344,7 +335,8 @@ def h_inner(h, x, y, tol=1e-8):
     for name, vec in (("x", x), ("y", y)):
         if not reachable_membership(h, vec, tol):
             raise NotInH(f"{name} is not in the reachability space")
-    return float((h.sqrt[1] @ x) @ (h.sqrt[1] @ y))
+    v = h_basis(h)
+    return float(((x @ v) / h.pinv.eigvals[h.pinv.keep]) @ (y @ v))
 
 
 def reachable_membership(g, x, tol=1e-8):

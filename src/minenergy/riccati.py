@@ -143,9 +143,11 @@ def verify_canonical_solutions(p):
 
 
 def _h_metric_matrix(h, T):
-    """Congruence transform S^{-1} T S with S the Gramian square root,
-    mapping a reachability-space operator to orthonormal coordinates."""
-    return h.sqrt[1] @ T @ h.sqrt[0]
+    """Similarity W^{-1} T W, W = V diag(sqrt(w)) on the eigenpairs (w, V) of
+    a full-rank Q_inf: a reachability-space operator in orthonormal
+    coordinates.  W = Q_inf^{1/2} V, so eigenvalues and 2-norms are kept."""
+    v, root = h.pinv.eigvecs, np.sqrt(h.pinv.eigvals)
+    return (v / root).T @ T @ (v * root)
 
 
 def commuting_residual(p, P):
@@ -174,18 +176,13 @@ def projection_family_2d(a, sign):
     return np.array([[a, off], [off, 1.0 - a]])
 
 
-def _eigenspace_blocks(lambdas, rel_tol=1e-12):
-    """Index blocks of equal eigenvalues, each ascending, ordered by their
-    first index; the eigenvalues need be neither sorted nor adjacent."""
-    order = np.argsort(-lambdas, kind="stable")
-    blocks, start = [], 0
-    for i in range(1, order.size + 1):
-        lead = lambdas[order[start]]
-        if i == order.size or abs(lambdas[order[i]] - lead) > rel_tol * (
-                1.0 + abs(lead)):
-            blocks.append(sorted(order[start:i].tolist()))
-            start = i
-    return sorted(blocks)
+def _repeated_pairs(lambdas):
+    """Index pairs of the eigenvalues that occur exactly twice, each
+    ascending, ordered by their first index; the eigenvalues need be
+    neither sorted nor adjacent, and equal means bit-equal."""
+    _, inverse, counts = np.unique(lambdas, return_inverse=True, return_counts=True)
+    pairs = [np.flatnonzero(inverse == k) for k in np.flatnonzero(counts == 2)]
+    return sorted(pairs, key=lambda pair: pair[0])
 
 
 def check_candidate_count(p, max_count):
@@ -200,10 +197,10 @@ def enumerate_commuting_solutions(p, max_count=4096):
     non-diagonal family members on two-dimensional eigenspaces.
 
     With distinct eigenvalues the diagonal candidates exhaust the solution
-    set; a repeated pair, adjacent or not, contributes a one-parameter
-    family of rotated projections, represented here at the parameters
-    1/4, 1/2 and 3/4.  An eigenspace of dimension 3 or more contributes
-    only its diagonal candidates: its rotated projections are not sampled.
+    set; an exactly repeated pair, adjacent or not, contributes a
+    one-parameter family of rotated projections, represented here at the
+    parameters 1/4, 1/2 and 3/4.  An eigenspace of dimension 3 or more
+    contributes only its diagonal candidates, not its rotated projections.
     """
     if not p.diagonal:
         raise NotSpectral("enumeration needs a spectral-diagonal model")
@@ -217,15 +214,12 @@ def enumerate_commuting_solutions(p, max_count=4096):
     ]
     # the metric square root: Q_inf is diagonal on a diagonal model
     scale = np.sqrt(h_space(p).diagonal)
-    for block in _eigenspace_blocks(p.A.diagonal()):
-        if len(block) != 2:
-            continue
-        # conjugate from metric-orthonormal to ambient coordinates
-        s = np.diag(scale[block])
-        s_inv = np.linalg.inv(s)
+    for block in _repeated_pairs(p.A.diagonal()):
+        # conjugate from metric-orthonormal to ambient coordinates by diag(s)
+        s, ix = scale[block], np.ix_(block, block)
         for a, sign in product((0.25, 0.5, 0.75), (1.0, -1.0)):
             mat = np.zeros((n, n))
-            mat[np.ix_(block, block)] = s @ projection_family_2d(a, sign) @ s_inv
+            mat[ix] = s[:, None] * projection_family_2d(a, sign) * (1.0 / s)
             solutions.append(CandidateSolution("H_form", mat))
     return solutions
 

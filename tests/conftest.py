@@ -2,8 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from minenergy.operators import make_dense_model, make_spectral_model
+
+# property tests draw the same examples on every run: no random seed, no
+# example database carried between runs, no deadline for a slow machine
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def random_problem(rng, n=None, symmetric=None, input_rank=None):

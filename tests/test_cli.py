@@ -127,6 +127,16 @@ class TestVerifyCommand:
             assert entry["residual"] <= 1e-9
             assert entry["maximality_gap"] >= -1e-10
 
+    def test_near_tie_is_two_distinct_eigenvalues(self, model_file, tmp_path):
+        # the eigenvalues differ in their last digits: no rotated family,
+        # and the four diagonal projections certify
+        doc = {"type": "spectral", "lambdas": [-300.0, -300.00000000015],
+               "b_diag": [0.5, 2.0]}
+        assert run("verify", "--model", model_file(doc), "--out", tmp_path) == 0
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert len(cert["solutions"]) == 4
+        assert all(entry["residual"] <= 1e-9 for entry in cert["solutions"])
+
     def test_comparison_on_noncoercive_refused(self, model_file, tmp_path):
         assert run("verify", "--model", model_file(RANK_DEFICIENT),
                    "--comparison", "--out", tmp_path) == 4

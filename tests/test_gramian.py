@@ -1,6 +1,6 @@
 import time
 import tracemalloc
-from functools import cached_property
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from minenergy.errors import BadParameterError, HorizonNotPositive, NotInH, Rank
 from minenergy.energy import AuxiliaryCost, value_auxiliary, value_finite, value_infinite
 from minenergy.gramian import (
     _BINOM,
-    Gramian,
     RK4_BLOCK,
     RK4_BLOCK_POLY,
     RK4_MAX_STEPS,
@@ -43,6 +42,7 @@ from minenergy.operators import (
     symmetrize,
 )
 from minenergy.quadrature import legendre_panels
+from minenergy.riccati import CandidateSolution, maximality_check
 
 from conftest import pade_problem, random_problem
 
@@ -419,30 +419,24 @@ class TestModelMemo:
         assert h_space(p) is gramian_infinite(p)
         assert h_space(p).horizon == np.inf
 
-    def test_square_root_once_per_model_on_first_use(self, monkeypatch):
-        # (S, S^+) is computed for the infinite-horizon Gramian only, once,
-        # when the metric is first read
-        calls = []
-        root = vars(Gramian)["sqrt"].func
-
-        def counted(g):
-            calls.append(g)
-            return root(g)
-
-        prop = cached_property(counted)
-        prop.__set_name__(Gramian, "sqrt")
-        monkeypatch.setattr(Gramian, "sqrt", prop)
+    def test_metric_reads_cache_only_pinv(self):
+        # the metric is read from Q_inf's eigendecomposition: reading it
+        # keeps nothing on any Gramian beyond these four attributes
         p = make_spectral_model([-1.0, -2.0, -3.0], [1.0, 2.0, 0.5])
         h = h_space(p)
         x = np.array([1.0, -0.5, 2.0])
-        assert h.full_rank and value_finite(p, 1.0, x) > 0.0
+        cand = CandidateSolution("H_form", [[0.5, 0.1, 0.0], [0.1, 0.5, 0.0],
+                                            [0.0, 0.0, 1.0]])
+        assert cand.diagonal is None
+        assert value_finite(p, 1.0, x) > 0.0
         value_auxiliary(p, AuxiliaryCost(np.eye(3)), 1.0, x)
-        assert calls == [] and "sqrt" not in vars(h)
         for _ in range(2):
             value_infinite(p, x)
             h_inner(h, x, x)
-        assert calls == [h] and h.sqrt is h.sqrt
-        assert all("sqrt" not in vars(g) for g in p.gramians.values())
+            maximality_check(h, cand)
+        kept = {"pinv", "rank", "diagonal", "comparison_stages"}
+        for g in (h, *p.gramians.values()):
+            assert set(vars(g)) - {"horizon", "matrix"} <= kept
 
     def test_one_finite_gramian_per_horizon_and_route(self, rng, monkeypatch):
         calls = {"quadrature": 0, "matrix_ode": 0}
@@ -502,8 +496,8 @@ class TestModelMemo:
     def test_memoized_arrays_read_only(self, rng):
         p = random_problem(rng, n=3, input_rank=2)
         q_inf, g, h = gramian_infinite(p), gramian_finite(p, 1.0), h_space(p)
-        arrays = [p.A, p.B, p.BBt, q_inf.matrix, g.matrix, *h.sqrt,
-                  h.matrix, h.pinv.inverse_on_range]
+        arrays = [p.A, p.B, p.BBt, q_inf.matrix, g.matrix, h.matrix,
+                  h.pinv.inverse_on_range]
         for pinv in (q_inf.pinv, g.pinv):
             arrays += [pinv.eigvals, pinv.eigvecs, pinv.keep,
                        pinv.inverse_on_range, pinv.range_projector]
@@ -529,8 +523,10 @@ class TestModelMemo:
         assert np.array_equal(gramian_infinite(p).pinv.inverse_on_range,
                               pseudo_inverse(gramian_infinite(fresh).matrix).inverse_on_range)
         h, h_fresh = h_space(p), h_space(fresh)
-        for a, b in zip((*h.sqrt, h.matrix, h.pinv.inverse_on_range),
-                        (*h_fresh.sqrt, h_fresh.matrix, h_fresh.pinv.inverse_on_range)):
+        for a, b in zip((h.matrix, h.pinv.eigvals, h.pinv.eigvecs,
+                         h.pinv.inverse_on_range),
+                        (h_fresh.matrix, h_fresh.pinv.eigvals, h_fresh.pinv.eigvecs,
+                         h_fresh.pinv.inverse_on_range)):
             assert np.array_equal(a, b)
         ts = [0.0, 0.5, 2.0]
         assert np.array_equal(p.propagator.at(ts), Propagator(fresh.A).at(ts))
@@ -548,11 +544,38 @@ class TestModelMemo:
         assert_flow(p.propagator.reversed(), -p.A)
 
 
+def eigh_sqrt(q):
+    """The symmetric square root of a positive definite q and its inverse,
+    from ``np.linalg.eigh``."""
+    w, v = np.linalg.eigh(q)
+    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+
+
+def exact_inner(q, x):
+    """x . q^{-1} x as a Fraction, by an exact Gauss-Jordan solve of
+    q y = x on the stored floats."""
+    n = len(x)
+    rows = [[Fraction(v) for v in q[i]] + [Fraction(x[i])] for i in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return sum(Fraction(x[i]) * rows[i][n] / rows[i][i] for i in range(n))
+
+
 class TestHSpace:
     def test_spectral_sqrt(self, spectral_problem):
+        # the metric is that of S^{-1}, S the square root of Q_inf
         h = h_space(spectral_problem)
-        assert_allclose(h.sqrt[0], np.diag([0.70710678118654752, 0.5]), rtol=1e-12)
-        assert np.linalg.norm(h.sqrt[0] @ h.sqrt[0] - np.diag([0.5, 0.25])) <= 1e-9
+        root, root_inv = eigh_sqrt(h.matrix)
+        assert_allclose(root, np.diag([0.70710678118654752, 0.5]), rtol=1e-12,
+                        atol=1e-15)
+        assert np.linalg.norm(root @ root - np.diag([0.5, 0.25])) <= 1e-9
+        x, y = np.array([0.3, -1.2]), np.array([2.0, 0.7])
+        assert_allclose(h_inner(h, x, y), (root_inv @ x) @ (root_inv @ y), rtol=1e-12)
 
     def test_rank_deficient_kernel(self):
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
@@ -571,7 +594,7 @@ class TestHSpace:
         p = random_problem(rng, n=5)
         h = h_space(p)
         x = rng.standard_normal(5)
-        lhs = np.linalg.norm(h.sqrt[1] @ x)
+        lhs = np.linalg.norm(eigh_sqrt(h.matrix)[1] @ x)
         assert_allclose(lhs ** 2, h_inner(h, x, x), rtol=1e-9)
 
 
@@ -593,6 +616,23 @@ class TestHInner:
         h = h_space(p)
         with pytest.raises(NotInH):
             h_inner(h, [0.0, 1.0], [0.0, 1.0])
+
+    def test_accurate_along_top_eigenvector(self):
+        # a symmetric commuting model, A = V diag(lam) V*, B = V diag(b) V*,
+        # with cond(Q_inf) = 1e9: here x @ Q^+ @ x is off by 1e-8 relative,
+        # and |S^+ x|^2 by 5e-13, S the symmetric square root of Q_inf
+        rng = np.random.default_rng(7)
+        v = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        lam = -np.linspace(1.0, 4.0, 8)
+        q = np.logspace(0.0, -9.0, 8)
+        p = make_dense_model((v * lam) @ v.T, (v * np.sqrt(-2.0 * lam * q)) @ v.T)
+        assert p.commuting and p.coercive
+        h = h_space(p)
+        w = h.pinv.eigvals
+        assert 0.5e9 <= w.max() / w.min() <= 2e9
+        x = 3.0 * v[:, 0]
+        exact = exact_inner(h.matrix, x)
+        assert abs(Fraction(h_inner(h, x, x)) - exact) <= 1e-14 * exact
 
     def test_matches_pseudoinverse_form(self, rng):
         p = random_problem(rng, n=6)

@@ -49,6 +49,10 @@ HOSTILE = {
             "and verify --comparison exits 4"))),
 }
 
+#: non-finite --target values for the two-mode documents
+HOSTILE_TARGETS = {"nan": "nan,1", "inf": "inf,0", "minus_inf": "-inf,0",
+                   "overflow": "1e309,0"}
+
 COMMANDS = {
     "gramian": ["gramian"],
     "gramian_t": ["gramian", "--t", "1"],
@@ -85,3 +89,17 @@ def test_non_number_entries_are_parse_errors(name, tmp_path):
     doc, n = HOSTILE[name]
     assert run_all(doc, n, tmp_path) == dict.fromkeys(COMMANDS, 2)
     assert not any(path.is_dir() for path in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("target", list(HOSTILE_TARGETS.values()),
+                         ids=list(HOSTILE_TARGETS))
+def test_non_finite_target_is_parse_error(target, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(SPECTRAL))
+    runs = {name: [name, "--model", str(path)]
+            for name in ("synthesize", "auxiliary", "all")}
+    runs["landau"] = ["landau", "--modes", "2"]
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, f"--target={target}", "--out", str(out)]) == 2, name
+        assert not out.exists(), name

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -25,7 +27,12 @@ from minenergy.errors import (
 )
 from minenergy.gramian import Gramian, gramian_finite, h_space
 from minenergy.landau import build_lg_model
-from minenergy.operators import exact_diagonal, make_dense_model, make_spectral_model
+from minenergy.operators import (
+    exact_diagonal,
+    make_dense_model,
+    make_spectral_model,
+    model_from_dict,
+)
 from minenergy.riccati import (
     DEFAULT_SEED,
     CandidateSolution,
@@ -217,6 +224,52 @@ class TestEnumeration:
                         e[i] = 1.0
                         img = s.matrix @ e
                         assert np.linalg.norm(img - pi @ img) <= 1e-10
+
+
+#: eigenvalues for exact ties and triples, and the moduli of near-ties
+TIE_POOL = [-0.5, -1.0, -2.5, -4.0, -7.0, -10.0]
+NEAR_TIE_MODULI = [300.0, 1000.0]
+
+
+@st.composite
+def tie_documents(draw):
+    """A spectral document of 2 to 6 modes in shuffled order, built from
+    single eigenvalues, exact pairs and triples from TIE_POOL, and near-ties
+    (lam, lam (1 + 5e-13)) at |lam| in NEAR_TIE_MODULI; b from {0.5, 1, 2}."""
+    groups = st.one_of(
+        st.sampled_from(TIE_POOL).flatmap(
+            lambda lam: st.integers(1, 3).map(lambda k: [lam] * k)),
+        st.sampled_from(NEAR_TIE_MODULI).map(lambda m: [-m, -m * (1.0 + 5e-13)]))
+    lambdas = sum(draw(st.lists(groups, min_size=1, max_size=6)), [])
+    lambdas = draw(st.permutations(lambdas[:6]))
+    if len(lambdas) < 2:
+        lambdas.append(draw(st.sampled_from(TIE_POOL)))
+    b = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=len(lambdas),
+                      max_size=len(lambdas)))
+    return {"type": "spectral", "lambdas": lambdas, "b_diag": b}
+
+
+class TestExactTies:
+    """Rotated projections exist only on an eigenvalue repeated exactly;
+    a pair that differs in its last digits is two distinct eigenvalues."""
+
+    @given(tie_documents())
+    @example({"type": "spectral", "lambdas": [-300.0, -300.00000000015],
+              "b_diag": [0.5, 2.0]})
+    def test_family_only_on_exact_pairs(self, doc):
+        p = model_from_dict(doc)
+        h = h_space(p)
+        sols = enumerate_commuting_solutions(p)
+        counts = Counter(doc["lambdas"])
+        pairs = [lam for lam, k in counts.items() if k == 2]
+        assert len(sols) == 2 ** p.n + 6 * len(pairs)
+        for s in sols:
+            assert are_residual_H(p, h, s) <= 1e-9
+            assert maximality_check(h, s) >= -1e-10
+        for s in sols[2 ** p.n:]:
+            i, j = np.flatnonzero(s.matrix - np.diag(s.matrix.diagonal()))[[0, -1]] // p.n
+            lam = doc["lambdas"][i]
+            assert i < j and lam == doc["lambdas"][j] and counts[lam] == 2
 
 
 class TestProjectionFamily:
@@ -438,8 +491,10 @@ def dense_residual(p, h, cand):
 
 def dense_gap(h, cand):
     """The maximality gap by its dense formula: the smallest eigenvalue of
-    S^+ (I - P) S, S the square root of Q_inf, symmetrized."""
-    root, root_pinv = h.sqrt
+    S^+ (I - P) S, S the symmetric square root of Q_inf built here from
+    its own eigendecomposition, symmetrized."""
+    w, v = np.linalg.eigh(h.matrix)
+    root, root_pinv = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
     gap = root_pinv @ (np.eye(h.matrix.shape[0]) - cand.matrix) @ root
     return np.linalg.eigvalsh(0.5 * (gap + gap.T)).min()
 
