@@ -51,7 +51,6 @@ from .riccati import (
     DEFAULT_SEED,
     SOLUTION_RESIDUAL_TOL,
     are_residual_H,
-    check_candidate_count,
     comparison_check,
     enumerate_commuting_solutions,
     maximality_check,
@@ -93,6 +92,7 @@ def _parse_seed(text):
 
 
 def _outdir(args):
+    """Create ``--out``; each command calls it only after its last refusal."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -102,9 +102,20 @@ def _provenance(problem, seed):
     return {"version": __version__, "model_hash": model_hash(problem), "seed": seed}
 
 
+def _refuse_overflow(text, *values):
+    """Refuse a target whose norm or energy overflows, before any file is
+    written.  The commands that take a target compute with numpy's
+    overflow and invalid-value warnings off; each float and each array
+    among the values, which are what the command writes, must then be
+    finite, so no file carries inf or NaN."""
+    numbers = [v for v in values if isinstance(v, (float, np.ndarray))]
+    if not all(np.isfinite(v).all() for v in numbers):
+        raise BadParameterError(
+            f"target {text!r} is too large: its norm or energy overflows")
+
+
 def cmd_gramian(args, problem):
-    """The Gramians and their report; the rank is decided before any write."""
-    out = _outdir(args)
+    """The Gramians and their report, all computed before any write."""
     q_inf = gramian_infinite(problem)
     g = q_inf if args.t is None else gramian_finite(problem, args.t)
     report = {
@@ -112,6 +123,7 @@ def cmd_gramian(args, problem):
         "rank": g.rank,
         "lyapunov_residual": lyapunov_residual(problem, q_inf),
     }
+    out = _outdir(args)
     matrix_csv(out / "gramian_inf.csv", q_inf.matrix)
     if args.t is not None:
         matrix_csv(out / "gramian_t.csv", g.matrix)
@@ -120,27 +132,18 @@ def cmd_gramian(args, problem):
     return 0
 
 
-def _check_verify(args, problem):
-    """Refuse a ``verify`` run that the model cannot serve, before any
-    file is written: the comparison certificate needs a coercive diagonal
-    model, the candidates that a coercive diagonal model enumerates must
-    number at most ``--max-solutions``, and every certificate needs a
-    full-rank reachability space."""
+def _certificate(args, problem):
+    """The whole ``verify`` certificate and whether it passes.  It refuses
+    in this order: a comparison on a model that is not coercive and
+    diagonal, too many candidates, a reachability space that is not full
+    rank, and any numerical refusal of a candidate's report."""
     if args.comparison:
         if not problem.coercive:
             raise NotCoercive("comparison certificates need a coercive BB*")
         if not problem.diagonal:
             raise NotSpectral("comparison certificates need a spectral-diagonal model")
-    if problem.diagonal and problem.coercive:
-        check_candidate_count(problem, args.max_solutions)
-    if not h_space(problem).full_rank:
-        raise RankDeficient("Riccati certificates need a full-rank "
-                            "infinite-horizon Gramian")
-
-
-def cmd_verify(args, problem):
-    _check_verify(args, problem)
-    out = _outdir(args)
+    candidates = (enumerate_commuting_solutions(problem, args.max_solutions)
+                  if problem.diagonal and problem.coercive else [])
     x_rep, h_rep = verify_canonical_solutions(problem)
     ok = x_rep.is_solution and h_rep.is_solution
     certificate = {
@@ -156,41 +159,47 @@ def cmd_verify(args, problem):
             "full-rank reachability space; admissibility asserted, not tested"
         ],
     }
-    if problem.diagonal and problem.coercive:
-        h = h_space(problem)
-        t = 2.0 if args.t is None else args.t
-        samples = 50 if args.samples is None else args.samples
-        for cand in enumerate_commuting_solutions(problem, args.max_solutions):
-            if args.comparison:
-                rep = comparison_check(problem, cand, t, samples=samples,
-                                       seed=args.seed)
-                residual, gap = rep.residual_norm, rep.maximality_gap
-                margin, defect = rep.comparison_margin, rep.identity_defect
-                ok = ok and margin >= -1e-8
-            else:
-                residual = are_residual_H(problem, h, cand)
-                gap, margin, defect = maximality_check(h, cand), None, None
-            certificate["solutions"].append({
-                "matrix": cand.matrix.tolist(),
-                "residual": residual,
-                "maximality_gap": gap,
-                "comparison_margin": margin,
-                "identity_defect": defect,
-            })
-            ok = ok and residual <= SOLUTION_RESIDUAL_TOL and gap >= -1e-10
+    h = h_space(problem)
+    t = 2.0 if args.t is None else args.t
+    samples = 50 if args.samples is None else args.samples
+    for cand in candidates:
+        if args.comparison:
+            rep = comparison_check(problem, cand, t, samples=samples,
+                                   seed=args.seed)
+            residual, gap = rep.residual_norm, rep.maximality_gap
+            margin, defect = rep.comparison_margin, rep.identity_defect
+            ok = ok and margin >= -1e-8
+        else:
+            residual = are_residual_H(problem, h, cand)
+            gap, margin, defect = maximality_check(h, cand), None, None
+        certificate["solutions"].append({
+            "matrix": cand.matrix.tolist(),
+            "residual": residual,
+            "maximality_gap": gap,
+            "comparison_margin": margin,
+            "identity_defect": defect,
+        })
+        ok = ok and residual <= SOLUTION_RESIDUAL_TOL and gap >= -1e-10
     certificate.update(_provenance(problem, args.seed))
-    write_report(out / "certificate.json", certificate)
+    return certificate, ok
+
+
+def cmd_verify(args, problem):
+    certificate, ok = _certificate(args, problem)
+    write_report(_outdir(args) / "certificate.json", certificate)
     return 0 if ok else 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_synthesize(args, problem):
     """Values, optimal control and arrival path for one target.  The two
     CSV files are written by one ``write_files`` call: on two CPUs a forked
     child writes ``control.csv`` while this process writes
     ``trajectory.csv``, and the bytes are those of writing both here."""
     x = _parse_target(args.target, problem.n)
-    out = _outdir(args)
-    span = t_max(problem, np.linalg.norm(x))
+    x_norm = np.linalg.norm(x)
+    _refuse_overflow(args.target, x_norm)
+    span = t_max(problem, x_norm)
     horizon = args.t if args.t is not None else span
     report = {"t": horizon, "V": "+inf", "V_inf": "+inf", "gap": "+inf"}
     report.update(_provenance(problem, args.seed))
@@ -204,7 +213,7 @@ def cmd_synthesize(args, problem):
         u = optimal_control_infinite(problem, x, grid)
         traj = optimal_trajectory_infinite(problem, x, grid)
         sim = simulate_mild(problem, np.zeros(problem.n), u, -span, 0.0)
-        scale = max(np.linalg.norm(x), 1.0)
+        scale = max(x_norm, 1.0)
         report["endpoint_error"] = float(np.linalg.norm(sim.states[-1] - x) / scale)
         report["energy"] = energy_of(u)
         report["feedback_residual"] = feedback_residual(problem, traj, u)
@@ -215,18 +224,21 @@ def cmd_synthesize(args, problem):
             report["bcle_residual"] = bcle_residual(problem, fd_traj)
         else:
             report["bcle_residual"] = None
-        write_files([(control_csv, out / "control.csv", u),
-                     (trajectory_csv, out / "trajectory.csv", traj)])
+        _refuse_overflow(args.target, *report.values(), u.values, traj.states)
     except UnreachableError:
-        write_report(out / "synthesis_report.json", report)
+        _refuse_overflow(args.target, *report.values())
+        write_report(_outdir(args) / "synthesis_report.json", report)
         raise
+    out = _outdir(args)
+    write_files([(control_csv, out / "control.csv", u),
+                 (trajectory_csv, out / "trajectory.csv", traj)])
     write_report(out / "synthesis_report.json", report)
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_auxiliary(args, problem):
     x = _parse_target(args.target, problem.n)
-    out = _outdir(args)
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
     aux = value_auxiliary(problem, cost, args.t, x)
     v_fin = value_finite(problem, args.t, x)
@@ -248,10 +260,12 @@ def cmd_auxiliary(args, problem):
         "reversal_ok": reversal_ok,
     }
     report.update(_provenance(problem, args.seed))
-    write_report(out / "auxiliary_report.json", report)
+    _refuse_overflow(args.target, *report.values(), aux.argmin_z)
+    write_report(_outdir(args) / "auxiliary_report.json", report)
     return 0 if (sandwich_ok and reversal_ok) else 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_landau(args, _problem):
     # takes no model document: the heat model is built from the options
     model = build_lg_model(args.modes, args.rho_minus, args.rho_plus)
@@ -260,10 +274,8 @@ def cmd_landau(args, _problem):
         y0[0] = 1.0
     else:
         y0 = _parse_target(args.target, model.n_modes)
-    out = _outdir(args)
     check = lg_value_check(model, y0)
     xi, profiles = synthesize_profile(model, y0, PROFILE_TIMES)
-    profile_csv(out / "profile.csv", xi, profiles, PROFILE_TIMES)
     report = {
         "modes": model.n_modes,
         "rho_minus": model.rho_minus,
@@ -274,21 +286,25 @@ def cmd_landau(args, _problem):
         "inverse_gramian": inverse_gramian_identity(model),
     }
     report.update(_provenance(model.problem, args.seed))
+    _refuse_overflow(args.target, *report.values(), profiles)
+    out = _outdir(args)
+    profile_csv(out / "profile.csv", xi, profiles, PROFILE_TIMES)
     write_report(out / "landau_report.json", report)
     return 0 if check["rel_err"] <= 1e-10 else 1
 
 
 def cmd_all(args, problem):
     """Every model stage on one loaded model; the target defaults to the
-    first unit vector.  The target and the verify stage's refusals come
-    before the first file is written."""
+    first unit vector.  The target is parsed and the whole certificate
+    built before the first file is written, so no verify-stage refusal
+    leaves a file; a later stage's refusal leaves the earlier files."""
     if args.target is None:
         args.target = ",".join(["1"] + ["0"] * (problem.n - 1))
     _parse_target(args.target, problem.n)
-    _check_verify(args, problem)
+    certificate, ok = _certificate(args, problem)
     status = cmd_gramian(args, problem)
-    status = max(status, cmd_verify(args, problem))
-    status = max(status, cmd_synthesize(args, problem))
+    write_report(_outdir(args) / "certificate.json", certificate)
+    status = max(status, 0 if ok else 1, cmd_synthesize(args, problem))
     status = max(status, cmd_auxiliary(args, problem))
     return status
 

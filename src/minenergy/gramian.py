@@ -25,6 +25,7 @@ from .errors import (
 from .operators import (
     exact_diagonal,
     expm,
+    huge_exponent,
     pseudo_inverse,
     read_only,
     symmetrize,
@@ -301,11 +302,16 @@ def _solve_gramian_infinite(p):
 
 
 def lyapunov_residual(p, g):
-    """Relative residual of the Lyapunov equation at the given Gramian."""
-    Q = g.matrix
-    res = np.linalg.norm(p.A @ Q + Q @ p.A.T + p.BBt, "fro")
+    """Relative residual of the Lyapunov equation at the given Gramian.
+    Q and BB* are scaled by 2**-e, with e from ``huge_exponent``, which
+    leaves the ratio as it is and keeps both norms finite."""
+    Q, bbt = g.matrix, p.BBt
+    e = huge_exponent(Q, bbt)
+    if e:
+        Q, bbt = np.ldexp(Q, -e), np.ldexp(bbt, -e)
+    res = np.linalg.norm(p.A @ Q + Q @ p.A.T + bbt, "fro")
     scale = (np.linalg.norm(p.A, "fro") * np.linalg.norm(Q, "fro")
-             + np.linalg.norm(p.BBt, "fro"))
+             + np.linalg.norm(bbt, "fro"))
     return res / max(scale, 1e-300)
 
 

@@ -41,9 +41,22 @@ def symmetrize(m):
     return 0.5 * (m + m.T)
 
 
+def huge_exponent(*arrays):
+    """0 unless an entry of the arrays reaches 2**500 in magnitude; then the
+    binary exponent e of the largest entry, so that ``np.ldexp(a, -e)`` has
+    entries below 1 and a norm that cannot overflow.  The scaling is exact,
+    so a test written for 2**-e times the arrays decides as it would for
+    the arrays themselves."""
+    big = max(np.abs(a).max(initial=0.0) for a in arrays)
+    return int(np.frexp(big)[1]) if big >= 2.0 ** 500 else 0
+
+
 def is_symmetric(m, tol=1e-10):
     m = np.asarray(m, dtype=float)
-    return np.linalg.norm(m - m.T, "fro") <= tol * (1.0 + np.linalg.norm(m, "fro"))
+    e = huge_exponent(m)
+    if e:
+        m = np.ldexp(m, -e)
+    return np.linalg.norm(m - m.T, "fro") <= tol * (2.0 ** -e + np.linalg.norm(m, "fro"))
 
 
 def read_only(a):
@@ -142,14 +155,18 @@ class PseudoInverse:
 def _structure_flags(A, bbt, symmetric):
     """The commuting, coercive and diagonal flags of a model, from A, BB*
     and whether A is symmetric; diagonal is exact: A and BB* have no
-    nonzero off their diagonals."""
-    scale = np.linalg.norm(A, "fro") * np.linalg.norm(bbt, "fro")
+    nonzero off their diagonals.  The two norm tests read BB* scaled by
+    2**-e, with e from ``huge_exponent``, and the 1 of each test as 2**-e."""
+    e = huge_exponent(bbt)
+    s = np.ldexp(bbt, -e) if e else bbt
+    unit = 2.0 ** -e
+    scale = np.linalg.norm(A, "fro") * np.linalg.norm(s, "fro")
     commuting = (
         symmetric
-        and np.linalg.norm(A @ bbt - bbt @ A, "fro") <= 1e-10 * (1.0 + scale)
+        and np.linalg.norm(A @ s - s @ A, "fro") <= 1e-10 * (unit + scale)
     )
-    eigs = np.linalg.eigvalsh(symmetrize(bbt))
-    coercive = bool(eigs.min() > DEFAULT_REL_TOL * max(eigs.max(), 1.0))
+    eigs = np.linalg.eigvalsh(symmetrize(s))
+    coercive = bool(eigs.min() > DEFAULT_REL_TOL * max(eigs.max(), unit))
     diagonal = all(exact_diagonal(m) is not None for m in (A, bbt))
     return bool(commuting), coercive, diagonal
 

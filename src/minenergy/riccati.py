@@ -89,7 +89,7 @@ def _require_form(cand, form, n):
 def _full_rank_h(p):
     h = h_space(p)
     if not h.full_rank:
-        raise RankDeficient("reachability-metric operations need a full-rank "
+        raise RankDeficient("Riccati certificates need a full-rank "
                             "infinite-horizon Gramian")
     return h
 
@@ -185,13 +185,6 @@ def _repeated_pairs(lambdas):
     return sorted(pairs, key=lambda pair: pair[0])
 
 
-def check_candidate_count(p, max_count):
-    """Refuse a model whose 2^n diagonal candidates exceed max_count."""
-    if 2 ** p.n > max_count:
-        raise TooManySolutions(
-            f"2^{p.n} diagonal candidates exceed max_count={max_count}")
-
-
 def enumerate_commuting_solutions(p, max_count=4096):
     """All diagonal 0/1 solutions of a diagonal model, plus sampled
     non-diagonal family members on two-dimensional eigenspaces.
@@ -206,7 +199,9 @@ def enumerate_commuting_solutions(p, max_count=4096):
         raise NotSpectral("enumeration needs a spectral-diagonal model")
     if not p.coercive:
         raise NotCoercive("enumeration needs a coercive BB*")
-    check_candidate_count(p, max_count)
+    if 2 ** p.n > max_count:
+        raise TooManySolutions(
+            f"2^{p.n} diagonal candidates exceed max_count={max_count}")
     n = p.n
     solutions = [
         CandidateSolution("H_form", np.diag(np.array(bits, dtype=float)))

@@ -2,7 +2,7 @@
 
 Every document is run in-process through ``cli.main`` with each of six
 commands. The exit code must be one of the documented codes, and a run
-refused with 2, 3, 4 or 6 leaves no file behind. A deterministic first
+refused with 2, 3, 4 or 6 creates no output folder. A deterministic first
 step towards a fuzz test over model documents and options.
 """
 
@@ -41,12 +41,8 @@ HOSTILE = {
                           "B": [[1.0, 0.0], [0.0, 1.0]]}, 2),
     "subnormal_eigenvalue": ({"type": "spectral", "lambdas": [-5e-324, -1.0],
                               "b_diag": [1.0, 1.0]}, 2),
-    "huge_weights": pytest.param(
-        {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1e308, 1e308]}, 2,
-        marks=pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
-            "BB* = diag(1e308) overflows in _structure_flags (its norm, then "
-            "symmetrize(BB*)), so the coercive model is classed non-coercive "
-            "and verify --comparison exits 4"))),
+    "huge_weights": ({"type": "spectral", "lambdas": [-1.0, -2.0],
+                      "b_diag": [1e308, 1e308]}, 2),
 }
 
 #: non-finite --target values for the two-mode documents
@@ -80,8 +76,7 @@ def test_documented_exit_and_no_file_after_refusal(doc, n, tmp_path):
     for name, code in run_all(doc, n, tmp_path).items():
         assert code in {0, 2, 3, 4, 5, 6}, name
         if code in {2, 3, 4, 6}:
-            out = tmp_path / name
-            assert not out.exists() or not any(out.iterdir()), name
+            assert not (tmp_path / name).exists(), name
 
 
 @pytest.mark.parametrize("name", ["bool_entries", "numeric_string_entries"])
@@ -103,3 +98,34 @@ def test_non_finite_target_is_parse_error(target, tmp_path):
         out = tmp_path / name
         assert main([*argv, f"--target={target}", "--out", str(out)]) == 2, name
         assert not out.exists(), name
+
+
+#: finite targets whose norm or energy overflows, on the two-mode document
+OVERFLOWING_TARGETS = {"norm": "1e200,1e200", "energy": "1e160,1e160",
+                       "largest": "1e308,1e308"}
+
+
+@pytest.mark.parametrize("target", list(OVERFLOWING_TARGETS.values()),
+                         ids=list(OVERFLOWING_TARGETS))
+def test_overflowing_target_is_bad_parameter(target, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(SPECTRAL))
+    runs = {name: [name, "--model", str(path)] for name in ("synthesize", "auxiliary")}
+    runs["landau"] = ["landau", "--modes", "2"]
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, f"--target={target}", "--out", str(out)]) == 3, name
+        assert capsys.readouterr().err.startswith(f"error: target '{target}'"), name
+        assert not out.exists(), name
+
+
+@pytest.mark.parametrize("command", ["synthesize", "landau"])
+def test_large_finite_energy_is_answered(command, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(SPECTRAL))
+    argv = ([command, "--model", str(path)] if command == "synthesize"
+            else [command, "--modes", "2"])
+    out = tmp_path / "out"
+    assert main([*argv, "--target=1e150,1e150", "--out", str(out)]) == 0
+    for f in out.iterdir():
+        assert "Infinity" not in f.read_text() and "NaN" not in f.read_text(), f.name
