@@ -22,7 +22,6 @@ from .energy import (
     feedback_residual,
     optimal_control_infinite,
     optimal_trajectory_infinite,
-    sample_signal,
     simulate_mild,
     steering_control_finite,
     time_reversal_check,
@@ -32,7 +31,6 @@ from .energy import (
 )
 from .gramian import (
     Gramian,
-    a0_operator,
     gramian_finite,
     gramian_infinite,
     h_inner,
@@ -40,7 +38,6 @@ from .gramian import (
     lyapunov_residual,
     null_controllability_check,
     reachable_membership,
-    semigroup_transpose_identity,
     t_max,
 )
 from .landau import (
@@ -55,7 +52,6 @@ from .landau import (
 from .operators import (
     ControlProblem,
     PseudoInverse,
-    apply_control_weight,
     expm,
     load_model,
     make_dense_model,
@@ -68,7 +64,6 @@ from .riccati import (
     SolutionReport,
     are_residual_H,
     are_residual_X,
-    commuting_residual,
     comparison_check,
     differential_riccati_residual,
     enumerate_commuting_solutions,

@@ -35,7 +35,6 @@ from .errors import (
     NotCoercive,
     NotSpectral,
     ParseError,
-    RankDeficient,
     ToolkitError,
     UnreachableError,
 )
@@ -114,8 +113,8 @@ def _refuse_overflow(text, *values):
             f"target {text!r} is too large: its norm or energy overflows")
 
 
-def cmd_gramian(args, problem):
-    """The Gramians and their report, all computed before any write."""
+def _gramian(args, problem):
+    """The Gramians and their report, computed; returns their writer."""
     q_inf = gramian_infinite(problem)
     g = q_inf if args.t is None else gramian_finite(problem, args.t)
     report = {
@@ -123,12 +122,19 @@ def cmd_gramian(args, problem):
         "rank": g.rank,
         "lyapunov_residual": lyapunov_residual(problem, q_inf),
     }
-    out = _outdir(args)
-    matrix_csv(out / "gramian_inf.csv", q_inf.matrix)
-    if args.t is not None:
-        matrix_csv(out / "gramian_t.csv", g.matrix)
     report.update(_provenance(problem, args.seed))
-    write_report(out / "gramian_report.json", report)
+
+    def write(out):
+        matrix_csv(out / "gramian_inf.csv", q_inf.matrix)
+        if args.t is not None:
+            matrix_csv(out / "gramian_t.csv", g.matrix)
+        write_report(out / "gramian_report.json", report)
+    return write
+
+
+def cmd_gramian(args, problem):
+    write = _gramian(args, problem)
+    write(_outdir(args))
     return 0
 
 
@@ -191,11 +197,14 @@ def cmd_verify(args, problem):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_synthesize(args, problem):
-    """Values, optimal control and arrival path for one target.  The two
-    CSV files are written by one ``write_files`` call: on two CPUs a forked
-    child writes ``control.csv`` while this process writes
-    ``trajectory.csv``, and the bytes are those of writing both here."""
+def _synthesis(args, problem):
+    """Values, optimal control and arrival path for one target, computed.
+    Returns their writer and the UnreachableError that stopped the stage,
+    or None; the writer of a stopped stage writes the report alone, with
+    the values found before the error.  The two CSV files are written by
+    one ``write_files`` call: on two CPUs a forked child writes
+    ``control.csv`` while this process writes ``trajectory.csv``, and the
+    bytes are those of writing both here."""
     x = _parse_target(args.target, problem.n)
     x_norm = np.linalg.norm(x)
     _refuse_overflow(args.target, x_norm)
@@ -225,19 +234,29 @@ def cmd_synthesize(args, problem):
         else:
             report["bcle_residual"] = None
         _refuse_overflow(args.target, *report.values(), u.values, traj.states)
-    except UnreachableError:
+    except UnreachableError as exc:
         _refuse_overflow(args.target, *report.values())
-        write_report(_outdir(args) / "synthesis_report.json", report)
-        raise
-    out = _outdir(args)
-    write_files([(control_csv, out / "control.csv", u),
-                 (trajectory_csv, out / "trajectory.csv", traj)])
-    write_report(out / "synthesis_report.json", report)
+        return lambda out: write_report(out / "synthesis_report.json", report), exc
+
+    def write(out):
+        write_files([(control_csv, out / "control.csv", u),
+                     (trajectory_csv, out / "trajectory.csv", traj)])
+        write_report(out / "synthesis_report.json", report)
+    return write, None
+
+
+def cmd_synthesize(args, problem):
+    write, unreachable = _synthesis(args, problem)
+    write(_outdir(args))
+    if unreachable is not None:
+        raise unreachable
     return 0
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def cmd_auxiliary(args, problem):
+def _auxiliary(args, problem):
+    """The penalized-initial-state problem for one target, computed;
+    returns its writer and whether both of its checks pass."""
     x = _parse_target(args.target, problem.n)
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
     aux = value_auxiliary(problem, cost, args.t, x)
@@ -261,8 +280,14 @@ def cmd_auxiliary(args, problem):
     }
     report.update(_provenance(problem, args.seed))
     _refuse_overflow(args.target, *report.values(), aux.argmin_z)
-    write_report(_outdir(args) / "auxiliary_report.json", report)
-    return 0 if (sandwich_ok and reversal_ok) else 1
+    return (lambda out: write_report(out / "auxiliary_report.json", report),
+            sandwich_ok and reversal_ok)
+
+
+def cmd_auxiliary(args, problem):
+    write, ok = _auxiliary(args, problem)
+    write(_outdir(args))
+    return 0 if ok else 1
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -295,18 +320,28 @@ def cmd_landau(args, _problem):
 
 def cmd_all(args, problem):
     """Every model stage on one loaded model; the target defaults to the
-    first unit vector.  The target is parsed and the whole certificate
-    built before the first file is written, so no verify-stage refusal
-    leaves a file; a later stage's refusal leaves the earlier files."""
+    first unit vector.  Every stage is computed before the first file is
+    written, so a refusal leaves no file.  An unreachable target ends the
+    battery after the synthesize stage, whose report is written with the
+    files of the stages before it."""
     if args.target is None:
         args.target = ",".join(["1"] + ["0"] * (problem.n - 1))
     _parse_target(args.target, problem.n)
     certificate, ok = _certificate(args, problem)
-    status = cmd_gramian(args, problem)
-    write_report(_outdir(args) / "certificate.json", certificate)
-    status = max(status, 0 if ok else 1, cmd_synthesize(args, problem))
-    status = max(status, cmd_auxiliary(args, problem))
-    return status
+    writers = [_gramian(args, problem),
+               lambda out: write_report(out / "certificate.json", certificate)]
+    write, unreachable = _synthesis(args, problem)
+    writers.append(write)
+    if unreachable is None:
+        write, aux_ok = _auxiliary(args, problem)
+        writers.append(write)
+        ok = ok and aux_ok
+    out = _outdir(args)
+    for write in writers:
+        write(out)
+    if unreachable is not None:
+        raise unreachable
+    return 0 if ok else 1
 
 
 @functools.cache
@@ -413,6 +448,10 @@ def _check_options(args):
     tol = getattr(args, "tol", 1.0)
     if not (tol > 0.0 and np.isfinite(tol)):
         raise BadParameterError(f"tolerance must be positive and finite, got {tol}")
+    max_solutions = getattr(args, "max_solutions", 1)
+    if max_solutions < 1:
+        raise BadParameterError(
+            f"--max-solutions must be at least 1, got {max_solutions}")
     n_scale = getattr(args, "n_scale", 0.0)
     if not (n_scale >= 0.0 and np.isfinite(n_scale)):
         raise BadParameterError(
@@ -431,6 +470,10 @@ def main(argv=None):
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # a model too large to allocate is a bad parameter, not a crash
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return BadParameterError.exit_code
 
 
 if __name__ == "__main__":

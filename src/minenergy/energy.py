@@ -119,15 +119,6 @@ def _grid_arrays(grid):
     return pts, w, None
 
 
-def sample_signal(p, grid, fn):
-    """Build a ControlSignal by evaluating ``fn`` row-wise on the grid."""
-    pts, wts, nodes = _grid_arrays(grid)
-    values = np.atleast_2d(np.asarray(fn(pts), dtype=float))
-    if values.shape[0] != pts.size:
-        values = values.T
-    return ControlSignal(grid=pts, values=values, quad_weights=wts, panel_nodes=nodes)
-
-
 def value_finite(p, t, x, tol=1e-8):
     """Minimum energy that steers rest to x over a horizon of length t.
 

@@ -82,10 +82,6 @@ class RankDeficient(PreconditionError):
     """Operation requires a full-rank infinite-horizon Gramian."""
 
 
-class NotCommutingModel(PreconditionError):
-    pass
-
-
 class NotSpectral(PreconditionError):
     pass
 

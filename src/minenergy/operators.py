@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    BadParameterError,
     NegativeWeight,
     NotCoercive,
     NotDiagonalizable,
@@ -321,22 +320,20 @@ class Propagator:
         return np.stack([m @ x for m in self.at(ts)])
 
 
-def pseudo_inverse(Msym, rel_tol=DEFAULT_REL_TOL):
+def pseudo_inverse(Msym):
     """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
 
-    Singular values below ``rel_tol`` times the largest are treated as
-    zero.  Raises NotSymmetric for asymmetric input, and RankDeficient
+    Singular values below ``DEFAULT_REL_TOL`` times the largest are treated
+    as zero.  Raises NotSymmetric for asymmetric input, and RankDeficient
     where a retained eigenvalue's reciprocal overflows (a subnormal one).
     """
     Msym = np.asarray(Msym, dtype=float)
-    if not (0.0 < rel_tol < 1.0):
-        raise BadParameterError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if not is_symmetric(Msym):
         raise NotSymmetric("pseudo_inverse requires a symmetric matrix")
     w, v = np.linalg.eigh(symmetrize(Msym))
     sigma = np.abs(w)
     smax = sigma.max(initial=0.0)
-    keep = sigma > rel_tol * smax if smax > 0.0 else np.zeros_like(sigma, bool)
+    keep = sigma > DEFAULT_REL_TOL * smax if smax > 0.0 else np.zeros_like(sigma, bool)
     with np.errstate(over="ignore"):
         inv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
     if not np.isfinite(inv).all():
@@ -359,15 +356,6 @@ def _weighted_input(B, C):
     if w.min() <= DEFAULT_REL_TOL * max(w.max(), 0.0):
         raise NotCoercive("control weight must be positive definite")
     return B @ ((v / np.sqrt(w)) @ v.T)
-
-
-def apply_control_weight(p, C):
-    """Absorb a coercive control-energy weight C into the control operator.
-
-    The weighted energy integrand <Cu, u> is equivalent to the unweighted
-    one for the model with B replaced by B C^{-1/2}.
-    """
-    return make_dense_model(p.A, _weighted_input(p.B, C))
 
 
 def _finite_field(doc, key):

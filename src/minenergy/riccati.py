@@ -28,7 +28,6 @@ from .energy import (
 from .errors import (
     BadParameterError,
     NotCoercive,
-    NotCommutingModel,
     NotSpectral,
     NotSymmetric,
     OutOfRange,
@@ -148,21 +147,6 @@ def _h_metric_matrix(h, T):
     coordinates.  W = Q_inf^{1/2} V, so eigenvalues and 2-norms are kept."""
     v, root = h.pinv.eigvecs, np.sqrt(h.pinv.eigvals)
     return (v / root).T @ T @ (v * root)
-
-
-def commuting_residual(p, P):
-    """Metric-norm residual of A0 P + P A0 - 2 P A0 P for commuting
-    coercive models (A0 is the state operator itself)."""
-    if not (p.commuting and p.coercive):
-        raise NotCommutingModel("commuting residual needs a selfadjoint state "
-                                "operator commuting with a coercive BB*")
-    _require_form(P, "H_form", p.n)
-    h = _full_rank_h(p)
-    a0, pm = p.A, P.matrix
-    res = a0 @ pm + pm @ a0 - 2.0 * (pm @ a0 @ pm)
-    res_h = _h_metric_matrix(h, res)
-    a_scale = np.linalg.norm(_h_metric_matrix(h, a0), 2)
-    return float(np.linalg.norm(res_h, 2) / (1.0 + a_scale))
 
 
 def projection_family_2d(a, sign):

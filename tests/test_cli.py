@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,18 @@ class TestGramianCommand:
     def test_nonpositive_horizon(self, model_file, tmp_path):
         assert run("gramian", "--model", model_file(SCALAR), "--t", "-1",
                    "--out", tmp_path) == 3
+
+    @pytest.mark.parametrize("t", ["1e12", "1e300"])
+    def test_huge_horizon(self, t, model_file, tmp_path):
+        # the panel sum is built by doubling, so its cost grows with
+        # log(t), not with t
+        start = time.perf_counter()
+        assert run("gramian", "--model", model_file(SCALAR), "--t", t,
+                   "--out", tmp_path) == 0
+        assert time.perf_counter() - start < 5.0
+        q_t, q_inf = (np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+                      for name in ("gramian_t.csv", "gramian_inf.csv"))
+        assert abs(q_t - q_inf) <= 1e-12 * q_inf
 
 
 class TestVerifyCommand:
@@ -649,6 +662,57 @@ class TestExitCodeContract:
             assert run(command, "--model", model_file(doc), "--comparison",
                        "--t", "20", "--out", out) == 4
         assert "is not positive definite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, options, code, message", [
+        (SPECTRAL, ["--target=1e200,1e200"], 3, "its norm or energy overflows"),
+        (HEAT_8, ["--t", "2", "--n-scale", "0"], 4, "is not positive definite"),
+    ], ids=["synthesize_overflow", "auxiliary_singular"])
+    def test_all_refuses_late_stage_before_writing(self, doc, options, code,
+                                                   message, model_file, tmp_path,
+                                                   capsys):
+        out = tmp_path / "out"
+        assert run("all", "--model", model_file(doc), *options, "--out", out) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_unreachable_writes_earlier_stages(self, model_file, tmp_path):
+        # one input: Q_t at t = 1e-6 has an eigenvalue ratio near 1e-13, so
+        # (1, 0) is unreachable there; the synthesize stage still writes
+        # its report, after the gramian and verify files
+        out = tmp_path / "out"
+        doc = {"type": "dense", "A": [[-1.0, 1.0], [0.0, -2.0]], "B": [[0.0], [1.0]]}
+        assert run("all", "--model", model_file(doc), "--target", "1,0",
+                   "--t", "1e-6", "--out", out) == 5
+        assert sorted(f.name for f in out.iterdir()) == [
+            "certificate.json", "gramian_inf.csv", "gramian_report.json",
+            "gramian_t.csv", "synthesis_report.json"]
+        report = json.loads((out / "synthesis_report.json").read_text())
+        assert report["V"] == "+inf" and report["V_inf"] != "+inf"
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["verify", "all"])
+    @pytest.mark.parametrize("doc", [SPECTRAL, DENSE_COERCIVE],
+                             ids=["spectral", "dense"])
+    def test_max_solutions_below_one_is_three(self, doc, command, count,
+                                              model_file, tmp_path, capsys):
+        # refused with the other options, also on a model that never
+        # enumerates candidates
+        out = tmp_path / "out"
+        assert run(command, "--model", model_file(doc), "--max-solutions", count,
+                   "--out", out) == 3
+        assert f"--max-solutions must be at least 1, got {count}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_unallocatable_model_is_three(self, tmp_path):
+        # the 5e6 x 5e6 state matrix exceeds the address space, so its
+        # allocation fails at once, touching no memory
+        out = tmp_path / "out"
+        proc = run_process("landau", "--modes", "5000000", "--out", out)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: out of memory")
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("target, code", [("0,0,1", 3), ("a,b", 2)],

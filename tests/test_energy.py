@@ -18,7 +18,6 @@ from minenergy.energy import (
     feedback_residual,
     optimal_control_infinite,
     optimal_trajectory_infinite,
-    sample_signal,
     simulate_mild,
     steering_control_finite,
     time_reversal_check,
@@ -39,6 +38,12 @@ from minenergy.gramian import gramian_finite, h_basis, h_space, t_max
 from minenergy.operators import expm, make_spectral_model
 
 from conftest import random_problem, smooth_signal_values
+
+
+def panel_signal(grid, values):
+    """The control sampled as ``values`` on the panel grid."""
+    return ControlSignal(grid=grid.points, values=values, quad_weights=grid.weights,
+                         panel_nodes=grid.nodes_per_panel)
 
 
 def scalar_q(t, a=1.0, b=1.0):
@@ -161,7 +166,7 @@ class TestSimulateMild:
         p = random_problem(rng, n=3)
         x0 = rng.standard_normal(3)
         grid = default_grid(p, 0.0, 1.0, target_points=64)
-        u = sample_signal(p, grid, lambda r: np.zeros((r.size, 3)))
+        u = panel_signal(grid, np.zeros((grid.points.size, 3)))
         traj = simulate_mild(p, x0, u, 0.0, 1.0)
         for k in (0, len(traj.grid) // 2, -1):
             ref = expm(p.A, traj.grid[k]) @ x0
@@ -169,7 +174,7 @@ class TestSimulateMild:
 
     def test_scalar_homogeneous(self, scalar_problem):
         grid = default_grid(scalar_problem, 0.0, 1.0, target_points=32)
-        u = sample_signal(scalar_problem, grid, lambda r: np.zeros((r.size, 1)))
+        u = panel_signal(grid, np.zeros((grid.points.size, 1)))
         traj = simulate_mild(scalar_problem, [1.0], u, 0.0, 1.0)
         assert_allclose(traj.states[-1, 0], np.exp(-1.0), rtol=1e-12)
 
@@ -189,7 +194,7 @@ class TestSimulateMild:
         c = rng.standard_normal(3)
         a = 0.3
         grid = default_grid(p, -2.0, 0.0, target_points=128)
-        u = sample_signal(p, grid, lambda r: np.exp(a * r)[:, None] * c[None, :])
+        u = panel_signal(grid, np.exp(a * grid.points)[:, None] * c[None, :])
         traj = simulate_mild(p, rng.standard_normal(3), u, -2.0, 0.0)
         for k1, k2 in ((0, len(traj.grid) - 1), (10, 77), (40, 41)):
             r1, r2 = traj.grid[k1], traj.grid[k2]
@@ -202,15 +207,14 @@ class TestSimulateMild:
 
     def test_grid_mismatch(self, scalar_problem):
         grid = default_grid(scalar_problem, -1.0, 0.0, target_points=32)
-        u = sample_signal(scalar_problem, grid, lambda r: np.zeros((r.size, 1)))
+        u = panel_signal(grid, np.zeros((grid.points.size, 1)))
         with pytest.raises(GridMismatch):
             simulate_mild(scalar_problem, [0.0], u, -2.0, 0.0)
 
     def test_covering_window_sliced(self, scalar_problem):
         # simulation over an inner window of a wider control grid
         grid = default_grid(scalar_problem, -4.0, 0.0, target_points=512)
-        u = sample_signal(scalar_problem, grid,
-                          lambda r: np.exp(0.5 * r)[:, None])
+        u = panel_signal(grid, np.exp(0.5 * grid.points)[:, None])
         edge = grid.points[2 * (grid.nodes_per_panel - 1)]
         traj = simulate_mild(scalar_problem, [1.0], u, edge, 0.0)
         assert traj.grid[0] == edge and traj.grid[-1] == 0.0
@@ -223,11 +227,13 @@ class TestSimulateMild:
         # a plain grid, or a window that cuts a Gauss-Lobatto panel, is
         # refused rather than integrated by a lower-order scheme
         plain = np.linspace(0.0, 1.0, 2001)
-        u = sample_signal(scalar_problem, plain, lambda r: np.cos(r)[:, None])
+        wts = np.full(plain.size, plain[1] - plain[0])
+        wts[[0, -1]] /= 2.0
+        u = ControlSignal(grid=plain, values=np.cos(plain)[:, None], quad_weights=wts)
         with pytest.raises(GridMismatch, match="whole Gauss-Lobatto panels"):
             simulate_mild(scalar_problem, [0.0], u, 0.0, 1.0)
         grid = default_grid(scalar_problem, 0.0, 1.0, target_points=64)
-        u = sample_signal(scalar_problem, grid, lambda r: np.cos(r)[:, None])
+        u = panel_signal(grid, np.cos(grid.points)[:, None])
         inner = grid.points[1]
         for s, t in ((inner, 1.0), (0.0, grid.points[-2])):
             with pytest.raises(GridMismatch, match="whole Gauss-Lobatto panels"):
@@ -240,7 +246,7 @@ class TestSimulateMild:
 class TestEnergy:
     def test_zero(self, scalar_problem):
         grid = default_grid(scalar_problem, -1.0, 0.0, target_points=32)
-        u = sample_signal(scalar_problem, grid, lambda r: np.zeros((r.size, 1)))
+        u = panel_signal(grid, np.zeros((grid.points.size, 1)))
         assert energy_of(u) == 0.0
 
     def test_scalar_optimal_energy(self, scalar_problem):
@@ -250,7 +256,7 @@ class TestEnergy:
 
     def test_constant_control(self, scalar_problem):
         grid = default_grid(scalar_problem, -1.0, 0.0, target_points=32)
-        u = sample_signal(scalar_problem, grid, lambda r: np.ones((r.size, 1)))
+        u = panel_signal(grid, np.ones((grid.points.size, 1)))
         assert_allclose(energy_of(u), 0.5, rtol=1e-12)
 
 
@@ -523,7 +529,7 @@ class TestTimeReversal:
         p = random_problem(rng, n=3)
         z = rng.standard_normal(3)
         grid = default_grid(p, -1.5, 0.0, target_points=256)
-        u = sample_signal(p, grid, lambda r: np.zeros((r.size, 3)))
+        u = panel_signal(grid, np.zeros((grid.points.size, 3)))
         disc = time_reversal_check(p, AuxiliaryCost(np.eye(3)), z, u)
         assert disc <= 1e-8
 

@@ -20,7 +20,6 @@ from minenergy.gramian import gramian_infinite
 from minenergy.serialize import model_hash
 from minenergy.operators import (
     Propagator,
-    apply_control_weight,
     exact_diagonal,
     expm,
     make_dense_model,
@@ -204,7 +203,7 @@ class TestExpm:
 
 class TestPseudoInverse:
     def test_rank_one_diagonal(self):
-        pi = pseudo_inverse(np.diag([2.0, 0.0]), 1e-8)
+        pi = pseudo_inverse(np.diag([2.0, 0.0]))
         assert pi.rank == 1
         assert_allclose(pi.inverse_on_range, np.diag([0.5, 0.0]))
 
@@ -227,7 +226,7 @@ class TestPseudoInverse:
             pseudo_inverse(np.diag([1e-320, 2e-320]))
 
     def test_in_range_one_answer_per_row(self):
-        pi = pseudo_inverse(np.diag([2.0, 0.0]), 1e-8)
+        pi = pseudo_inverse(np.diag([2.0, 0.0]))
         stack = np.array([[0.0, 0.0], [3.0, 1e-12], [1.0, 1.0]])
         assert pi.in_range(stack).tolist() == [True, True, False]
         assert [bool(pi.in_range(row)) for row in stack] == [True, True, False]
@@ -273,38 +272,44 @@ class TestExactDiagonal:
         assert not make_dense_model([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]).diagonal
 
 
+def weighted(p, C):
+    """The model of a dense document with p's A and B and the weight C."""
+    return model_from_dict({"type": "dense", "A": p.A.tolist(), "B": p.B.tolist(),
+                            "weight_C": np.asarray(C).tolist()})
+
+
 class TestControlWeight:
     def test_identity_weight_noop(self, spectral_problem):
-        p = apply_control_weight(spectral_problem, np.eye(2))
+        p = weighted(spectral_problem, np.eye(2))
         assert_allclose(p.B, spectral_problem.B, atol=1e-14)
 
     def test_scalar_weight(self):
-        p = apply_control_weight(make_spectral_model([-1.0], [1.0]), [[4.0]])
+        p = weighted(make_spectral_model([-1.0], [1.0]), [[4.0]])
         assert_allclose(p.B, [[0.5]], rtol=1e-14)
 
     def test_componentwise_inverse_sqrt(self, spectral_problem):
-        p = apply_control_weight(spectral_problem, np.diag([4.0, 1.0]))
+        p = weighted(spectral_problem, np.diag([4.0, 1.0]))
         assert_allclose(p.B, np.diag([0.5, 1.0]), rtol=1e-14)
 
     def test_not_coercive(self, spectral_problem):
         with pytest.raises(NotCoercive):
-            apply_control_weight(spectral_problem, np.diag([1.0, 0.0]))
+            weighted(spectral_problem, np.diag([1.0, 0.0]))
         with pytest.raises(NotSymmetric):
-            apply_control_weight(spectral_problem, [[1.0, 0.2], [0.0, 1.0]])
+            weighted(spectral_problem, [[1.0, 0.2], [0.0, 1.0]])
 
     @pytest.mark.parametrize("C", [np.eye(2), np.ones((1, 1, 1))], ids=["2x2", "3d"])
     def test_mis_sized_weight(self, C):
-        # one input: the weight must be 1x1, as in a document's weight_C
+        # one input: the weight must be 1x1
         p = make_dense_model(np.diag([-1.0, -2.0]), [[1.0], [1.0]])
         with pytest.raises(ParseError, match="weight_C must be 1x1"):
-            apply_control_weight(p, C)
+            weighted(p, C)
 
     def test_weighted_gramian_consistency(self, rng):
         # weighting B then solving the Lyapunov equation must match the
         # Lyapunov solve with BB* replaced by B C^{-1} B*
         p = random_problem(rng, n=4)
         C = np.diag([4.0, 1.0, 0.5, 2.0])
-        qw = gramian_infinite(apply_control_weight(p, C)).matrix
+        qw = gramian_infinite(weighted(p, C)).matrix
         rhs = p.B @ np.linalg.inv(C) @ p.B.T
         qref = sla.solve_continuous_lyapunov(p.A, -rhs)
         assert np.linalg.norm(qw - qref) <= 1e-10 * (1 + np.linalg.norm(qref))

@@ -16,7 +16,6 @@ from minenergy.energy import (
 from minenergy.errors import (
     BadParameterError,
     NotCoercive,
-    NotCommutingModel,
     NotReachable,
     NotReachableFromH,
     NotSpectral,
@@ -39,7 +38,6 @@ from minenergy.riccati import (
     _comparison_stage,
     are_residual_H,
     are_residual_X,
-    commuting_residual,
     comparison_check,
     differential_riccati_residual,
     enumerate_commuting_solutions,
@@ -133,24 +131,19 @@ class TestCanonicalSolutions:
 
 class TestCommutingResidual:
     def test_identity(self, spectral_problem):
-        res = commuting_residual(spectral_problem,
-                                 CandidateSolution("H_form", np.eye(2)))
+        res = are_residual_H(spectral_problem, h_space(spectral_problem),
+                             CandidateSolution("H_form", np.eye(2)))
         assert res <= 1e-12
 
     def test_diagonal_projection(self, spectral_problem):
-        res = commuting_residual(spectral_problem,
-                                 CandidateSolution("H_form", np.diag([1.0, 0.0])))
+        res = are_residual_H(spectral_problem, h_space(spectral_problem),
+                             CandidateSolution("H_form", np.diag([1.0, 0.0])))
         assert res <= 1e-12
 
     def test_half_identity_rejected(self, spectral_problem):
-        res = commuting_residual(spectral_problem,
-                                 CandidateSolution("H_form", np.diag([0.5, 0.5])))
+        res = are_residual_H(spectral_problem, h_space(spectral_problem),
+                             CandidateSolution("H_form", np.diag([0.5, 0.5])))
         assert res > 1e-2
-
-    def test_requires_commuting_model(self, rng):
-        p = random_problem(rng, n=3, symmetric=False)
-        with pytest.raises(NotCommutingModel):
-            commuting_residual(p, CandidateSolution("H_form", np.eye(3)))
 
 
 class TestEnumeration:
@@ -166,13 +159,13 @@ class TestEnumeration:
         h = h_space(spectral_problem)
         for s in sols:
             assert are_residual_H(spectral_problem, h, s) <= 1e-10
-            assert commuting_residual(spectral_problem, s) <= 1e-10
 
     def test_repeated_pair_family(self, repeated_problem):
         sols = enumerate_commuting_solutions(repeated_problem)
         assert len(sols) == 4 + 6       # diagonals plus three a-values, both signs
+        h = h_space(repeated_problem)
         for s in sols:
-            assert commuting_residual(repeated_problem, s) <= 1e-10
+            assert are_residual_H(repeated_problem, h, s) <= 1e-10
 
     def test_unequal_weights_on_repeated_block(self):
         # metric-orthonormal family members must be conjugated into
@@ -684,7 +677,6 @@ class TestCandidateStructure:
         for check in (lambda: maximality_check(h, cand),
                       lambda: are_residual_H(p, h, cand),
                       lambda: comparison_check(p, cand, 2.0),
-                      lambda: commuting_residual(p, cand),
                       lambda: are_residual_X(p, CandidateSolution("X_form", [[1.0]]))):
             with pytest.raises(BadParameterError, match="candidate must be 2x2"):
                 check()
@@ -813,7 +805,7 @@ class TestRejectionOfNonSolutions:
             assert comparison_check(p, cand, 2.0).identity_defect > 1e-3
 
     def test_projection_criterion_both_ways(self, rng):
-        # tiny commuting residual implies idempotency and commutation;
+        # tiny metric-form residual implies idempotency and commutation;
         # every commuting projection has tiny residual
         p = make_spectral_model([-1.0, -2.0, -3.0], [1.0, 1.0, 1.0])
         h = h_space(p)
@@ -823,4 +815,4 @@ class TestRejectionOfNonSolutions:
             assert np.linalg.norm(p.A @ m - m @ p.A) <= 1e-8
         for bits in ([1, 0, 1], [0, 1, 0]):
             m = np.diag(np.array(bits, dtype=float))
-            assert commuting_residual(p, CandidateSolution("H_form", m)) <= 1e-10
+            assert are_residual_H(p, h, CandidateSolution("H_form", m)) <= 1e-10
