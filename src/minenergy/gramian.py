@@ -153,6 +153,12 @@ def _gramian_quadrature(p, t):
     and F^s+1 = F F^s.  One Propagator.at call gives the node propagators
     and F, so the cost is 33 propagators and at most 6 log2(P) matrix
     products, not 32 P propagators; a one-panel horizon is Q_D itself.
+
+    The weights w_k are positive, so Q_D = sum_k w_k X_k X_k* over the node
+    products X_k = e^{s_k A} B is the one product Y Y* of the n-by-32m
+    matrix Y = [sqrt(w_1) X_1 ... sqrt(w_32) X_32].  Y* is formed as its 32
+    row blocks sqrt(w_k) X_k*, scaled in place, and numpy evaluates Y Y* as
+    a symmetric rank-k update, so Q_D is exactly symmetric.
     """
     width = min(1.0, 1.0 / p.decay_omega, 4.0 / max(p.spectral_radius, 1e-12))
     ratio = t / width
@@ -164,8 +170,11 @@ def _gramian_quadrature(p, t):
     delta = t / panels
     pts, wts = legendre_panels(0.0, delta, delta)
     props = p.propagator.at(np.append(pts, delta))
-    X, F = props[:-1] @ p.B, props[-1]      # (32, n, m), (n, n)
-    Q = q_panel = np.einsum("t,tim,tjm->ij", wts, X, X)
+    F = props[-1]
+    Yt = p.B.T @ props[:-1].transpose(0, 2, 1)     # (32, m, n): the X_k*
+    Yt *= np.sqrt(wts)[:, None, None]
+    Yt = Yt.reshape(-1, p.n)
+    Q = q_panel = Yt.T @ Yt
     F_s = F
     for bit in bin(panels)[3:]:
         Q = Q + F_s @ Q @ F_s.T

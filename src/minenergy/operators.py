@@ -190,9 +190,10 @@ def make_dense_model(A, B):
     A and B are copied and the model keeps them read-only.  A is factored
     once, into the model's Propagator, and the stability metadata is read
     off its eigenvalues and cond(V).  Raises ParseError for ill-shaped
-    operators, NotStable unless the decay rate -max Re(eig A) is at least
-    the smallest normal float (a subnormal rate overflows the closed-form
-    Q_inf), NotDiagonalizable when A is numerically defective.
+    operators or a BB* that overflows, NotStable unless the decay rate
+    -max Re(eig A) is at least the smallest normal float (a subnormal rate
+    overflows the closed-form Q_inf), NotDiagonalizable when A is
+    numerically defective.
     """
     A, B = _dense_operators(A, B)
     prop = Propagator(read_only(A))
@@ -207,7 +208,10 @@ def make_dense_model(A, B):
             "eigenvector basis is numerically singular; decay envelope "
             "cannot be estimated for a defective operator"
         )
-    bbt = read_only(B @ B.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bbt = read_only(B @ B.T)
+    if not np.isfinite(bbt).all():
+        raise ParseError("control operator's BB* overflows a float")
     commuting, coercive, diagonal = _structure_flags(A, bbt, prop.symmetric)
     return ControlProblem(
         A=A, B=read_only(B), BBt=bbt, n=A.shape[0], m=B.shape[1],
@@ -346,7 +350,8 @@ def pseudo_inverse(Msym):
 
 
 def _weighted_input(B, C):
-    """B C^{-1/2} for a symmetric positive definite m-by-m weight C."""
+    """B C^{-1/2} for a symmetric positive definite m-by-m weight C; a
+    product that overflows is left to the BB* check of make_dense_model."""
     C, m = np.asarray(C, dtype=float), B.shape[1]
     if C.shape != (m, m):
         raise ParseError(f"weight_C must be {m}x{m}, got shape {C.shape}")
@@ -355,7 +360,8 @@ def _weighted_input(B, C):
     w, v = np.linalg.eigh(symmetrize(C))
     if w.min() <= DEFAULT_REL_TOL * max(w.max(), 0.0):
         raise NotCoercive("control weight must be positive definite")
-    return B @ ((v / np.sqrt(w)) @ v.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return B @ ((v / np.sqrt(w)) @ v.T)
 
 
 def _finite_field(doc, key):

@@ -16,6 +16,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import legendre
 
+from .errors import BadParameterError
+
 #: nodes of each Gauss-Lobatto panel, its two edge nodes included
 LOBATTO_NODES = 10
 
@@ -102,13 +104,20 @@ def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048):
     """Build the default sampling grid for signals on [t0, t1].
 
     The panel count is chosen so the panel width respects ``max_panel_width``
-    and the total node count is close to ``target_points``.
+    and the total node count is close to ``target_points``.  Raises
+    BadParameterError, before anything is allocated, when the grid would
+    hold more floats than a numpy array can.
     """
     if t1 <= t0:
         raise ValueError("empty grid interval")
     length = float(t1 - t0)
     q = LOBATTO_NODES
-    panels = max(int(np.ceil(length / max_panel_width)),
+    ratio = length / max_panel_width
+    if not ratio * (q - 1) < np.iinfo(np.intp).max / np.dtype(float).itemsize:
+        raise BadParameterError(
+            f"horizon {length} over panels of width {max_panel_width:.3g} "
+            "overflows the panel count")
+    panels = max(int(np.ceil(ratio)),
                  int(np.ceil(max(target_points - 1, q - 1) / (q - 1))))
     x, w = lobatto_rule(q)
     edges = np.linspace(t0, t1, panels + 1)

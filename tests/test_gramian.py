@@ -21,6 +21,7 @@ from minenergy.gramian import (
     RK4_STEP_NORM,
     _block_coefficients,
     _gramian_matrix_ode,
+    _gramian_quadrature,
     _lyapunov_poly,
     _truncated_power,
     gramian_finite,
@@ -212,13 +213,23 @@ class TestBlockTruncation:
                     coef[0, 0] = 2.0
 
 
-def stacked_quadrature(p, t):
-    """The quadrature as one stacked sum over every node's propagator."""
+def node_propagators(p, t):
+    """Every node's propagator e^{sA} of the composite quadrature on [0, t],
+    from a fresh Propagator, and the node weights."""
     width = min(1.0, 1.0 / p.decay_omega, 4.0 / max(p.spectral_radius, 1e-12))
     pts, wts = legendre_panels(0.0, t, width)
-    prop = Propagator(p.A)
-    X = prop.at(pts) @ p.B                  # (T, n, m)
-    return np.einsum("t,tim,tjm->ij", wts, X, X)
+    return Propagator(p.A).at(pts), wts             # (T, n, n), (T,)
+
+
+def stacked_quadrature(p, t):
+    """The quadrature as one stacked sum Y Y* over every node, with
+    Y = [sqrt(w_1) e^{s_1 A} B ... sqrt(w_T) e^{s_T A} B] formed as the
+    library forms a panel's."""
+    props, wts = node_propagators(p, t)
+    Yt = p.B.T @ props.transpose(0, 2, 1)           # (T, m, n)
+    Yt *= np.sqrt(wts)[:, None, None]
+    Yt = Yt.reshape(-1, p.n)
+    return Yt.T @ Yt
 
 
 def panel_count(p, t):
@@ -277,6 +288,29 @@ class TestQuadraturePanels:
         assert panel_count(p, t) == 1
         ref = symmetrize(stacked_quadrature(p, t))
         assert np.array_equal(gramian_finite(p, t).matrix, ref)
+
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    @pytest.mark.parametrize("kind", ["symmetric", "non-normal", "pade"])
+    def test_one_panel_extended_precision(self, kind, n, rng):
+        # the einsum over long double copies of the same node products and
+        # weights is the oracle; the panel Y Y* is exactly symmetric
+        if kind == "pade":
+            # pade_problem's near-defective block beside a random one keeps
+            # every propagator on the Pade path
+            q, r = pade_problem(), random_problem(rng, n=n - 3)
+            p = make_dense_model(sla.block_diag(q.A, r.A), sla.block_diag(q.B, r.B))
+            assert np.linalg.cond(np.linalg.eig(p.A)[1]) > Propagator._COND_MAX
+        else:
+            p = random_problem(rng, n=n, symmetric=kind == "symmetric")
+        for t in (1e-3, 0.1, 1.0):
+            assert panel_count(p, t) == 1
+            props, wts = node_propagators(p, t)
+            X = (props @ p.B).astype(np.longdouble)
+            ref = np.einsum("t,tim,tjm->ij", wts.astype(np.longdouble), X, X)
+            panel = _gramian_quadrature(p, t)
+            assert np.array_equal(panel, panel.T)
+            err = np.abs(gramian_finite(p, t).matrix - ref).max()
+            assert err <= 1e-14 * np.abs(ref).max()
 
     def test_long_horizon_memory(self, rng):
         # The stacked sum holds 3,040 propagators here, about 50 MB.

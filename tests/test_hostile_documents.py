@@ -8,6 +8,7 @@ step towards a fuzz test over model documents and options.
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -43,6 +44,10 @@ HOSTILE = {
                               "b_diag": [1.0, 1.0]}, 2),
     "huge_weights": ({"type": "spectral", "lambdas": [-1.0, -2.0],
                       "b_diag": [1e308, 1e308]}, 2),
+    "tiny_decay": ({"type": "dense", "A": [[-1e-300]], "B": [[1.0]]}, 1),
+    "bbt_overflow": ({"type": "dense", "A": [[-1e300]], "B": [[1e300]]}, 1),
+    "weighted_b_overflow": ({"type": "dense", "A": [[-1.0]], "B": [[1e200]],
+                             "weight_C": [[1e-300]]}, 1),
 }
 
 #: non-finite --target values for the two-mode documents
@@ -79,11 +84,31 @@ def test_documented_exit_and_no_file_after_refusal(doc, n, tmp_path):
             assert not (tmp_path / name).exists(), name
 
 
-@pytest.mark.parametrize("name", ["bool_entries", "numeric_string_entries"])
+# a BB* that overflows a float, weighted or not, is the document's fault too
+@pytest.mark.parametrize("name", ["bool_entries", "numeric_string_entries",
+                                  "bbt_overflow", "weighted_b_overflow"])
 def test_non_number_entries_are_parse_errors(name, tmp_path):
     doc, n = HOSTILE[name]
     assert run_all(doc, n, tmp_path) == dict.fromkeys(COMMANDS, 2)
     assert not any(path.is_dir() for path in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["synthesize", "all"])
+def test_unsampled_horizon_is_bad_parameter(command, tmp_path, capsys):
+    # decay rate 1e-300: the steering horizon is about 2.8e301, and a numpy
+    # array cannot hold its signal grid; nothing large is allocated
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(HOSTILE["tiny_decay"][0]))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([command, "--model", str(path), "--target", "1", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: horizon 2.76")
+    assert peak < 1e7 and not out.exists()
 
 
 @pytest.mark.parametrize("target", list(HOSTILE_TARGETS.values()),

@@ -1,8 +1,11 @@
 """Gauss-Lobatto rules and the panel grids built from them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from minenergy.errors import BadParameterError
 from minenergy.quadrature import (
     LOBATTO_NODES,
     lobatto_prefix_weights,
@@ -63,6 +66,20 @@ def test_panel_grid_matches_per_panel_construction():
 def test_panel_grid_refuses_empty_interval():
     with pytest.raises(ValueError):
         panel_grid(0.0, 0.0)
+
+
+@pytest.mark.parametrize("t0", [-1e18, -1e301, -np.inf])
+def test_panel_grid_refuses_overflowing_panel_count(t0):
+    # a numpy array cannot hold the points of 1e18 unit panels; the grid is
+    # refused before any array is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameterError, match="overflows the panel count"):
+            panel_grid(t0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
 
 
 def test_lobatto_rules_built_once_and_read_only():
