@@ -61,6 +61,7 @@ from .operators import (
 )
 from .riccati import (
     CandidateSolution,
+    ComparisonReport,
     SolutionReport,
     are_residual_H,
     are_residual_X,

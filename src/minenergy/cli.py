@@ -139,10 +139,13 @@ def cmd_gramian(args, problem):
 
 
 def _certificate(args, problem):
-    """The whole ``verify`` certificate and whether it passes.  It refuses
-    in this order: a comparison on a model that is not coercive and
-    diagonal, too many candidates, a reachability space that is not full
-    rank, and any numerical refusal of a candidate's report."""
+    """The whole ``verify`` certificate and whether it passes.  Every
+    candidate's residual and maximality gap come from ``are_residual_H``
+    and ``maximality_check``; with ``--comparison`` its margin and
+    identity defect come from ``comparison_check``.  It refuses in this
+    order: a comparison on a model that is not coercive and diagonal, too
+    many candidates, a reachability space that is not full rank, and any
+    numerical refusal of a candidate's comparison."""
     if args.comparison:
         if not problem.coercive:
             raise NotCoercive("comparison certificates need a coercive BB*")
@@ -169,15 +172,13 @@ def _certificate(args, problem):
     t = 2.0 if args.t is None else args.t
     samples = 50 if args.samples is None else args.samples
     for cand in candidates:
+        residual, gap = are_residual_H(problem, h, cand), maximality_check(h, cand)
+        margin = defect = None
         if args.comparison:
             rep = comparison_check(problem, cand, t, samples=samples,
                                    seed=args.seed)
-            residual, gap = rep.residual_norm, rep.maximality_gap
             margin, defect = rep.comparison_margin, rep.identity_defect
             ok = ok and margin >= -1e-8
-        else:
-            residual = are_residual_H(problem, h, cand)
-            gap, margin, defect = maximality_check(h, cand), None, None
         certificate["solutions"].append({
             "matrix": cand.matrix.tolist(),
             "residual": residual,

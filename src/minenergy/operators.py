@@ -97,7 +97,6 @@ class ControlProblem:
     decay_omega: float
     spectral_radius: float
     propagator: "Propagator" = field(compare=False, repr=False)
-    commuting: bool = False
     coercive: bool = False
     diagonal: bool = False
 
@@ -151,23 +150,17 @@ class PseudoInverse:
         return np.linalg.norm(off, axis=-1) <= tol * np.linalg.norm(x, axis=-1)
 
 
-def _structure_flags(A, bbt, symmetric):
-    """The commuting, coercive and diagonal flags of a model, from A, BB*
-    and whether A is symmetric; diagonal is exact: A and BB* have no
-    nonzero off their diagonals.  The two norm tests read BB* scaled by
-    2**-e, with e from ``huge_exponent``, and the 1 of each test as 2**-e."""
+def _structure_flags(A, bbt):
+    """The coercive and diagonal flags of a model, from A and BB*; diagonal
+    is exact: A and BB* have no nonzero off their diagonals.  The coercive
+    test reads BB* scaled by 2**-e, with e from ``huge_exponent``, and the
+    1 in its floor max(largest eigenvalue, 1) as 2**-e."""
     e = huge_exponent(bbt)
     s = np.ldexp(bbt, -e) if e else bbt
-    unit = 2.0 ** -e
-    scale = np.linalg.norm(A, "fro") * np.linalg.norm(s, "fro")
-    commuting = (
-        symmetric
-        and np.linalg.norm(A @ s - s @ A, "fro") <= 1e-10 * (unit + scale)
-    )
     eigs = np.linalg.eigvalsh(symmetrize(s))
-    coercive = bool(eigs.min() > DEFAULT_REL_TOL * max(eigs.max(), unit))
+    coercive = bool(eigs.min() > DEFAULT_REL_TOL * max(eigs.max(), 2.0 ** -e))
     diagonal = all(exact_diagonal(m) is not None for m in (A, bbt))
-    return bool(commuting), coercive, diagonal
+    return coercive, diagonal
 
 
 def _dense_operators(A, B):
@@ -212,13 +205,12 @@ def make_dense_model(A, B):
         bbt = read_only(B @ B.T)
     if not np.isfinite(bbt).all():
         raise ParseError("control operator's BB* overflows a float")
-    commuting, coercive, diagonal = _structure_flags(A, bbt, prop.symmetric)
+    coercive, diagonal = _structure_flags(A, bbt)
     return ControlProblem(
         A=A, B=read_only(B), BBt=bbt, n=A.shape[0], m=B.shape[1],
         spectral_abscissa=abscissa, bound_M=max(1.0, prop.cond),
         decay_omega=-abscissa, spectral_radius=float(np.max(np.abs(prop.w))),
-        propagator=prop, commuting=commuting, coercive=coercive,
-        diagonal=diagonal,
+        propagator=prop, coercive=coercive, diagonal=diagonal,
     )
 
 
@@ -261,10 +253,9 @@ class Propagator:
 
     Factors A once, into read-only arrays: a symmetric A by ``eigh``, whose
     orthonormal basis has ``cond`` 1, any other by ``eig``, with ``cond``
-    the condition number of its eigenvector basis V; ``symmetric`` records
-    which.  Above a ``cond`` of 1e6 it falls back to per-value Pade
-    exponentials.  ``adjoint()`` and ``reversed()`` give the flows of A*
-    and -A from the same factors.
+    the condition number of its eigenvector basis V.  Above a ``cond`` of
+    1e6 it falls back to per-value Pade exponentials.  ``adjoint()`` and
+    ``reversed()`` give the flows of A* and -A from the same factors.
     """
 
     _COND_MAX = 1e6
@@ -272,8 +263,7 @@ class Propagator:
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
         self.A, self.n = A, A.shape[0]
-        self.symmetric = is_symmetric(A, 1e-12)
-        if self.symmetric:
+        if is_symmetric(A, 1e-12):
             w, v = np.linalg.eigh(symmetrize(A))
             vinv, self.cond = v.T, 1.0
         else:

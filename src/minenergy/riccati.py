@@ -71,11 +71,20 @@ class CandidateSolution:
 
 @dataclass(frozen=True)
 class SolutionReport:
+    """A candidate's Riccati residual, and whether it is at most
+    ``SOLUTION_RESIDUAL_TOL``."""
+
     residual_norm: float
     is_solution: bool
-    maximality_gap: float | None = None
-    comparison_margin: float | None = None
-    identity_defect: float | None = None
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """The comparison chain of a candidate: its worst sampled margin and
+    its identity defect; see ``comparison_check``."""
+
+    comparison_margin: float
+    identity_defect: float
 
 
 def _require_form(cand, form, n):
@@ -288,13 +297,14 @@ def _per_mode_comparison(m, d):
 def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
                      gramian=None):
     """Sampled certificate of the comparison chain
-    half <P x, x>_H <= V^P(t, x) <= V(t, x) for a verified solution.
+    half <P x, x>_H <= V^P(t, x) <= V(t, x) of a candidate P.
 
     Requires a coercive BB* (so the chain holds from horizon t on, with
     no controllability waiting time) and at least one sample.  The
     returned report carries the worst sampled margin of the chain and the
     identity defect max |V^P - half <P x, x>_H| / max(1, half <P x, x>_H),
-    which vanishes for a solution.
+    which vanishes for a solution.  Whether P solves the equation and
+    lies below the identity is the caller's to check.
 
     The samples, their membership checks, V(t, x) and the penalty-free
     stage of V^P are the same for every candidate; they are computed once
@@ -303,11 +313,10 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
     own part.  On a diagonal model a candidate with no off-diagonal
     nonzero has A, BB*, Q_t, Q_inf, e^{tA} and P all diagonal, so its
     V^P is computed mode by mode from the stage's per-mode arrays; every
-    other candidate takes the reduced solve ``auxiliary_minimum``.  Both
-    take the residual and gap from ``are_residual_H`` and
-    ``maximality_check``.  ``hspace`` and ``gramian`` may be given, but
-    only as the model's own ``h_space(p)`` and ``gramian_finite(p, t)``
-    (the same objects); anything else raises BadParameterError.
+    other candidate takes the reduced solve ``auxiliary_minimum``.
+    ``hspace`` and ``gramian`` may be given, but only as the model's own
+    ``h_space(p)`` and ``gramian_finite(p, t)`` (the same objects);
+    anything else raises BadParameterError.
     """
     _require_form(P, "H_form", p.n)
     if samples < 1:
@@ -327,17 +336,10 @@ def comparison_check(p, P, t, samples=50, seed=DEFAULT_SEED, hspace=None,
         form = AuxiliaryCost(P.matrix).form_matrix(h)
         lhs = 0.5 * np.sum((xs @ form) * xs, axis=1)
         v_aux = auxiliary_minimum(stage.flow, form).value
-    residual, gap = are_residual_H(p, h, P), maximality_check(h, P)
     excess = v_aux - lhs
     margin = min(excess.min(), (stage.v_finite - v_aux).min())
     defect = (np.abs(excess) / np.maximum(1.0, lhs)).max()
-    return SolutionReport(
-        residual_norm=residual,
-        is_solution=residual <= SOLUTION_RESIDUAL_TOL,
-        maximality_gap=gap,
-        comparison_margin=float(margin),
-        identity_defect=float(defect),
-    )
+    return ComparisonReport(float(margin), float(defect))
 
 
 def differential_riccati_residual(p, t, step_h, x, y):

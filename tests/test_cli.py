@@ -201,6 +201,28 @@ class TestVerifyCommand:
             assert np.count_nonzero(mat[1]) == np.count_nonzero(mat[:, 1]) == 0
             assert mat[0, 2] != 0.0
 
+    def test_residual_and_gap_same_with_and_without_comparison(self, model_file,
+                                                                 tmp_path):
+        # the 8 diagonal candidates take the per-mode comparison route and
+        # the 6 rotated family members the reduced solve; either way each
+        # entry's residual and gap are the library's own figures
+        path = model_file(DENSE_DIAGONAL_PAIR)
+        p = load_model(path)
+        h = gramian.h_space(p)
+        cands = riccati.enumerate_commuting_solutions(p)
+        certs = []
+        for flags in ([], ["--comparison"]):
+            out = tmp_path / ("comparison" if flags else "plain")
+            assert run("verify", "--model", path, *flags, "--out", out) == 0
+            certs.append(json.loads((out / "certificate.json").read_text()))
+        plain, compared = (c["solutions"] for c in certs)
+        assert len(plain) == len(compared) == len(cands) == 14
+        for a, b, cand in zip(plain, compared, cands):
+            assert a["matrix"] == b["matrix"] == cand.matrix.tolist()
+            assert a["residual"] == b["residual"] == riccati.are_residual_H(p, h, cand)
+            assert (a["maximality_gap"] == b["maximality_gap"]
+                    == riccati.maximality_check(h, cand))
+
     def test_dense_diagonal_candidate_count_guarded(self, model_file, tmp_path,
                                                     capsys):
         doc = {"type": "dense", "A": np.diag(-np.arange(1.0, 14.0)).tolist(),

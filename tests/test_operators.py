@@ -82,21 +82,19 @@ class TestMakeDenseModel:
         assert p.bound_M == cond > Propagator._COND_MAX
         assert p.propagator.cond == cond
 
-    def test_commuting_flag_dense(self, rng):
-        # same orthogonal eigenbasis for A and BB* => commuting
+    def test_coercive_flag_dense(self, rng):
+        # A and BB* share an orthogonal eigenbasis, BB* positive definite
         v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         A = (v * [-1.0, -2.0, -3.0]) @ v.T
         B = (v * np.sqrt([1.0, 2.0, 0.5])) @ v.T
         p = make_dense_model(A, B)
-        assert p.commuting and p.coercive
-        q = random_problem(rng, n=4, symmetric=False)
-        assert not q.commuting
+        assert p.coercive
 
     def test_diagonal_flag_from_operators(self, rng):
         # read off A and BB*, whatever built the model
         assert make_spectral_model([-1.0, -2.0], [1.0, 3.0]).diagonal
         p = make_dense_model(np.diag([-2.0, -1.0]), [[0.0, 1.0], [2.0, 0.0]])
-        assert p.diagonal and p.commuting and p.coercive
+        assert p.diagonal and p.coercive
         assert model_from_dict({"type": "spectral", "lambdas": [-1.0, -2.0],
                                 "b_diag": [1.0, 1.0],
                                 "weight_C": [[2.0, 0.0], [0.0, 1.0]]}).diagonal
@@ -114,7 +112,6 @@ class TestMakeSpectralModel:
         assert_allclose(p.B, [[1.0]])
 
     def test_flags(self, spectral_problem):
-        assert spectral_problem.commuting
         assert spectral_problem.coercive
 
     def test_repeated_eigenvalues(self, repeated_problem):
@@ -323,7 +320,7 @@ class TestIngestion:
     def test_spectral_document(self):
         p = model_from_dict(
             {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1.0, 1.0]})
-        assert p.commuting
+        assert p.n == p.m == 2 and p.diagonal
 
     def test_weighted_document(self):
         p = model_from_dict(

@@ -195,10 +195,11 @@ class TestEnumeration:
         for s in sols[8:]:
             assert np.count_nonzero(s.matrix[1]) == np.count_nonzero(s.matrix[:, 1]) == 0
             assert s.matrix[0, 2] != 0.0
+        h = h_space(p)
         for s in sols:
+            assert are_residual_H(p, h, s) <= 1e-9
+            assert maximality_check(h, s) >= -1e-10
             rep = comparison_check(p, s, 2.0)
-            assert rep.is_solution
-            assert rep.maximality_gap >= -1e-10
             assert rep.comparison_margin >= -1e-8
             assert rep.identity_defect <= 1e-9
 
@@ -328,12 +329,12 @@ class TestComparison:
         assert_allclose(lhs, 1.0, rtol=1e-12)
 
     def test_spectral_projection_margin(self, spectral_problem):
-        rep = comparison_check(spectral_problem,
-                               CandidateSolution("H_form", np.diag([1.0, 0.0])),
-                               2.0, samples=50)
-        assert rep.is_solution
+        h = h_space(spectral_problem)
+        cand = CandidateSolution("H_form", np.diag([1.0, 0.0]))
+        rep = comparison_check(spectral_problem, cand, 2.0, samples=50)
+        assert are_residual_H(spectral_problem, h, cand) <= 1e-9
         assert rep.comparison_margin >= -1e-8
-        assert rep.maximality_gap >= -1e-10
+        assert maximality_check(h, cand) >= -1e-10
 
     def test_not_coercive(self):
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
@@ -520,12 +521,13 @@ class TestPerModeRoute:
         cands = enumerate_commuting_solutions(p)[:2 ** p.n]     # the diagonal ones
         # not a solution, so that its margin and defect are far from zero
         cands.append(CandidateSolution("H_form", np.diag(np.linspace(0.2, 0.9, p.n))))
+        h = h_space(p)
         for cand in cands:
             rep = comparison_check(p, cand, 2.0, samples=20)
             margin, residual, gap, defect = reduced_solve_report(p, cand, 2.0, 20)
             assert abs(rep.comparison_margin - margin) <= 1e-12
-            assert abs(rep.residual_norm - residual) <= 1e-12
-            assert abs(rep.maximality_gap - gap) <= 1e-12
+            assert abs(are_residual_H(p, h, cand) - residual) <= 1e-12
+            assert abs(maximality_check(h, cand) - gap) <= 1e-12
             assert abs(rep.identity_defect - defect) <= 1e-12
 
     def test_negative_entry_refused_on_both_routes(self):
