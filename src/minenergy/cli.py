@@ -61,7 +61,6 @@ from .serialize import (
     model_hash,
     profile_csv,
     trajectory_csv,
-    write_files,
     write_report,
 )
 
@@ -202,10 +201,8 @@ def _synthesis(args, problem):
     """Values, optimal control and arrival path for one target, computed.
     Returns their writer and the UnreachableError that stopped the stage,
     or None; the writer of a stopped stage writes the report alone, with
-    the values found before the error.  The two CSV files are written by
-    one ``write_files`` call: on two CPUs a forked child writes
-    ``control.csv`` while this process writes ``trajectory.csv``, and the
-    bytes are those of writing both here."""
+    the values found before the error.  The writer writes
+    ``control.csv``, then ``trajectory.csv``, then the report."""
     x = _parse_target(args.target, problem.n)
     x_norm = np.linalg.norm(x)
     _refuse_overflow(args.target, x_norm)
@@ -240,8 +237,8 @@ def _synthesis(args, problem):
         return lambda out: write_report(out / "synthesis_report.json", report), exc
 
     def write(out):
-        write_files([(control_csv, out / "control.csv", u),
-                     (trajectory_csv, out / "trajectory.csv", traj)])
+        control_csv(out / "control.csv", u)
+        trajectory_csv(out / "trajectory.csv", traj)
         write_report(out / "synthesis_report.json", report)
     return write, None
 

@@ -1,14 +1,14 @@
 """Deterministic CSV and JSON emission for reports and plot data.
 
-CSV cells carry up to 17 significant digits (value round-trips exactly);
-JSON reports are key-sorted with no timestamps, so identical inputs and
-seeds produce byte-identical files.
+Each CSV cell is exactly ``repr(float)``: the shortest decimal that
+round-trips the double.  JSON reports are key-sorted with no timestamps, so
+identical inputs and seeds produce byte-identical files.
 """
 
 import csv
 import hashlib
+import io
 import json
-import os
 
 import numpy as np
 
@@ -45,16 +45,89 @@ def model_hash(problem):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: rows formatted by one ``orjson.dumps`` call: the formatted body is never
+#: held whole
+BLOCK_ROWS = 64
+
+_COMMA, _OPEN, _CLOSE, _MINUS, _DOT, _ZERO, _NINE = b",[]-.09"
+
+#: ``repr`` of a non-finite cell (nan, inf, -inf), padded with NUL, the
+#: byte that marks one to drop
+_NONFINITE = np.frombuffer(b"nan\0inf\0-inf", np.uint8).reshape(3, 4)
+
+
+def _repr_bytes(block, text):
+    """Rewrite ``text``, the bytes of ``orjson.dumps(block)``, to what
+    ``repr`` writes: cells joined by commas, each row ending in CRLF.
+    orjson's digits are ``repr``'s, the shortest that round-trip; only the
+    spelling differs, in the four ways the comments below name.  Every
+    position is found in ``text``; bytes are then overwritten in place,
+    those to drop set to NUL, and the new ones added by one ``np.insert``.
+    """
+    raw = np.frombuffer(text, np.uint8)
+    out = raw.copy()
+    # the bytes above "9": "]" ends a row, "e" starts an exponent, "n" a
+    # null, and "[" and "ull" are passed over
+    marks = np.flatnonzero(raw > _NINE)
+    kind = raw[marks]
+    # "[[" opens the block, "]]" closes it and "],[" joins two rows
+    rows = marks[kind == _CLOSE][:-1]
+    out[:2] = 0
+    out[rows], out[rows + 1] = ord("\r"), ord("\n")
+    out[rows[:-1] + 2] = 0
+
+    # "null" is a non-finite cell, in row-major order
+    bad = block[~np.isfinite(block)]
+    nulls = marks[kind == ord("n")]
+    out[nulls[:, None] + np.arange(4)] = _NONFINITE[
+        np.where(np.isnan(bad), 0, np.where(bad > 0, 1, 2))]
+
+    # "1e16" becomes "1e+16", and "1e-6" becomes "1e-06"
+    exps = marks[kind == ord("e")]
+    negative = raw[exps + 1] == _MINUS
+    signed = exps[~negative] + 1
+    padded = exps[negative]
+    after = raw[padded + 3]
+    padded = padded[(after == _COMMA) | (after == _CLOSE)] + 2
+
+    # "0.0000" opening a cell's digits (after "[", "," or "-") marks the
+    # decade [1e-5, 1e-4): "0.00001234" becomes "1.234e-05", and "0.00001"
+    # becomes "1e-05"; a cell ends before "," or "]"
+    dots = np.flatnonzero(raw == _DOT)
+    dots = dots[(raw[dots - 1] == _ZERO) & (raw[dots + 1] == _ZERO)]
+    lead = raw[dots - 2]
+    dots = dots[((lead == _COMMA) | (lead == _OPEN) | (lead == _MINUS))
+                & (raw[dots + 2] == _ZERO)]
+    dots = dots[(raw[dots + 3] == _ZERO) & (raw[dots + 4] == _ZERO)]
+    ends = (np.flatnonzero((raw == _COMMA) | (raw == _CLOSE))
+            if dots.size else dots)
+    tails = ends[np.searchsorted(ends, dots)]
+    out[dots[:, None] + np.arange(-1, 5)] = 0
+    fraction = dots[tails > dots + 6] + 6
+
+    pos = np.concatenate([signed, padded, fraction, np.repeat(tails, 4)])
+    new = np.concatenate([np.full(signed.size, ord("+"), np.uint8),
+                          np.full(padded.size, _ZERO, np.uint8),
+                          np.full(fraction.size, _DOT, np.uint8),
+                          np.tile(np.frombuffer(b"e-05", np.uint8), tails.size)])
+    return np.insert(out, pos, new).tobytes().replace(b"\0", b"")
+
+
 def _write_rows(path, header, rows):
-    """Header through csv.writer, body in bulk.  csv.writer never quotes a
-    float repr, so comma-joined fmt cells ending in CRLF are the bytes it
-    would write.  Rows become Python floats one at a time, so the body is
-    never held as one list of lists."""
-    body = np.asarray(rows, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(",".join(map(repr, row)) + "\r\n"
-                      for row in map(np.ndarray.tolist, body))
+    """Header through csv.writer, body through orjson in blocks of
+    BLOCK_ROWS rows, each rewritten by ``_repr_bytes``.  csv.writer never
+    quotes a float repr, so these are the bytes that csv.writer with fmt
+    cells would write."""
+    import orjson  # CSV bodies only: kept off the import path
+    body = np.ascontiguousarray(rows, dtype=float)
+    head = io.StringIO(newline="")
+    csv.writer(head).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode("utf-8"))
+        for i in range(0, len(body), BLOCK_ROWS):
+            block = body[i:i + BLOCK_ROWS]
+            fh.write(_repr_bytes(block, orjson.dumps(
+                block, option=orjson.OPT_SERIALIZE_NUMPY)))
 
 
 def matrix_csv(path, matrix):
@@ -81,52 +154,3 @@ def profile_csv(path, xi, profiles, times):
     header = ["xi"] + [f"r={fmt(t)}" for t in times]
     rows = np.column_stack([xi, profiles.T])
     _write_rows(path, header, rows)
-
-
-def _write_and_exit(write, path, args):
-    """The forked child's whole life: write one file, then leave by
-    ``os._exit`` (no atexit handler, no flush of inherited buffers), with
-    status 0 on success and 1 on any exception, which is not printed."""
-    status = 1
-    try:
-        write(path, *args)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def write_files(jobs):
-    """Run each job ``(write, path, *args)`` as ``write(path, *args)``.
-
-    Formatting floats with ``repr`` is nearly all the cost of a large CSV
-    and holds the interpreter lock, so only a second process overlaps two
-    files.  Where ``os.fork`` exists and ``os.sched_getaffinity(0)`` reports
-    at least two CPUs, every job but the last runs in a forked child, which
-    writes its file and leaves by ``os._exit``: status 0 on success, 1 on
-    any exception, printing nothing.  Such a job must call no BLAS routine
-    and take no lock that another thread could hold at the fork; the CSV
-    writers above do neither.  The parent writes the last file itself and
-    waits for every child, also when its own write raises; it raises
-    ``OSError`` naming the file of a child that did not exit 0.  Elsewhere
-    the jobs run in order in this process.  The files hold the same bytes
-    either way.
-    """
-    jobs = list(jobs)
-    children = []
-    try:
-        if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and len(os.sched_getaffinity(0)) >= 2):
-            for write, path, *args in jobs[:-1]:
-                pid = os.fork()
-                if pid == 0:
-                    _write_and_exit(write, path, args)
-                children.append((pid, path))
-            jobs = jobs[-1:]
-        for write, path, *args in jobs:
-            write(path, *args)
-    finally:
-        statuses = [(path, os.waitpid(pid, 0)[1]) for pid, path in children]
-    for path, status in statuses:
-        if status:
-            raise OSError(f"could not write {path}: its writer process exited "
-                          f"with {os.waitstatus_to_exitcode(status)}")

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -76,30 +74,3 @@ def repeated_problem():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0x5EED)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """A list that grows by one entry per ``os.fork`` call of the code
-    under test (the entry is made in the forking process).  Tests that use
-    it are skipped where ``os.fork`` does not exist."""
-    if not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    calls = []
-    real_fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Call with k to make ``os.sched_getaffinity`` report k CPUs."""
-    def report(count):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(count)), raising=False)
-    return report

@@ -1,5 +1,6 @@
 """scipy stays off the import path and out of every command on a diagonal
-model, and no command loads a process pool.
+model, orjson is loaded only to write a CSV file, and no command loads a
+process pool.
 
 pytest itself imports scipy (the ``filterwarnings`` setting names
 ``scipy.linalg.LinAlgWarning``), so each check runs in a fresh interpreter.
@@ -18,7 +19,7 @@ import minenergy
 SRC = str(Path(minenergy.__file__).resolve().parents[1])
 
 #: modules whose loading the probe reports
-WATCHED = ("scipy", "multiprocessing", "concurrent.futures")
+WATCHED = ("scipy", "orjson", "multiprocessing", "concurrent.futures")
 
 #: imports the command line, runs main on its arguments if any, and prints
 #: which of WATCHED were loaded
@@ -113,7 +114,15 @@ def test_dense_command_imports_scipy(models):
 
 
 def test_synthesize_loads_no_process_pool(models):
-    # the CSV writer forks with os alone; on a dense model scipy.linalg
-    # itself imports concurrent.futures, so only a spectral run can tell
-    assert not loaded(models, "synthesize", "--model", "spectral.json",
-                      "--target", "1,0,0,0,0,0,0,0", "--out", "out")
+    # on a dense model scipy.linalg itself imports concurrent.futures, so
+    # only a spectral run can tell; orjson formats the CSV bodies
+    assert loaded(models, "synthesize", "--model", "spectral.json",
+                  "--target", "1,0,0,0,0,0,0,0", "--out", "out") == {"orjson"}
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify", "--model", "spectral.json", "--out", "out"],
+], ids=["import", "verify"])
+def test_orjson_loaded_only_to_write_csv(argv, models):
+    assert "orjson" not in loaded(models, *argv)

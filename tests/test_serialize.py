@@ -1,14 +1,40 @@
 import csv
 import json
 import math
-import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from minenergy.serialize import _write_rows, fmt, write_files, write_report
+from minenergy.serialize import BLOCK_ROWS, _write_rows, fmt, write_report
 
-SPECIAL = [0.0, -0.0, 5e-324, 1e-320, 1e16, 1e22, np.nan, np.inf, -np.inf]
+SPECIAL = [0.0, -0.0, 5e-324, 1e-320, 1e16, 1e22, np.nan, np.inf, -np.inf,
+           # either side of the decade [1e-5, 1e-4), its negative, and
+           # one-digit negative exponents
+           np.nextafter(1e-4, 0), 1e-5, np.nextafter(1e-5, 0), -1.5e-5,
+           1e-7, 1.5e-9,
+           # either side of the switch to a positive exponent, the largest
+           # double, and "0.0000" inside a number
+           np.nextafter(1e16, 0), 1.7976931348623157e308, 5543760.000057232]
+
+
+@st.composite
+def any_doubles(draw):
+    """A float64 array of 1 or 33 columns and up to more than two blocks
+    of rows.  Every cell is a random bit pattern from a drawn seed
+    (subnormals, both zeros, nan payloads and both infinities included),
+    and drawn cells are then set to drawn floats and SPECIAL values."""
+    rows = draw(st.integers(0, 3 * BLOCK_ROWS))
+    cols = draw(st.sampled_from([1, 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = rng.integers(0, 2 ** 64, rows * cols, dtype=np.uint64)
+    cells = bits.view(np.float64)
+    if cells.size:
+        value = st.floats() | st.sampled_from(SPECIAL)
+        for i, x in draw(st.lists(st.tuples(st.integers(0, cells.size - 1), value))):
+            cells[i] = x
+    return cells.reshape(rows, cols)
 
 
 def csv_writer_rows(path, header, rows):
@@ -47,6 +73,11 @@ class TestWriteRows:
 
     def test_no_rows(self, tmp_path):
         assert_same_bytes(tmp_path, np.empty((0, 3)))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(any_doubles())
+    def test_any_doubles_over_blocks(self, tmp_path, rows):
+        assert_same_bytes(tmp_path, rows)
 
 
 def plain_walk(obj):
@@ -113,53 +144,3 @@ class TestWriteReport:
     def test_unknown_type_refused(self, tmp_path):
         with pytest.raises(TypeError):
             write_report(tmp_path / "r.json", {"z": np.complex128(1j)})
-
-
-def write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def fail(path):
-    raise ValueError(f"cannot write {path}")
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestWriteFiles:
-    """Every job but the last runs in a forked child on two CPUs, all of
-    them in order in this process on one; a child never outlives the call."""
-
-    @pytest.mark.parametrize("count, expected_forks", [(2, 2), (1, 0)])
-    def test_all_but_last_job_forked(self, count, expected_forks, tmp_path,
-                                     cpus, forks):
-        cpus(count)
-        names = ["a.txt", "b.txt", "c.txt"]
-        write_files([(write_text, tmp_path / name, name * 3) for name in names])
-        assert len(forks) == expected_forks
-        for name in names:
-            assert (tmp_path / name).read_text() == name * 3
-        assert_no_child_left()
-
-    def test_child_failure_names_its_file_and_prints_nothing(self, tmp_path,
-                                                             cpus, forks, capfd):
-        cpus(2)
-        with pytest.raises(OSError, match="first.csv"):
-            write_files([(fail, tmp_path / "first.csv"),
-                         (write_text, tmp_path / "last.csv", "x")])
-        assert len(forks) == 1
-        assert (tmp_path / "last.csv").read_text() == "x"
-        assert capfd.readouterr() == ("", "")
-        assert_no_child_left()
-
-    def test_parent_failure_raises_after_the_children(self, tmp_path, cpus, forks):
-        cpus(2)
-        with pytest.raises(ValueError, match="last.csv"):
-            write_files([(write_text, tmp_path / "first.csv", "x"),
-                         (fail, tmp_path / "last.csv")])
-        assert len(forks) == 1
-        assert (tmp_path / "first.csv").read_text() == "x"
-        assert_no_child_left()
