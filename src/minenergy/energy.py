@@ -100,9 +100,11 @@ class AuxiliaryValue(NamedTuple):
 
 
 def default_grid(p, t0, t1=0.0, target_points=2048):
-    """Quadrature grid on [t0, t1] adapted to the model's time scales."""
+    """Quadrature grid on [t0, t1] adapted to the model's time scales, for
+    signals of up to max(n, m) floats per point."""
     width = min(1.0, 1.0 / p.decay_omega, 1.0 / max(p.spectral_radius, 1e-12))
-    return panel_grid(t0, t1, max_panel_width=width, target_points=target_points)
+    return panel_grid(t0, t1, max_panel_width=width, target_points=target_points,
+                      columns=max(p.n, p.m))
 
 
 def _grid_arrays(grid):

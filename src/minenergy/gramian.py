@@ -8,7 +8,7 @@ Gramian stands for it, and its metric is read from Q's eigenpairs.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb
 from typing import NamedTuple
 
@@ -39,9 +39,9 @@ RK4_STEP_NORM = 1e-2
 #: RK4 steps evaluated per pair of matrix products by the matrix-ODE route
 RK4_BLOCK = 128
 
-#: most RK4 steps the matrix-ODE route takes: over 100 times the 176,157
-#: steps of acceptance criterion 1's stiffest case; a longer horizon is
-#: refused
+#: most RK4 steps the matrix-ODE route takes, a whole number of blocks:
+#: over 100 times the 176,256 steps of acceptance criterion 1's stiffest
+#: case; a longer horizon is refused
 RK4_MAX_STEPS = 2 ** 25
 
 #: stability polynomial R(z) of one classical RK4 step, lowest degree first
@@ -52,46 +52,43 @@ RK4_STEP = np.array([1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0])
 RK4_TAIL_TOL = 2.0 ** -53 / 100.0
 
 
-@lru_cache(maxsize=RK4_BLOCK)
-def _truncated_power(m):
-    """Leading coefficients of R^m, lowest degree first, whose dropped tail
-    is negligible; memoized, as a read-only copy, so that the memo does not
-    keep all 4m + 1 coefficients of R^m alive.
+def _truncated_block_power():
+    """Leading coefficients of R^m, m = RK4_BLOCK, lowest degree first,
+    whose dropped tail is negligible.
 
     ||hL|| <= 2 rho with rho = RK4_STEP_NORM, so ||(hL)^k Q|| <= (2 rho)^k ||Q||
     and dropping c_k for k > K changes R^m(hL) Q by at most
     sum_{k>K} |c_k| (2 rho)^k ||Q||; K is the smallest degree for which that
-    sum is below RK4_TAIL_TOL.  R has nonnegative coefficients, so R^m is
-    below R^RK4_BLOCK coefficientwise for m < RK4_BLOCK and keeps no more
-    coefficients.
+    sum is below RK4_TAIL_TOL.
     """
-    c = polypow(RK4_STEP, m)
+    c = polypow(RK4_STEP, RK4_BLOCK)
     terms = np.abs(c) * (2.0 * RK4_STEP_NORM) ** np.arange(c.size)
     tail = np.cumsum(terms[::-1])[::-1]        # tail[k] = sum_{j >= k} terms[j]
     return read_only(c[:np.count_nonzero(tail >= RK4_TAIL_TOL)].copy())
 
 
-#: R^RK4_BLOCK truncated by ``_truncated_power``: 28 of its 513 coefficients,
-#: of which ``_lyapunov_poly`` folds the coefficient matrix into 14 rows
-RK4_BLOCK_POLY = _truncated_power(RK4_BLOCK)
+#: R^RK4_BLOCK truncated by ``_truncated_block_power``: 28 of its 513
+#: coefficients, of which ``_lyapunov_poly`` folds the coefficient matrix
+#: into 14 rows
+RK4_BLOCK_POLY = _truncated_block_power()
 
 #: binomial table binom(i + j, j) up to the degree of RK4_BLOCK_POLY
 _BINOM = np.array([[comb(i + j, j) for j in range(RK4_BLOCK_POLY.size)]
                    for i in range(RK4_BLOCK_POLY.size)], dtype=float)
 
 
-@lru_cache(maxsize=2 * RK4_BLOCK)
-def _block_coefficients(m, drive):
-    """Coefficient matrix binom(i + j, j) c_(i+j) (zero for i + j past the
-    last coefficient) that ``_lyapunov_poly`` applies for the polynomial c
-    of m RK4 steps: the drive polynomial (R^m - 1)/z when ``drive`` is true,
-    else the step polynomial R^m - 1, with R^m truncated by
-    ``_truncated_power``; memoized, as a read-only array."""
-    r = _truncated_power(m)
-    c = r[1:] if drive else np.concatenate(([0.0], r[1:]))
+def _coefficients(c):
+    """Read-only matrix binom(i + j, j) c_(i+j), zero past the last coefficient,
+    that ``_lyapunov_poly`` applies for the polynomial c."""
     k = c.size
     hankel = np.append(c, np.zeros(k))[np.add.outer(np.arange(k), np.arange(k))]
     return read_only(hankel * _BINOM[:k, :k])
+
+
+#: coefficient matrices of one block's drive polynomial (R^m - 1)/z and
+#: step polynomial R^m - 1, m = RK4_BLOCK
+RK4_DRIVE_COEF = _coefficients(RK4_BLOCK_POLY[1:])
+RK4_STEP_COEF = _coefficients(np.concatenate(([0.0], RK4_BLOCK_POLY[1:])))
 
 
 @dataclass(frozen=True)
@@ -189,7 +186,7 @@ def _lyapunov_poly(powers, coef):
     """The map Q -> c(hL) Q, for symmetric Q, of a polynomial c in the
     Lyapunov operator hL Q = X Q + Q X*, given the stack powers[i] = X^i,
     i <= deg c, and c's coefficient matrix C[a, b] = binom(a + b, a) c_(a+b)
-    from ``_block_coefficients``.
+    from ``_coefficients``.
 
     Left and right products by X commute, so
     c(hL) Q = sum_(a,b) C[a, b] X^a Q X^b*.  C is symmetric, and so is Q,
@@ -219,20 +216,19 @@ def _lyapunov_poly(powers, coef):
 def _gramian_matrix_ode(p, t):
     """Integrate Q' = A Q + Q A* + B B*, Q(0) = 0, with classical RK4.
 
-    The step is h = t / ceil(t ||A||_2 / rho), rho = RK4_STEP_NORM, and a
-    horizon that needs more than RK4_MAX_STEPS steps is refused.  With
-    L Q = A Q + Q A*, one step of this linear equation is
+    The step count is the rule's ceil(t ||A||_2 / rho), rho = RK4_STEP_NORM,
+    rounded up to whole blocks of m = RK4_BLOCK steps, so h <= rho/||A||_2;
+    a horizon whose rule needs more than RK4_MAX_STEPS steps is refused.
+    With L Q = A Q + Q A*, one step of this linear equation is
     Q <- R(hL) Q + h phi(hL) BB*, where R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
-    and phi(z) = (R(z) - 1)/z.  So m = RK4_BLOCK steps are the increment
-    Q <- Q + [(R^m - 1)(hL) Q + ((R^m - 1)/z)(hL) hBB*],
-    evaluated with two matrix products per block by ``_lyapunov_poly``,
-    each over the folded half of the polynomial, with R^m cut after the
-    degree at which its tail falls below a hundredth of the unit roundoff
-    (``_truncated_power``); the steps left over by the blocks run first,
-    as one block from Q = 0 cut by the same rule.  Every iterate is
-    exactly symmetric.  The increment form matters: applying R^m(hL) to Q
-    directly drifts about 1e-9 relative from the step-by-step iterate over
-    1e5 steps, while the increment stays within about 1e-11.
+    and phi(z) = (R(z) - 1)/z.  So one block, from Q = 0, is the drive
+    ((R^m - 1)/z)(hL) hBB*, and each further block is the increment
+    Q <- Q + [(R^m - 1)(hL) Q + drive], evaluated with two matrix products
+    by ``_lyapunov_poly``, with R^m cut after the degree at which its tail
+    falls below a hundredth of the unit roundoff (RK4_BLOCK_POLY).  Every
+    iterate is exactly symmetric.  The increment form matters: applying
+    R^m(hL) to Q directly drifts about 1e-9 relative from the step-by-step
+    iterate over 1e5 steps, while the increment stays within about 1e-11.
     """
     h_max = RK4_STEP_NORM / max(p.a_norm2, 1e-12)
     ratio = t / h_max
@@ -240,23 +236,17 @@ def _gramian_matrix_ode(p, t):
         raise BadParameterError(
             f"horizon {t} needs {np.ceil(ratio):.17g} RK4 steps, "
             f"more than the cap of {RK4_MAX_STEPS}")
-    steps = max(1, int(np.ceil(ratio)))
-    h = t / steps
-    blocks, rem = divmod(steps, RK4_BLOCK)
+    blocks = max(1, int(np.ceil(ratio / RK4_BLOCK)))
+    h = t / (blocks * RK4_BLOCK)
     X = h * p.A
     powers = [np.eye(p.n)]
-    for _ in range(_truncated_power(RK4_BLOCK if blocks else rem).size - 1):
+    for _ in range(RK4_BLOCK_POLY.size - 1):
         powers.append(powers[-1] @ X)
     powers = np.stack(powers)
-    hBBt = h * p.BBt
-    Q = np.zeros_like(p.A)
-    if rem:
-        Q = _lyapunov_poly(powers, _block_coefficients(rem, True))(hBBt)
-    if blocks:
-        drive = _lyapunov_poly(powers, _block_coefficients(RK4_BLOCK, True))(hBBt)
-        step = _lyapunov_poly(powers, _block_coefficients(RK4_BLOCK, False))
-        for _ in range(blocks):
-            Q = Q + (step(Q) + drive)
+    Q = drive = _lyapunov_poly(powers, RK4_DRIVE_COEF)(h * p.BBt)
+    step = _lyapunov_poly(powers, RK4_STEP_COEF)
+    for _ in range(blocks - 1):
+        Q = Q + (step(Q) + drive)
     return Q
 
 

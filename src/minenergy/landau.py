@@ -17,8 +17,6 @@ from .errors import BadBoundary, LengthMismatch, OutOfDomain
 from .gramian import h_space
 from .operators import ControlProblem, make_spectral_model
 
-BASIS_NOTE = "dual-Sobolev-orthonormal sine family sqrt(2)*k*pi*sin(k*pi*xi)"
-
 
 @dataclass(frozen=True)
 class LGModel:
@@ -26,7 +24,6 @@ class LGModel:
     rho_minus: float
     rho_plus: float
     problem: ControlProblem
-    basis: str = BASIS_NOTE
 
 
 def build_lg_model(n_modes, rho_minus, rho_plus):

@@ -21,6 +21,10 @@ from .errors import BadParameterError
 #: nodes of each Gauss-Lobatto panel, its two edge nodes included
 LOBATTO_NODES = 10
 
+#: most floats an array sampled on a signal grid may hold (1 GiB), counted
+#: as grid points times the floats sampled at each point
+MAX_GRID_FLOATS = 2 ** 27
+
 
 @lru_cache(maxsize=None)
 def _legendre_rule_cached(q):
@@ -100,13 +104,15 @@ class PanelGrid(NamedTuple):
     nodes_per_panel: int
 
 
-def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048):
+def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048, columns=1):
     """Build the default sampling grid for signals on [t0, t1].
 
     The panel count is chosen so the panel width respects ``max_panel_width``
     and the total node count is close to ``target_points``.  Raises
     BadParameterError, before anything is allocated, when the grid would
-    hold more floats than a numpy array can.
+    hold more floats than a numpy array can, or when a signal of
+    ``columns`` floats per point sampled on it would hold more than
+    MAX_GRID_FLOATS.
     """
     if t1 <= t0:
         raise ValueError("empty grid interval")
@@ -119,6 +125,10 @@ def panel_grid(t0, t1, max_panel_width=1.0, target_points=2048):
             "overflows the panel count")
     panels = max(int(np.ceil(ratio)),
                  int(np.ceil(max(target_points - 1, q - 1) / (q - 1))))
+    points = panels * (q - 1) + 1
+    if points * columns > MAX_GRID_FLOATS:
+        raise BadParameterError(f"horizon {length} needs {points} grid points of "
+                                f"{columns} floats, over the cap of {MAX_GRID_FLOATS}")
     x, w = lobatto_rule(q)
     edges = np.linspace(t0, t1, panels + 1)
     width = (t1 - t0) / panels

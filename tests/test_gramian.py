@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ from minenergy.gramian import (
     _BINOM,
     RK4_BLOCK,
     RK4_BLOCK_POLY,
+    RK4_DRIVE_COEF,
     RK4_MAX_STEPS,
     RK4_STEP,
+    RK4_STEP_COEF,
     RK4_STEP_NORM,
-    _block_coefficients,
     _gramian_matrix_ode,
     _gramian_quadrature,
     _lyapunov_poly,
-    _truncated_power,
     gramian_finite,
     gramian_infinite,
     h_inner,
@@ -56,9 +57,7 @@ def scalar_gramian_oracle(a, b, t):
 
 def rk4_step_loop(p, t):
     """Integrate Q' = A Q + Q A* + B B*, Q(0) = 0, with classical RK4."""
-    a_norm = np.linalg.norm(p.A, 2)
-    h_max = 1e-2 / max(a_norm, 1e-12)
-    steps = max(1, int(np.ceil(t / h_max)))
+    steps = rk4_steps(p, t)
     h = t / steps
     A, BBt = p.A, p.BBt
     Q = np.zeros_like(A)
@@ -75,9 +74,14 @@ def rk4_step_loop(p, t):
     return Q
 
 
-def rk4_steps(p, t):
-    """Step count of the RK4 route's rule h <= 1e-2 / ||A||_2."""
+def rule_steps(p, t):
+    """Step count of the rule h <= 1e-2 / ||A||_2."""
     return max(1, int(np.ceil(t / (1e-2 / max(np.linalg.norm(p.A, 2), 1e-12)))))
+
+
+def rk4_steps(p, t):
+    """Step count of the RK4 route: the rule's, rounded up to whole blocks."""
+    return RK4_BLOCK * -(-rule_steps(p, t) // RK4_BLOCK)
 
 
 def loop_disagreement(p, t):
@@ -87,27 +91,52 @@ def loop_disagreement(p, t):
 
 
 class TestMatrixOdeBlocks:
-    """The blocked RK4 route computes the step-by-step RK4 iterate."""
+    """The blocked RK4 route computes the step-by-step RK4 iterate at the
+    rule's step count rounded up to whole blocks."""
 
     @pytest.mark.parametrize("steps", [1, 5, 8, 16, 19, 31, 32, 33, 64, 97,
                                        RK4_BLOCK - 1, RK4_BLOCK, RK4_BLOCK + 1,
                                        2 * RK4_BLOCK + 3])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_agrees_with_step_loop(self, steps, symmetric, rng):
+        # ``steps`` is the rule's count: 129 runs as 256 steps
         p = random_problem(rng, n=4, symmetric=symmetric)
         t = steps * 1e-2 / np.linalg.norm(p.A, 2) * (1.0 - 1e-9)
-        assert rk4_steps(p, t) == steps
+        assert rule_steps(p, t) == steps
         assert loop_disagreement(p, t) <= 1e-10
 
+    @pytest.mark.parametrize("steps", [1, RK4_BLOCK - 1, RK4_BLOCK,
+                                       RK4_BLOCK + 1, 3 * RK4_BLOCK + 7])
+    def test_step_count_rounded_to_blocks(self, steps, rng, monkeypatch):
+        # every map the route applies records its hA = powers[1]: the
+        # drive once, then the step map once per further block
+        p = random_problem(rng, n=4, symmetric=False)
+        t = steps * 1e-2 / np.linalg.norm(p.A, 2) * (1.0 - 1e-9)
+        applied = []
+
+        def spy(powers, coef):
+            apply = _lyapunov_poly(powers, coef)
+
+            def recorded(Q):
+                applied.append((coef, powers[1]))
+                return apply(Q)
+            return recorded
+        monkeypatch.setattr(gramian_module, "_lyapunov_poly", spy)
+        _gramian_matrix_ode(p, t)
+        blocks = -(-steps // RK4_BLOCK)
+        h = t / (blocks * RK4_BLOCK)
+        assert rk4_steps(p, t) == blocks * RK4_BLOCK
+        expected = [RK4_DRIVE_COEF] + [RK4_STEP_COEF] * (blocks - 1)
+        assert len(applied) == blocks
+        assert all(c is e for (c, _), e in zip(applied, expected))
+        assert all(np.array_equal(hA, h * p.A) for _, hA in applied)
+        assert h <= RK4_STEP_NORM / np.linalg.norm(p.A, 2)
+        assert RK4_MAX_STEPS % RK4_BLOCK == 0
+
     def test_stiff_model_long_horizon(self):
-        # Criterion 1's model 43: 176,157 steps.  Applying the block
-        # polynomial R^m(hL) to Q directly instead of adding the block
-        # increment to Q drifts 1.7e-9 from the loop here (m = 8); the
-        # increment form stays near 1e-11.
         rng = np.random.default_rng(0x5EED + 1)
         p = [random_problem(rng) for _ in range(44)][-1]
         assert p.n == 5 and np.linalg.norm(p.A, 2) > 350.0
-        assert rk4_steps(p, 5.0) % RK4_BLOCK != 0
         assert loop_disagreement(p, 5.0) <= 1e-10
 
     @pytest.mark.parametrize("steps", [5, RK4_BLOCK, 3 * RK4_BLOCK + 7])
@@ -145,13 +174,12 @@ class TestLyapunovFold:
         Q = S + S.T
         powers = np.stack([np.linalg.matrix_power(X, i)
                            for i in range(RK4_BLOCK_POLY.size)])
-        for m in (1, 7, RK4_BLOCK - 1, RK4_BLOCK):
-            coef = _block_coefficients(m, drive)
-            k = coef.shape[0]
-            ref = sum(coef[a, b] * powers[a] @ Q @ powers[b].T
-                      for a in range(k) for b in range(k))
-            got = _lyapunov_poly(powers, coef)(Q)
-            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        coef = RK4_DRIVE_COEF if drive else RK4_STEP_COEF
+        k = coef.shape[0]
+        ref = sum(coef[a, b] * powers[a] @ Q @ powers[b].T
+                  for a in range(k) for b in range(k))
+        got = _lyapunov_poly(powers, coef)(Q)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestBlockTruncation:
@@ -174,43 +202,30 @@ class TestBlockTruncation:
         assert terms[k:].sum() < self.TOL
         assert terms[k - 1] >= self.TOL
 
-    def test_remainder_no_longer_than_block(self):
-        assert _truncated_power(1).size == RK4_STEP.size
-        for m in range(1, RK4_BLOCK):
-            full = polypow(RK4_STEP, m)
-            c = _truncated_power(m)
-            assert c.size <= RK4_BLOCK_POLY.size
-            assert np.array_equal(c, full[:c.size])
-            assert self.scaled_terms(full)[c.size:].sum() < self.TOL
-
     def test_binomial_table_has_kept_length(self):
         assert _BINOM.shape == (RK4_BLOCK_POLY.size, RK4_BLOCK_POLY.size)
 
-    def test_powers_memoized_read_only(self):
-        for m in (1, 7, RK4_BLOCK):
-            c = _truncated_power(m)
-            assert c is _truncated_power(m)
-            with pytest.raises(ValueError):
-                c[0] = 2.0
+    def test_block_polynomial_read_only(self):
+        with pytest.raises(ValueError):
+            RK4_BLOCK_POLY[0] = 2.0
 
     @pytest.mark.parametrize("drive", [True, False], ids=["drive", "step"])
     def test_coefficients_bit_equal_to_hankel(self, drive):
-        for m in range(1, RK4_BLOCK + 1):
-            r = _truncated_power(m)
-            c = r[1:] if drive else np.concatenate(([0.0], r[1:]))
-            k = c.size
-            ref = sla.hankel(c) * _BINOM[:k, :k]
-            coef = _block_coefficients(m, drive)
-            assert coef.shape == ref.shape
-            assert coef.tobytes() == ref.tobytes()
+        # drive (R^m - 1)/z, step R^m - 1
+        r = RK4_BLOCK_POLY
+        c = r[1:] if drive else np.concatenate(([0.0], r[1:]))
+        k = c.size
+        binom = np.array([[comb(a + b, a) for b in range(k)] for a in range(k)],
+                         dtype=float)
+        ref = sla.hankel(c) * binom
+        coef = RK4_DRIVE_COEF if drive else RK4_STEP_COEF
+        assert coef.shape == ref.shape
+        assert coef.tobytes() == ref.tobytes()
 
-    def test_coefficients_memoized_read_only(self):
-        for m in (1, 7, RK4_BLOCK):
-            for drive in (True, False):
-                coef = _block_coefficients(m, drive)
-                assert coef is _block_coefficients(m, drive)
-                with pytest.raises(ValueError):
-                    coef[0, 0] = 2.0
+    def test_coefficients_read_only(self):
+        for coef in (RK4_DRIVE_COEF, RK4_STEP_COEF):
+            with pytest.raises(ValueError):
+                coef[0, 0] = 2.0
 
 
 def node_propagators(p, t):

@@ -111,6 +111,26 @@ def test_unsampled_horizon_is_bad_parameter(command, tmp_path, capsys):
     assert peak < 1e7 and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synthesize", "all"])
+def test_oversized_signal_grid_is_bad_parameter(command, tmp_path, capsys):
+    # decay rate 1e-7: the steering horizon is about 2.8e8, so the signal
+    # grid would hold about 2.5e9 points, 20 GB an array; it is refused
+    # before anything large is allocated
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"type": "dense", "A": [[-1e-7]], "B": [[1.0]]}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([command, "--model", str(path), "--target", "1", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 27631") and "grid points" in err
+    assert peak < 1e7 and not out.exists()
+
+
 @pytest.mark.parametrize("target", list(HOSTILE_TARGETS.values()),
                          ids=list(HOSTILE_TARGETS))
 def test_non_finite_target_is_parse_error(target, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from minenergy.errors import BadParameterError
 from minenergy.quadrature import (
     LOBATTO_NODES,
+    MAX_GRID_FLOATS,
     lobatto_prefix_weights,
     lobatto_rule,
     panel_grid,
@@ -76,6 +77,24 @@ def test_panel_grid_refuses_overflowing_panel_count(t0):
     try:
         with pytest.raises(BadParameterError, match="overflows the panel count"):
             panel_grid(t0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
+@pytest.mark.parametrize("length, columns", [(2.0 ** 24, 1), (2.0 ** 20, 128)],
+                         ids=["points", "columns"])
+def test_panel_grid_refuses_oversized_signal(length, columns):
+    # unit panels of LOBATTO_NODES - 1 new points each: 1.5e8 points, or
+    # 9.4e6 points of 128 floats, both past the cap; nothing is allocated
+    points = int(length) * (LOBATTO_NODES - 1) + 1
+    assert points * columns > MAX_GRID_FLOATS
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameterError,
+                           match=f"^horizon {length} needs {points} grid points"):
+            panel_grid(-length, 0.0, columns=columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
