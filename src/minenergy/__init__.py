@@ -36,7 +36,6 @@ from .gramian import (
     h_inner,
     h_space,
     lyapunov_residual,
-    null_controllability_check,
     reachable_membership,
     t_max,
 )

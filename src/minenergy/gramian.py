@@ -10,7 +10,6 @@ Gramian stands for it, and its metric is read from Q's eigenpairs.
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polypow
@@ -125,11 +124,6 @@ class Gramian:
     @cached_property
     def comparison_stages(self):
         return {}
-
-
-class NullControllabilityReport(NamedTuple):
-    holds: bool
-    T0: float
 
 
 def _as_gramian(matrix, horizon):
@@ -308,14 +302,20 @@ def _solve_gramian_infinite(p):
 
 def lyapunov_residual(p, g):
     """Relative residual of the Lyapunov equation at the given Gramian.
-    Q and BB* are scaled by 2**-e, with e from ``huge_exponent``, which
-    leaves the ratio as it is and keeps both norms finite."""
-    Q, bbt = g.matrix, p.BBt
+    A huge A is first rebalanced against Q, A -> 2**-k A and Q -> 2**k Q
+    with k from ``huge_exponent(A)``, which leaves A Q exact and keeps
+    ||A||_F finite when ||Q||_F is tiny.  Q and BB* are then scaled by
+    2**-e, with e from ``huge_exponent``, which leaves the ratio as it is
+    and keeps both norms finite."""
+    A, Q, bbt = p.A, g.matrix, p.BBt
+    k = huge_exponent(A)
+    if k:
+        A, Q = np.ldexp(A, -k), np.ldexp(Q, k)
     e = huge_exponent(Q, bbt)
     if e:
         Q, bbt = np.ldexp(Q, -e), np.ldexp(bbt, -e)
-    res = np.linalg.norm(p.A @ Q + Q @ p.A.T + bbt, "fro")
-    scale = (np.linalg.norm(p.A, "fro") * np.linalg.norm(Q, "fro")
+    res = np.linalg.norm(A @ Q + Q @ A.T + bbt, "fro")
+    scale = (np.linalg.norm(A, "fro") * np.linalg.norm(Q, "fro")
              + np.linalg.norm(bbt, "fro"))
     return res / max(scale, 1e-300)
 
@@ -354,30 +354,6 @@ def reachable_membership(g, x, tol=1e-8):
     """True iff x lies in the reachable set of the Gramian's horizon; one
     answer per row of a (k, n) stack."""
     return g.pinv.in_range(x, tol)
-
-
-def null_controllability_check(p, t):
-    """Test whether every state reached freely by time t is controllable.
-
-    In finite dimension the flow map is invertible, so the test reduces
-    to full-rankness of the Gramian, up to a relative defect of 1e-8; the
-    report carries the smallest grid time at which the Gramian rank stops
-    increasing (0 for coercive input operators, whose Gramians have full
-    rank for every positive horizon).
-    """
-    if not t > 0.0:
-        raise HorizonNotPositive(f"horizon must be positive, got {t}")
-    g = gramian_finite(p, t)
-    flow = p.propagator.at(t)[0]
-    defect = np.linalg.norm(flow - g.pinv.range_projector @ flow, 2)
-    holds = defect <= 1e-8 * np.linalg.norm(flow, 2)
-    if p.coercive:
-        t0 = 0.0
-    else:
-        grid = t * np.arange(1, 9) / 8.0
-        ranks = [gramian_finite(p, s).rank for s in grid]
-        t0 = float(grid[ranks.index(ranks[-1])])
-    return NullControllabilityReport(holds=bool(holds), T0=t0)
 
 
 def t_max(p, x_norm):

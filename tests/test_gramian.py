@@ -30,7 +30,6 @@ from minenergy.gramian import (
     h_inner,
     h_space,
     lyapunov_residual,
-    null_controllability_check,
     reachable_membership,
     t_max,
 )
@@ -559,7 +558,7 @@ class TestModelMemo:
         for t in (0.5, 2.0):                        # fill every memo first
             h_space(p)
             gramian_finite(p, t, "matrix_ode")
-            null_controllability_check(p, t)
+            gramian_finite(p, t).pinv
         fresh = make_dense_model(p.A, p.B)
         for t in (0.5, 2.0):
             for method in ("quadrature", "matrix_ode"):
@@ -709,22 +708,6 @@ class TestReachability:
     def test_zero_always_reachable(self, scalar_problem):
         g = gramian_finite(scalar_problem, 1.0)
         assert reachable_membership(g, [0.0], 1e-8)
-
-
-class TestNullControllability:
-    def test_scalar_coercive(self, scalar_problem):
-        rep = null_controllability_check(scalar_problem, 0.1)
-        assert rep.holds and rep.T0 == 0.0
-
-    def test_rank_deficient_fails(self):
-        p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
-        rep = null_controllability_check(p, 0.5)
-        assert not rep.holds
-
-    def test_square_invertible_input(self, rng):
-        p = random_problem(rng, n=3)
-        for t in (0.1, 1.0, 3.0):
-            assert null_controllability_check(p, t).holds
 
 
 def transpose_identity_residual(p, s):

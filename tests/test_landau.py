@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from minenergy.energy import optimal_trajectory_infinite
 from minenergy.errors import BadBoundary, LengthMismatch, OutOfDomain
-from minenergy.gramian import h_space, null_controllability_check
+from minenergy.gramian import h_space
 from minenergy.landau import (
     build_lg_model,
     inverse_gramian_identity,
@@ -28,11 +28,6 @@ class TestBuild:
         k = np.array([1.0, 2.0, 3.0])
         assert_allclose(np.diag(h_space(m.problem).matrix), 1.0 / (k * np.pi) ** 2,
                         rtol=1e-12)
-
-    def test_coercive_null_controllable(self):
-        m = build_lg_model(4, 0.3, 0.7)
-        rep = null_controllability_check(m.problem, 0.05)
-        assert rep.holds and rep.T0 == 0.0
 
     def test_bad_boundary(self):
         with pytest.raises(BadBoundary):

@@ -1,15 +1,17 @@
 import csv
+import io
 import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minenergy.serialize import BLOCK_ROWS, _write_rows, fmt, write_report
+from minenergy.serialize import BLOCK_ROWS, _write_rows, write_report
 
-SPECIAL = [0.0, -0.0, 5e-324, 1e-320, 1e16, 1e22, np.nan, np.inf, -np.inf,
+SPECIAL = [0.0, -0.0, 5e-324, 1e-320, 1e16, 1e22,
            # either side of the decade [1e-5, 1e-4), its negative, and
            # one-digit negative exponents
            np.nextafter(1e-4, 0), 1e-5, np.nextafter(1e-5, 0), -1.5e-5,
@@ -21,41 +23,52 @@ SPECIAL = [0.0, -0.0, 5e-324, 1e-320, 1e16, 1e22, np.nan, np.inf, -np.inf,
 
 @st.composite
 def any_doubles(draw):
-    """A float64 array of 1 or 33 columns and up to more than two blocks
-    of rows.  Every cell is a random bit pattern from a drawn seed
-    (subnormals, both zeros, nan payloads and both infinities included),
-    and drawn cells are then set to drawn floats and SPECIAL values."""
+    """A finite float64 array of 1 or 33 columns and up to more than two
+    blocks of rows.  Every cell is a random bit pattern from a drawn seed
+    (subnormals and both zeros included; a non-finite pattern has its
+    lowest exponent bit cleared, which makes it finite), and drawn cells
+    are then set to drawn finite floats and SPECIAL values."""
     rows = draw(st.integers(0, 3 * BLOCK_ROWS))
     cols = draw(st.sampled_from([1, 33]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     bits = rng.integers(0, 2 ** 64, rows * cols, dtype=np.uint64)
     cells = bits.view(np.float64)
+    bits[~np.isfinite(cells)] ^= np.uint64(1 << 52)
     if cells.size:
-        value = st.floats() | st.sampled_from(SPECIAL)
+        value = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from(SPECIAL))
         for i, x in draw(st.lists(st.tuples(st.integers(0, cells.size - 1), value))):
             cells[i] = x
     return cells.reshape(rows, cols)
 
 
 def csv_writer_rows(path, header, rows):
-    """One csv.writer row per array row, each cell rendered by fmt."""
+    """One csv.writer row per array row, each cell orjson's spelling of
+    its double."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt(v) for v in row])
+            writer.writerow([orjson.dumps(float(v)).decode() for v in row])
 
 
 def assert_same_bytes(tmp_path, rows):
-    rows = np.asarray(rows)
+    """The bulk writer's bytes are the reference writer's, and every cell
+    parses back to the bits of its double."""
+    rows = np.asarray(rows, dtype=float)
     header = ["r"] + [f"y_{j + 1}" for j in range(rows.shape[1] - 1)]
     _write_rows(tmp_path / "got.csv", header, rows)
     csv_writer_rows(tmp_path / "ref.csv", header, rows)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    written = (tmp_path / "got.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    _, *cells = csv.reader(io.StringIO(written.decode(), newline=""))
+    parsed = np.array(cells, dtype=float).reshape(rows.shape)
+    assert np.array_equal(parsed.view(np.uint64), rows.view(np.uint64))
 
 
 class TestWriteRows:
-    """The bulk writer emits exactly what csv.writer with fmt cells emits."""
+    """The bulk writer emits exactly what csv.writer with orjson's cells
+    emits, and each cell round-trips its double bit for bit."""
 
     @pytest.mark.parametrize("cols", [1, 33])
     def test_random_floats(self, cols, rng, tmp_path):
@@ -78,6 +91,16 @@ class TestWriteRows:
     @given(any_doubles())
     def test_any_doubles_over_blocks(self, tmp_path, rows):
         assert_same_bytes(tmp_path, rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad, tmp_path):
+        # in the last of three blocks, so no earlier block could be written
+        rows = np.ones((2 * BLOCK_ROWS + 5, 3))
+        rows[-1, 1] = bad
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="bad.csv"):
+            _write_rows(path, ["r", "y_1", "y_2"], rows)
+        assert not path.exists()
 
 
 def plain_walk(obj):
