@@ -8,6 +8,7 @@ hash, and the seed, and are byte-identical across runs of one config.
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import numpy as np
 from . import __version__
 from .energy import (
     AuxiliaryCost,
+    ControlSignal,
+    Trajectory,
     bcle_residual,
     default_grid,
     energy_of,
@@ -35,6 +38,7 @@ from .errors import (
     NotCoercive,
     NotSpectral,
     ParseError,
+    PreconditionError,
     ToolkitError,
     UnreachableError,
 )
@@ -89,31 +93,52 @@ def _parse_seed(text):
     return seed
 
 
-def _outdir(args):
-    """Create ``--out``; each command calls it only after its last refusal."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _provenance(problem, seed):
     return {"version": __version__, "model_hash": model_hash(problem), "seed": seed}
 
 
-def _refuse_overflow(text, *values):
-    """Refuse a target whose norm or energy overflows, before any file is
-    written.  The commands that take a target compute with numpy's
-    overflow and invalid-value warnings off; each float and each array
-    among the values, which are what the command writes, must then be
-    finite, so no file carries inf or NaN."""
-    numbers = [v for v in values if isinstance(v, (float, np.ndarray))]
-    if not all(np.isfinite(v).all() for v in numbers):
-        raise BadParameterError(
-            f"target {text!r} is too large: its norm or energy overflows")
+def _non_finite(obj, field=""):
+    """The fields of the numbers in ``obj`` that are not finite, in order,
+    through dicts, lists, arrays and the signals the CSV writers take."""
+    if isinstance(obj, (ControlSignal, Trajectory)):
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _non_finite(v, f"{field}.{k}" if field else k)
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _non_finite(v, f"{field}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield field
+    elif isinstance(obj, np.ndarray) and not np.isfinite(obj).all():
+        yield field
+
+
+def _checked(files, target=None):
+    """A stage's ``(writer, name, data...)`` entries, once no number they
+    would write is inf or NaN: such a number is the target's fault in a
+    stage that reads ``target`` (exit 3), and a refusal (4) otherwise."""
+    for _, name, *data in files:
+        field = next((f for datum in data for f in _non_finite(datum)), None)
+        if field is not None:
+            where = f"{name}: {field or 'a cell'} is not finite"
+            if target is None:
+                raise PreconditionError(where)
+            raise BadParameterError(f"target {target!r} is too large: its norm "
+                                    f"or energy overflows; {where}")
+    return files
+
+
+def _write(args, files):
+    """Create ``--out``, after every refusal, and write the files in order."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for writer, name, *data in files:
+        writer(out / name, *data)
 
 
 def _gramian(args, problem):
-    """The Gramians and their report, computed; returns their writer."""
+    """The Gramians and their report, as files to write."""
     q_inf = gramian_infinite(problem)
     g = q_inf if args.t is None else gramian_finite(problem, args.t)
     report = {
@@ -122,29 +147,21 @@ def _gramian(args, problem):
         "lyapunov_residual": lyapunov_residual(problem, q_inf),
     }
     report.update(_provenance(problem, args.seed))
-
-    def write(out):
-        matrix_csv(out / "gramian_inf.csv", q_inf.matrix)
-        if args.t is not None:
-            matrix_csv(out / "gramian_t.csv", g.matrix)
-        write_report(out / "gramian_report.json", report)
-    return write
+    finite = [] if args.t is None else [(matrix_csv, "gramian_t.csv", g.matrix)]
+    return [(matrix_csv, "gramian_inf.csv", q_inf.matrix), *finite,
+            (write_report, "gramian_report.json", report)]
 
 
 def cmd_gramian(args, problem):
-    write = _gramian(args, problem)
-    write(_outdir(args))
+    _write(args, _checked(_gramian(args, problem)))
     return 0
 
 
 def _certificate(args, problem):
-    """The whole ``verify`` certificate and whether it passes.  Every
-    candidate's residual and maximality gap come from ``are_residual_H``
-    and ``maximality_check``; with ``--comparison`` its margin and
-    identity defect come from ``comparison_check``.  It refuses in this
-    order: a comparison on a model that is not coercive and diagonal, too
-    many candidates, a reachability space that is not full rank, and any
-    numerical refusal of a candidate's comparison."""
+    """The whole ``verify`` certificate, as a file to write, and whether it
+    passes.  It refuses in this order: a comparison on a model that is not
+    coercive and diagonal, too many candidates, a reachability space that
+    is not full rank, and any numerical refusal of a candidate's comparison."""
     if args.comparison:
         if not problem.coercive:
             raise NotCoercive("comparison certificates need a coercive BB*")
@@ -179,7 +196,7 @@ def _certificate(args, problem):
             margin, defect = rep.comparison_margin, rep.identity_defect
             ok = ok and margin >= -1e-8
         certificate["solutions"].append({
-            "matrix": cand.matrix.tolist(),
+            "matrix": cand.matrix,
             "residual": residual,
             "maximality_gap": gap,
             "comparison_margin": margin,
@@ -187,25 +204,24 @@ def _certificate(args, problem):
         })
         ok = ok and residual <= SOLUTION_RESIDUAL_TOL and gap >= -1e-10
     certificate.update(_provenance(problem, args.seed))
-    return certificate, ok
+    return [(write_report, "certificate.json", certificate)], ok
 
 
 def cmd_verify(args, problem):
-    certificate, ok = _certificate(args, problem)
-    write_report(_outdir(args) / "certificate.json", certificate)
+    files, ok = _certificate(args, problem)
+    _write(args, _checked(files))
     return 0 if ok else 1
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _synthesis(args, problem):
-    """Values, optimal control and arrival path for one target, computed.
-    Returns their writer and the UnreachableError that stopped the stage,
-    or None; the writer of a stopped stage writes the report alone, with
-    the values found before the error.  The writer writes
-    ``control.csv``, then ``trajectory.csv``, then the report."""
+    """Values, optimal control and arrival path for one target, as files to
+    write, and the UnreachableError that stopped the stage or None; a
+    stopped stage writes its report alone, with the values found before."""
     x = _parse_target(args.target, problem.n)
     x_norm = np.linalg.norm(x)
-    _refuse_overflow(args.target, x_norm)
+    if not math.isfinite(x_norm):  # t_max needs a finite |x|
+        raise BadParameterError(
+            f"target {args.target!r} is too large: its norm or energy overflows")
     span = t_max(problem, x_norm)
     horizon = args.t if args.t is not None else span
     report = {"t": horizon, "V": "+inf", "V_inf": "+inf", "gap": "+inf"}
@@ -231,30 +247,23 @@ def _synthesis(args, problem):
             report["bcle_residual"] = bcle_residual(problem, fd_traj)
         else:
             report["bcle_residual"] = None
-        _refuse_overflow(args.target, *report.values(), u.values, traj.states)
     except UnreachableError as exc:
-        _refuse_overflow(args.target, *report.values())
-        return lambda out: write_report(out / "synthesis_report.json", report), exc
-
-    def write(out):
-        control_csv(out / "control.csv", u)
-        trajectory_csv(out / "trajectory.csv", traj)
-        write_report(out / "synthesis_report.json", report)
-    return write, None
+        return [(write_report, "synthesis_report.json", report)], exc
+    return [(control_csv, "control.csv", u), (trajectory_csv, "trajectory.csv", traj),
+            (write_report, "synthesis_report.json", report)], None
 
 
 def cmd_synthesize(args, problem):
-    write, unreachable = _synthesis(args, problem)
-    write(_outdir(args))
+    files, unreachable = _synthesis(args, problem)
+    _write(args, _checked(files, args.target))
     if unreachable is not None:
         raise unreachable
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _auxiliary(args, problem):
-    """The penalized-initial-state problem for one target, computed;
-    returns its writer and whether both of its checks pass."""
+    """The penalized-initial-state problem for one target, as a file to
+    write, and whether both of its checks pass."""
     x = _parse_target(args.target, problem.n)
     cost = AuxiliaryCost(args.n_scale * np.eye(problem.n))
     aux = value_auxiliary(problem, cost, args.t, x)
@@ -270,25 +279,23 @@ def _auxiliary(args, problem):
         "t": args.t,
         "value": aux.value,
         "V": v_fin,
-        "argmin_z": aux.argmin_z.tolist(),
+        "argmin_z": aux.argmin_z,
         "achieved_cost": achieved,
         "sandwich_ok": sandwich_ok,
         "time_reversal_discrepancy": reversal,
         "reversal_ok": reversal_ok,
     }
     report.update(_provenance(problem, args.seed))
-    _refuse_overflow(args.target, *report.values(), aux.argmin_z)
-    return (lambda out: write_report(out / "auxiliary_report.json", report),
+    return ([(write_report, "auxiliary_report.json", report)],
             sandwich_ok and reversal_ok)
 
 
 def cmd_auxiliary(args, problem):
-    write, ok = _auxiliary(args, problem)
-    write(_outdir(args))
+    files, ok = _auxiliary(args, problem)
+    _write(args, _checked(files, args.target))
     return 0 if ok else 1
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_landau(args, _problem):
     # takes no model document: the heat model is built from the options
     model = build_lg_model(args.modes, args.rho_minus, args.rho_plus)
@@ -309,34 +316,28 @@ def cmd_landau(args, _problem):
         "inverse_gramian": inverse_gramian_identity(model),
     }
     report.update(_provenance(model.problem, args.seed))
-    _refuse_overflow(args.target, *report.values(), profiles)
-    out = _outdir(args)
-    profile_csv(out / "profile.csv", xi, profiles, PROFILE_TIMES)
-    write_report(out / "landau_report.json", report)
+    _write(args, _checked([(profile_csv, "profile.csv", xi, profiles, PROFILE_TIMES),
+                           (write_report, "landau_report.json", report)], args.target))
     return 0 if check["rel_err"] <= 1e-10 else 1
 
 
 def cmd_all(args, problem):
     """Every model stage on one loaded model; the target defaults to the
-    first unit vector.  Every stage is computed before the first file is
-    written, so a refusal leaves no file.  An unreachable target ends the
-    battery after the synthesize stage, whose report is written with the
-    files of the stages before it."""
+    first unit vector.  Every stage is computed and checked before any file
+    is written.  An unreachable target ends the battery after the
+    synthesize stage, whose report is written with the earlier files."""
     if args.target is None:
         args.target = ",".join(["1"] + ["0"] * (problem.n - 1))
     _parse_target(args.target, problem.n)
     certificate, ok = _certificate(args, problem)
-    writers = [_gramian(args, problem),
-               lambda out: write_report(out / "certificate.json", certificate)]
-    write, unreachable = _synthesis(args, problem)
-    writers.append(write)
+    files = _checked(_gramian(args, problem)) + _checked(certificate)
+    synthesis, unreachable = _synthesis(args, problem)
+    files += _checked(synthesis, args.target)
     if unreachable is None:
-        write, aux_ok = _auxiliary(args, problem)
-        writers.append(write)
+        auxiliary, aux_ok = _auxiliary(args, problem)
+        files += _checked(auxiliary, args.target)
         ok = ok and aux_ok
-    out = _outdir(args)
-    for write in writers:
-        write(out)
+    _write(args, files)
     if unreachable is not None:
         raise unreachable
     return 0 if ok else 1
@@ -464,7 +465,8 @@ def main(argv=None):
         args = parser.parse_args(_attach_negative_targets(argv))
         _check_options(args)
         problem = load_model(args.model) if hasattr(args, "model") else None
-        return args.fn(args, problem)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN meet _checked
+            return args.fn(args, problem)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

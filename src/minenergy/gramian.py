@@ -302,18 +302,15 @@ def _solve_gramian_infinite(p):
 
 def lyapunov_residual(p, g):
     """Relative residual of the Lyapunov equation at the given Gramian.
-    A huge A is first rebalanced against Q, A -> 2**-k A and Q -> 2**k Q
-    with k from ``huge_exponent(A)``, which leaves A Q exact and keeps
-    ||A||_F finite when ||Q||_F is tiny.  Q and BB* are then scaled by
-    2**-e, with e from ``huge_exponent``, which leaves the ratio as it is
-    and keeps both norms finite."""
+    When an entry of A, Q or BB* reaches 2**500, A, Q and BB* are scaled by
+    2**-a, 2**(a - s) and 2**-s, so that A Q, BB* and the scale all shrink by
+    2**-s and no entry exceeds 1: a, q and b are the binary exponents of their
+    largest entries (5e-324's for a zero matrix) and s = max(a + q, b)."""
     A, Q, bbt = p.A, g.matrix, p.BBt
-    k = huge_exponent(A)
-    if k:
-        A, Q = np.ldexp(A, -k), np.ldexp(Q, k)
-    e = huge_exponent(Q, bbt)
-    if e:
-        Q, bbt = np.ldexp(Q, -e), np.ldexp(bbt, -e)
+    if huge_exponent(A, Q, bbt):
+        a, q, b = (int(np.frexp(np.abs(m).max(initial=5e-324))[1]) for m in (A, Q, bbt))
+        s = max(a + q, b)
+        A, Q, bbt = np.ldexp(A, -a), np.ldexp(Q, a - s), np.ldexp(bbt, -s)
     res = np.linalg.norm(A @ Q + Q @ A.T + bbt, "fro")
     scale = (np.linalg.norm(A, "fro") * np.linalg.norm(Q, "fro")
              + np.linalg.norm(bbt, "fro"))

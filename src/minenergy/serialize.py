@@ -1,9 +1,10 @@
 """Deterministic CSV and JSON emission for reports and plot data.
 
 Each CSV cell is the shortest decimal that round-trips its double, in
-orjson's spelling (``1e16``, ``1e-6``, ``0.00001234``); a body with a
-non-finite cell is refused.  JSON reports are key-sorted with no
-timestamps, so identical inputs and seeds produce byte-identical files.
+orjson's spelling (``1e16``, ``1e-6``, ``0.00001234``).  JSON reports are
+key-sorted with no timestamps, so identical inputs and seeds produce
+byte-identical files.  A CSV body or a report that holds a number that is
+not finite is refused before its file is opened.
 """
 
 import csv
@@ -34,9 +35,9 @@ def _plain(obj):
 
 
 def write_report(path, doc):
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_plain, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, default=_plain)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def model_hash(problem):

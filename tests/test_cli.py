@@ -104,12 +104,18 @@ class TestGramianCommand:
         assert report["lyapunov_residual"] <= 1e-10
 
     def test_huge_a_residual_finite(self, model_file, tmp_path):
-        # ||A||_F overflows and ||Q||_F underflows: rebalanced, A Q is exact
-        doc = {"type": "dense", "A": [[-1e300]], "B": [[1.0]]}
-        assert run("gramian", "--model", model_file(doc), "--out", tmp_path) == 0
-        report = json.loads((tmp_path / "gramian_report.json").read_text())
-        assert math.isfinite(report["lyapunov_residual"])
-        assert report["lyapunov_residual"] <= 1e-10
+        # ||A||_F overflows and ||Q||_F underflows; then ||A||_F and
+        # ||Q||_F both overflow, as Q_inf holds 5e299.  Scaled by exact
+        # powers of two, every term of the residual stays finite
+        docs = [{"type": "dense", "A": [[-1e300]], "B": [[1.0]]},
+                {"type": "dense", "A": [[-1e300, 0.0], [0.0, -1.0]],
+                 "B": [[1e150, 0.0], [0.0, 1e150]]}]
+        for i, doc in enumerate(docs):
+            out = tmp_path / str(i)
+            assert run("gramian", "--model", model_file(doc), "--out", out) == 0
+            report = json.loads((out / "gramian_report.json").read_text())
+            assert math.isfinite(report["lyapunov_residual"])
+            assert report["lyapunov_residual"] <= 1e-10
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP items 1 and 13: scipy's Lyapunov solve perturbs the "

@@ -1,6 +1,6 @@
 """A table of hostile model documents run through the command line.
 
-Every document is run in-process through ``cli.main`` with each of six
+Every document is run in-process through ``cli.main`` with each of seven
 commands. The exit code must be one of the documented codes, and a run
 refused with 2, 3, 4 or 6 creates no output folder. A deterministic first
 step towards a fuzz test over model documents and options.
@@ -10,6 +10,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from minenergy.cli import main
@@ -61,6 +62,7 @@ COMMANDS = {
     "verify_comparison": ["verify", "--comparison"],
     "synthesize": ["synthesize", "--target"],
     "auxiliary": ["auxiliary", "--target"],
+    "all": ["all", "--target"],
 }
 
 
@@ -160,8 +162,14 @@ def test_overflowing_target_is_bad_parameter(target, tmp_path, capsys):
     for name, argv in runs.items():
         out = tmp_path / name
         assert main([*argv, f"--target={target}", "--out", str(out)]) == 3, name
-        assert capsys.readouterr().err.startswith(f"error: target '{target}'"), name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: target '{target}'"), name
         assert not out.exists(), name
+        # the error names the field that overflowed
+        field = {"auxiliary": "auxiliary_report.json: value",
+                 "landau": "landau_report.json: v_inf"}.get(name)
+        if target == OVERFLOWING_TARGETS["energy"] and field:
+            assert f"{field} is not finite" in err, name
 
 
 @pytest.mark.parametrize("command", ["synthesize", "landau"])
@@ -174,3 +182,41 @@ def test_large_finite_energy_is_answered(command, tmp_path):
     assert main([*argv, "--target=1e150,1e150", "--out", str(out)]) == 0
     for f in out.iterdir():
         assert "Infinity" not in f.read_text() and "NaN" not in f.read_text(), f.name
+
+
+def _scaled(a, b):
+    A = 10.0 ** a * np.array([[-1.0, 0.0], [1.0, -2.0]])
+    return {"type": "dense", "A": A.tolist(), "B": [[10.0 ** b], [0.0]]}
+
+
+#: (document, what verify's refusal names): scaled two-state models, on
+#: which verify computed a non-finite X-form residual, and a huge A with a
+#: huge Q_inf, whose Lyapunov residual overflowed
+NAN_DOCUMENTS = {
+    **{f"a={a},b={b}": (_scaled(a, b), "certificate.json: canonical.x_form.residual")
+       for a, b in [(-200, 150), (-100, 150), (0, -150), (100, -75), (100, 0),
+                    (200, 0), (300, 0), (300, 75), (300, 150)]},
+    "huge_a_huge_q": ({"type": "dense", "A": [[-1e300, 0.0], [0.0, -1.0]],
+                       "B": [[1e150, 0.0], [0.0, 1e150]]}, "full-rank"),
+}
+
+
+@pytest.mark.parametrize("doc, verify_error", list(NAN_DOCUMENTS.values()),
+                         ids=list(NAN_DOCUMENTS))
+def test_no_file_holds_a_non_finite_number(doc, verify_error, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for name, argv in COMMANDS.items():
+        argv = argv + ["1,1"] if argv[-1] == "--target" else argv
+        out = tmp_path / name
+        code = main([*argv, "--model", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        # 1 is a failed check, such as auxiliary's time reversal gate
+        assert code in {0, 1, 2, 3, 4, 5, 6}, name
+        if code in {2, 3, 4, 6}:
+            assert not out.exists(), name
+        for f in out.iterdir() if out.exists() else []:
+            text = f.read_text()
+            assert "NaN" not in text and "Infinity" not in text, (name, f.name)
+        if name == "verify":
+            assert code == 4 and verify_error in err, err

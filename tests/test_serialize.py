@@ -131,7 +131,6 @@ class TestWriteReport:
         "c": {"t": np.bool_(True), "f": np.False_, "p": True, "none": None},
         "d": [np.array(1.5), np.array(7), np.array(True),
               np.arange(3, dtype=np.int32).reshape(1, 3)],
-        "e": [math.nan, np.inf, -np.float64(np.inf), np.array([np.nan, -np.inf])],
         "f": (1, (np.float32(2.0), "text")),
     }
     PYTHON_DOC = {
@@ -139,7 +138,6 @@ class TestWriteReport:
         "a": [0.0999755859375, 0.10000000149011612, 0.1, 2.5, -0.0, 5e-324],
         "c": {"t": True, "f": False, "p": True, "none": None},
         "d": [1.5, 7, True, [[0, 1, 2]]],
-        "e": [math.nan, math.inf, -math.inf, [math.nan, -math.inf]],
         "f": [1, [2.0, "text"]],
     }
 
@@ -147,7 +145,6 @@ class TestWriteReport:
         write_report(tmp_path / "r.json", self.NUMPY_DOC)
         expected = json.dumps(self.PYTHON_DOC, sort_keys=True, indent=2) + "\n"
         assert (tmp_path / "r.json").read_bytes() == expected.encode()
-        assert b"NaN" in expected.encode() and b"-Infinity" in expected.encode()
 
     def test_matches_whole_document_walk(self, rng, tmp_path):
         # a certificate's shape: 256 solution entries, lists and numpy
@@ -163,6 +160,16 @@ class TestWriteReport:
             json.dump(plain_walk(doc), fh, sort_keys=True, indent=2)
             fh.write("\n")
         assert (tmp_path / "r.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, np.inf, -np.float64(np.inf),
+                                     np.float32(np.nan), np.array([1.0, -np.inf])])
+    def test_non_finite_refused(self, bad, tmp_path):
+        # RFC 8259 JSON has no NaN or Infinity: the report is refused
+        # before its file is opened
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            write_report(path, {"a": 1.0, "nested": {"list": [0.5, bad]}})
+        assert not path.exists()
 
     def test_unknown_type_refused(self, tmp_path):
         with pytest.raises(TypeError):
