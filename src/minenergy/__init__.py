@@ -36,7 +36,6 @@ from .gramian import (
     h_inner,
     h_space,
     lyapunov_residual,
-    reachable_membership,
     t_max,
 )
 from .landau import (

@@ -227,9 +227,9 @@ def _synthesis(args, problem):
     report = {"t": horizon, "V": "+inf", "V_inf": "+inf", "gap": "+inf"}
     report.update(_provenance(problem, args.seed))
     try:
-        v_inf = value_infinite(problem, x, tol=args.tol)
+        v_inf = value_infinite(problem, x)
         report["V_inf"] = v_inf
-        v_fin = value_finite(problem, horizon, x, tol=args.tol)
+        v_fin = value_finite(problem, horizon, x)
         report.update({"V": v_fin, "gap": v_fin - v_inf})
 
         grid = default_grid(problem, -span)
@@ -381,7 +381,6 @@ def build_parser():
     sp = sub.add_parser("synthesize", help="optimal control and trajectory")
     common(sp, target="required")
     sp.add_argument("--t", type=float, default=None, help="finite horizon")
-    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(fn=cmd_synthesize)
 
     sp = sub.add_parser("auxiliary", help="penalized-initial-state problem")
@@ -406,7 +405,6 @@ def build_parser():
     sp.add_argument("--comparison", action="store_true")
     sp.add_argument("--max-solutions", type=int, default=4096)
     sp.add_argument("--n-scale", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(fn=cmd_all, comparison_only=("samples",))
     return parser
 
@@ -444,9 +442,6 @@ def _check_options(args):
     if samples is not None and samples < 1:
         raise BadParameterError(
             f"samples must be at least 1, got {args.samples}")
-    tol = getattr(args, "tol", 1.0)
-    if not (tol > 0.0 and np.isfinite(tol)):
-        raise BadParameterError(f"tolerance must be positive and finite, got {tol}")
     max_solutions = getattr(args, "max_solutions", 1)
     if max_solutions < 1:
         raise BadParameterError(

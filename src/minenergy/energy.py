@@ -17,18 +17,11 @@ import numpy as np
 from .errors import (
     GridMismatch,
     IllConditionedWarning,
-    NotInRangeQ,
+    NotInH,
     NotReachable,
-    NotReachableFromH,
     RankDeficient,
 )
-from .gramian import (
-    gramian_finite,
-    h_basis,
-    h_inner,
-    h_space,
-    reachable_membership,
-)
+from .gramian import gramian_finite, h_basis, h_inner, h_space
 from .operators import read_only, symmetrize
 from .quadrature import PanelGrid, lobatto_prefix_weights, lobatto_rule, panel_grid
 
@@ -49,8 +42,6 @@ class ControlSignal:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.shape[0] != grid.size:
-            values = values.T
         weights = np.asarray(self.quad_weights, dtype=float)
         if grid.ndim != 1 or values.shape[0] != grid.size or weights.shape != grid.shape:
             raise GridMismatch("grid, values and weights have inconsistent shapes")
@@ -121,7 +112,7 @@ def _grid_arrays(grid):
     return pts, w, None
 
 
-def value_finite(p, t, x, tol=1e-8):
+def value_finite(p, t, x):
     """Minimum energy that steers rest to x over a horizon of length t.
 
     Equals half the squared Gramian-metric norm of the target; raises
@@ -131,22 +122,22 @@ def value_finite(p, t, x, tol=1e-8):
     """
     x = np.asarray(x, dtype=float)
     g = gramian_finite(p, t)
-    if not np.all(reachable_membership(g, x, tol)):
+    if not np.all(g.pinv.in_range(x)):
         raise NotReachable("target is outside the reachable set for this horizon")
     value = 0.5 * np.sum(x.T * g.pinv.apply(x.T), axis=0)
     return value if x.ndim > 1 else float(value)
 
 
-def value_infinite(p, x, tol=1e-8):
+def value_infinite(p, x):
     """Least energy over all horizons: half the reachability-metric norm
     squared.  Raises NotInH when the target carries infinite energy."""
-    return 0.5 * h_inner(h_space(p), x, x, tol)
+    return 0.5 * h_inner(h_space(p), x, x)
 
 
-def _range_coordinates(h, x, tol=1e-8):
-    if not reachable_membership(h, x, tol):
-        raise NotInRangeQ("closed-form synthesis needs the target in the "
-                          "Gramian range")
+def _range_coordinates(h, x):
+    if not h.pinv.in_range(x):
+        raise NotInH("closed-form synthesis needs the target in the "
+                     "Gramian range")
     return h.pinv.apply(x)
 
 
@@ -176,7 +167,7 @@ def steering_control_finite(p, t, x, grid):
     sampled on the grid: u(r) = B* e^{-rA*} Q_t^{-1} x."""
     g = gramian_finite(p, t)
     x = np.asarray(x, dtype=float)
-    if not reachable_membership(g, x, 1e-8):
+    if not g.pinv.in_range(x):
         raise NotReachable("target is outside the reachable set for this horizon")
     pts, wts, nodes, rows = _adjoint_samples(p, grid, g.pinv.apply(x))
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
@@ -306,12 +297,12 @@ class AuxiliaryFlow(NamedTuple):
 
 def auxiliary_flow(p, t, x):
     """The penalty-free stage of ``value_auxiliary`` for the target x, of
-    shape (n,), or the (k, n) stack x.  Raises NotReachableFromH when a
-    target is outside the reachability space."""
+    shape (n,), or the (k, n) stack x.  Raises NotInH when a target is
+    outside the reachability space."""
     x = np.asarray(x, dtype=float)
     g, h = gramian_finite(p, t), h_space(p)
-    if not np.all(reachable_membership(h, x, 1e-8)):
-        raise NotReachableFromH("target is outside the reachability space")
+    if not np.all(h.pinv.in_range(x)):
+        raise NotInH("target is outside the reachability space")
     theta = h_basis(h)
     e_tilde = theta.T @ p.propagator.at(t)[0] @ theta
     g_tilde = theta.T @ g.pinv.inverse_on_range @ theta
@@ -359,10 +350,10 @@ def value_auxiliary(p, N, t, x):
 
     The objective V(t, x - e^{tA} z) + half <N z, z>_H is a strictly
     convex quadratic on the reachability space, minimized through one
-    symmetric eigendecomposition of its reduced matrix.  Raises
-    NotReachableFromH when no admissible initial point makes x reachable,
-    and RankDeficient when the reduced matrix is not positive definite
-    (see ``auxiliary_minimum``).
+    symmetric eigendecomposition of its reduced matrix.  Raises NotInH
+    when no admissible initial point makes x reachable, and RankDeficient
+    when the reduced matrix is not positive definite (see
+    ``auxiliary_minimum``).
 
     ``x`` is one target of shape (n,) or a (k, n) stack of targets.  A
     stack shares the flow, the reduced matrices and one eigendecomposition;

@@ -97,19 +97,13 @@ class GridMismatch(PreconditionError):
 # -- unreachable ---------------------------------------------------------------
 
 class NotReachable(UnreachableError):
-    """Target lies outside the finite-horizon reachable set; value is +inf."""
+    """Target lies outside the finite-horizon reachable set, range(Q_t);
+    value is +inf."""
 
 
 class NotInH(UnreachableError):
-    """Vector lies outside the finite-energy reachability space."""
-
-
-class NotInRangeQ(UnreachableError):
-    """Closed-form synthesis needs the target in the Gramian range."""
-
-
-class NotReachableFromH(UnreachableError):
-    pass
+    """Vector lies outside the finite-energy reachability space, range(Q_inf):
+    the one test ``h.pinv.in_range`` of every infinite-horizon entry point."""
 
 
 # -- domain --------------------------------------------------------------------

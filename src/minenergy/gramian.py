@@ -9,7 +9,7 @@ Gramian stands for it, and its metric is read from Q's eigenpairs.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, frexp
 
 import numpy as np
 from numpy.polynomial.polynomial import polypow
@@ -22,7 +22,6 @@ from .errors import (
 )
 from .operators import (
     exact_diagonal,
-    huge_exponent,
     pseudo_inverse,
     read_only,
     symmetrize,
@@ -302,15 +301,15 @@ def _solve_gramian_infinite(p):
 
 def lyapunov_residual(p, g):
     """Relative residual of the Lyapunov equation at the given Gramian.
-    When an entry of A, Q or BB* reaches 2**500, A, Q and BB* are scaled by
-    2**-a, 2**(a - s) and 2**-s, so that A Q, BB* and the scale all shrink by
-    2**-s and no entry exceeds 1: a, q and b are the binary exponents of their
-    largest entries (5e-324's for a zero matrix) and s = max(a + q, b)."""
+    A, Q and BB* are scaled exactly by 2**-a, 2**(a - s) and 2**-s, so that
+    A Q, BB* and the scale all shrink by 2**-s and no entry exceeds 1: a, q
+    and b are the binary exponents of their largest entries (5e-324's for a
+    zero matrix) and s = max(a + q, b).  Huge entries then do not overflow,
+    nor tiny ones underflow into a residual of 0."""
     A, Q, bbt = p.A, g.matrix, p.BBt
-    if huge_exponent(A, Q, bbt):
-        a, q, b = (int(np.frexp(np.abs(m).max(initial=5e-324))[1]) for m in (A, Q, bbt))
-        s = max(a + q, b)
-        A, Q, bbt = np.ldexp(A, -a), np.ldexp(Q, a - s), np.ldexp(bbt, -s)
+    a, q, b = (frexp(max(np.abs(m).max(), 5e-324))[1] for m in (A, Q, bbt))
+    s = max(a + q, b)
+    A, Q, bbt = np.ldexp(A, -a), np.ldexp(Q, a - s), np.ldexp(bbt, -s)
     res = np.linalg.norm(A @ Q + Q @ A.T + bbt, "fro")
     scale = (np.linalg.norm(A, "fro") * np.linalg.norm(Q, "fro")
              + np.linalg.norm(bbt, "fro"))
@@ -320,7 +319,7 @@ def lyapunov_residual(p, g):
 def h_space(p):
     """The reachability space, carried by the infinite-horizon Gramian:
     ``h_space(p) is gramian_infinite(p)``.  Its metric is read from the
-    eigenpairs of ``pinv`` and its membership test is ``reachable_membership``."""
+    eigenpairs of ``pinv`` and its membership test is ``pinv.in_range``."""
     return p.gramian_infinite
 
 
@@ -330,27 +329,21 @@ def h_basis(h):
     return h.pinv.eigvecs[:, h.pinv.keep]
 
 
-def h_inner(h, x, y, tol=1e-8):
+def h_inner(h, x, y):
     """Reachability-space inner product of two member vectors, as the sum
     of (v*x)(v*y)/w over the kept eigenpairs (w, v) of ``h.pinv``: unlike
     x @ Q^+ @ y, it keeps its relative accuracy along large eigenvalues.
 
-    Raises NotInH when either argument has a relative component larger
-    than ``tol`` outside the space.
+    Raises NotInH when either argument is outside the space (see
+    ``PseudoInverse.in_range``).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for name, vec in (("x", x), ("y", y)):
-        if not reachable_membership(h, vec, tol):
+        if not h.pinv.in_range(vec):
             raise NotInH(f"{name} is not in the reachability space")
     v = h_basis(h)
     return float(((x @ v) / h.pinv.eigvals[h.pinv.keep]) @ (y @ v))
-
-
-def reachable_membership(g, x, tol=1e-8):
-    """True iff x lies in the reachable set of the Gramian's horizon; one
-    answer per row of a (k, n) stack."""
-    return g.pinv.in_range(x, tol)
 
 
 def t_max(p, x_norm):

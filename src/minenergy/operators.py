@@ -30,6 +30,9 @@ from .errors import (
 #: relative singular-value cutoff shared by every rank decision
 DEFAULT_REL_TOL = 1e-10
 
+#: largest component outside a Gramian's range, relative to |x|, of a member x
+MEMBERSHIP_TOL = 1e-8
+
 #: eigenvector condition numbers above this are treated as defective
 _DIAGONALIZABLE_COND_MAX = 1e12
 
@@ -142,12 +145,13 @@ class PseudoInverse:
     def apply(self, x):
         return self.inverse_on_range @ x
 
-    def in_range(self, x, tol=1e-8):
-        """True iff the component of x outside the range is <= tol * ||x||,
-        so a zero vector passes; one answer per row of a (k, n) stack."""
+    def in_range(self, x):
+        """True iff the component of x outside the range is at most
+        MEMBERSHIP_TOL * ||x||, so a zero vector passes; one answer per row
+        of a (k, n) stack.  This is the one membership test of the package."""
         x = np.asarray(x, dtype=float)
         off = x - x @ self.range_projector    # the projector is symmetric
-        return np.linalg.norm(off, axis=-1) <= tol * np.linalg.norm(x, axis=-1)
+        return np.linalg.norm(off, axis=-1) <= MEMBERSHIP_TOL * np.linalg.norm(x, axis=-1)
 
 
 def _structure_flags(A, bbt):

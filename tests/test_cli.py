@@ -623,7 +623,7 @@ class TestAllCommand:
         # verify reads --t and --samples only with --comparison
         verify = ["--t", "1", "--samples", "50"] if "--comparison" in options else []
         stages = [["gramian", "--t", "1"], ["verify", *verify, *options],
-                  ["synthesize", "--t", "1", "--target", target, "--tol", "1e-8"],
+                  ["synthesize", "--t", "1", "--target", target],
                   ["auxiliary", "--t", "1", "--target", target, "--n-scale", "1"]]
         for stage in stages:
             codes.append(run(stage[0], "--model", path, *stage[1:], "--out", apart))
@@ -661,12 +661,11 @@ class TestDeterminism:
 
 class TestExitCodeContract:
     @pytest.mark.parametrize("options", [
-        ["--tol", "-1"],
         ["--n-scale", "-1"],
         ["--t", "-1"],
         ["--comparison", "--samples", "0"],
         ["--samples", "50"],
-    ], ids=["tol", "n_scale", "horizon", "samples", "samples_without_comparison"])
+    ], ids=["n_scale", "horizon", "samples", "samples_without_comparison"])
     def test_all_refuses_bad_option_before_writing(self, options, model_file,
                                                    tmp_path):
         out = tmp_path / "out"
@@ -888,16 +887,17 @@ class TestExitCodeContract:
         assert run("auxiliary", "--model", model_file(SPECTRAL), "--target", "1,0",
                    "--n-scale", scale, "--out", tmp_path) == code
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-    def test_bad_tolerance_is_three(self, tol, model_file, tmp_path):
-        assert run("synthesize", "--model", model_file(SPECTRAL), "--target", "1,0",
-                   "--tol", tol, "--out", tmp_path) == 3
-
     def test_tolerance_only_where_read(self, model_file, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("gramian", "--model", model_file(SPECTRAL), "--tol", "1e-8",
-                "--out", tmp_path)
-        assert exc.value.code == 2
+        # the membership cutoff is fixed, so no subcommand takes --tol
+        model = ["--model", model_file(SPECTRAL)]
+        for argv in (["gramian", *model], ["verify", *model],
+                     ["synthesize", *model, "--target", "1,0"],
+                     ["auxiliary", *model, "--target", "1,0"],
+                     ["landau"], ["all", *model]):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--tol", "1e-8", "--out", tmp_path / "out")
+            assert exc.value.code == 2, argv
+            assert not (tmp_path / "out").exists(), argv
 
     def test_domain_is_six(self, tmp_path):
         assert run("landau", "--rho-minus", "1.5", "--out", tmp_path) == 6

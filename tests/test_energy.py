@@ -29,9 +29,7 @@ from minenergy.errors import (
     GridMismatch,
     IllConditionedWarning,
     NotInH,
-    NotInRangeQ,
     NotReachable,
-    NotReachableFromH,
     RankDeficient,
 )
 from minenergy.gramian import gramian_finite, h_basis, h_space, t_max
@@ -128,7 +126,7 @@ class TestOptimalControl:
 
     def test_requires_range_membership(self):
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
-        with pytest.raises(NotInRangeQ):
+        with pytest.raises(NotInH):
             optimal_control_infinite(p, [0.0, 1.0], np.linspace(-2, 0, 11))
 
 
@@ -210,6 +208,12 @@ class TestSimulateMild:
         u = panel_signal(grid, np.zeros((grid.points.size, 1)))
         with pytest.raises(GridMismatch):
             simulate_mild(scalar_problem, [0.0], u, -2.0, 0.0)
+
+    def test_values_are_one_row_per_time(self, scalar_problem):
+        # values of shape (m, K) are refused, not read as their transpose
+        grid = default_grid(scalar_problem, -1.0, 0.0, target_points=32)
+        with pytest.raises(GridMismatch):
+            panel_signal(grid, np.zeros((2, grid.points.size)))
 
     def test_covering_window_sliced(self, scalar_problem):
         # simulation over an inner window of a wider control grid
@@ -364,7 +368,7 @@ class TestAuxiliary:
         aux = value_auxiliary(p, AuxiliaryCost(np.eye(2)), 1.0, [0.5, 0.0])
         assert aux.value > 0.0
         assert_allclose(aux.value, 0.25, rtol=1e-10)  # the scalar case at x=1/2
-        with pytest.raises(NotReachableFromH):
+        with pytest.raises(NotInH):
             value_auxiliary(p, AuxiliaryCost(np.eye(2)), 1.0, [0.0, 1.0])
 
     def test_penalty_form_is_metric_symmetric(self, rng):
@@ -430,10 +434,38 @@ class TestStackedTargets:
     def test_one_bad_row_raises(self):
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
         xs = np.array([[0.5, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NotReachableFromH):
+        with pytest.raises(NotInH):
             value_auxiliary(p, AuxiliaryCost(np.eye(2)), 1.0, xs)
         with pytest.raises(NotReachable):
             value_finite(p, 1.0, xs)
+
+
+class TestOneMembershipDecision:
+    """Every entry point decides membership by one test: a target whose
+    component outside the reachability space is r |x|, relative, is
+    accepted everywhere at r = 5e-9 and refused everywhere at r = 2e-8."""
+
+    ENTRY_POINTS = {
+        "value_infinite": (lambda p, x: value_infinite(p, x), NotInH),
+        "value_finite": (lambda p, x: value_finite(p, 1.0, x), NotReachable),
+        "optimal_control_infinite": (
+            lambda p, x: optimal_control_infinite(p, x, np.linspace(-1, 0, 11)), NotInH),
+        "optimal_trajectory_infinite": (
+            lambda p, x: optimal_trajectory_infinite(p, x, np.linspace(-1, 0, 11)), NotInH),
+        "steering_control_finite": (
+            lambda p, x: steering_control_finite(p, 1.0, x, np.linspace(-1, 0, 11)),
+            NotReachable),
+        "value_auxiliary": (
+            lambda p, x: value_auxiliary(p, AuxiliaryCost(np.eye(3)), 1.0, x), NotInH),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_same_cutoff_everywhere(self, name):
+        p = make_spectral_model([-1.0, -2.0, -3.0], [1.0, 1.0, 0.0])
+        fn, refusal = self.ENTRY_POINTS[name]
+        fn(p, np.array([1.0, 1.0, 5e-9 * np.sqrt(2.0)]))
+        with pytest.raises(refusal):
+            fn(p, np.array([1.0, 1.0, 2e-8 * np.sqrt(2.0)]))
 
 
 def cholesky_minimum(flow, form):

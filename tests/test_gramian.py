@@ -22,6 +22,7 @@ from minenergy.gramian import (
     RK4_STEP,
     RK4_STEP_COEF,
     RK4_STEP_NORM,
+    Gramian,
     _gramian_matrix_ode,
     _gramian_quadrature,
     _lyapunov_poly,
@@ -30,7 +31,6 @@ from minenergy.gramian import (
     h_inner,
     h_space,
     lyapunov_residual,
-    reachable_membership,
     t_max,
 )
 from minenergy.operators import (
@@ -448,6 +448,21 @@ class TestGramianInfinite:
             p = random_problem(rng)
             assert lyapunov_residual(p, gramian_infinite(p)) <= 1e-10
 
+    def test_residual_of_tiny_model(self):
+        # every entry of A, Q and BB* is below 1e-154, so unscaled squares in
+        # the Frobenius norms underflow and every Q would read 0.0; the oracle
+        # is the plain formula on the model scaled by 1e100
+        A, B = 1e-100 * np.array([[-1.0, 0.0], [1.0, -2.0]]), np.array([[1e-150], [0.0]])
+        p = make_dense_model(A, B)
+        q = gramian_infinite(p).matrix
+        for m in (q, 3.0 * q + 1e-200, np.zeros((2, 2))):
+            a, qs, bbt = 1e100 * A, 1e200 * m, 1e300 * (B @ B.T)
+            oracle = (np.linalg.norm(a @ qs + qs @ a.T + bbt)
+                      / (np.linalg.norm(a) * np.linalg.norm(qs) + np.linalg.norm(bbt)))
+            residual = lyapunov_residual(p, Gramian(horizon=np.inf, matrix=m))
+            assert abs(residual - oracle) <= 1e-12 * oracle + 1e-16
+        assert residual == 1.0                      # at the zero matrix
+
 
 class TestModelMemo:
     """A model factors itself once: its infinite-horizon Gramian, its
@@ -693,21 +708,21 @@ class TestReachability:
     def test_full_rank_everything_reachable(self, rng):
         p = random_problem(rng, n=4)
         g = gramian_finite(p, 1.0)
-        assert reachable_membership(g, rng.standard_normal(4), 1e-8)
+        assert g.pinv.in_range(rng.standard_normal(4))
 
     def test_kernel_direction_unreachable(self):
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
         g = gramian_finite(p, 1.0)
-        assert not reachable_membership(g, [0.0, 1.0], 1e-8)
+        assert not g.pinv.in_range([0.0, 1.0])
 
     def test_below_tolerance(self):
         p = make_spectral_model([-1.0, -2.0], [1.0, 0.0])
         g = gramian_finite(p, 1.0)
-        assert reachable_membership(g, [1.0, 1e-12], 1e-8)
+        assert g.pinv.in_range([1.0, 1e-12])
 
     def test_zero_always_reachable(self, scalar_problem):
         g = gramian_finite(scalar_problem, 1.0)
-        assert reachable_membership(g, [0.0], 1e-8)
+        assert g.pinv.in_range([0.0])
 
 
 def transpose_identity_residual(p, s):

@@ -16,8 +16,8 @@ from minenergy.energy import (
 from minenergy.errors import (
     BadParameterError,
     NotCoercive,
+    NotInH,
     NotReachable,
-    NotReachableFromH,
     NotSpectral,
     OutOfRange,
     RankDeficient,
@@ -439,7 +439,7 @@ class TestComparisonStage:
         cand = CandidateSolution("H_form", np.eye(2))
         g, g_def = gramian_finite(p, 1.0), gramian_finite(deficient, 1.0)
         for _ in range(2):
-            with pytest.raises(NotReachableFromH):
+            with pytest.raises(NotInH):
                 _comparison_stage(deficient, g_def, 1.0, 50, DEFAULT_SEED)
             with pytest.raises(BadParameterError, match="h_space"):
                 comparison_check(p, cand, 1.0, hspace=h_space(deficient))
