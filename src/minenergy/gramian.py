@@ -19,6 +19,7 @@ from .errors import (
     HorizonNotPositive,
     NotInH,
     NotStable,
+    PreconditionError,
 )
 from .operators import (
     exact_diagonal,
@@ -288,12 +289,17 @@ def _solve_gramian_infinite(p):
     A diagonal model's solution is closed-form, Q = diag(b / (-2 a)) with
     a and b the diagonals of A and BB*.  Any other model's is the
     Bartels-Stewart solve of ``scipy.linalg``, imported here so that
-    diagonal models never load scipy.
+    diagonal models never load scipy.  That solve is refused when the lower
+    bound max|BB*_ij| / (2 ||A||_2) on ||Q||_2 overflows.
     """
     if p.spectral_abscissa >= 0.0:
         raise NotStable("infinite-horizon Gramian needs a stable model")
     if p.diagonal:
         return _as_gramian(np.diag(np.diag(p.BBt) / (-2.0 * np.diag(p.A))), np.inf)
+    with np.errstate(over="ignore"):
+        floor = np.abs(p.BBt).max() / (2.0 * p.a_norm2)
+    if not np.isfinite(floor):
+        raise PreconditionError("infinite-horizon Gramian overflows a float")
     import scipy.linalg
     Q = scipy.linalg.solve_continuous_lyapunov(p.A, -p.BBt)
     return _as_gramian(Q, np.inf)

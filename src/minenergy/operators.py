@@ -4,7 +4,7 @@ A model is the pair (A, B) of a stable state operator and a bounded
 control operator on finite-dimensional real spaces, together with the
 decay envelope ``norm(expm(A, t)) <= bound_M * exp(-decay_omega * t)``.
 A model factors A once, at construction, into its ``Propagator``; the
-metadata and the flows of A, A* and -A all come from that factorization.
+metadata and the flows of A and A* both come from that factorization.
 A model whose A and BB* are both diagonal is flagged ``diagonal``, however
 it was built; the commuting-case machinery relies on that flag.
 """
@@ -82,7 +82,7 @@ class ControlProblem:
     A model is immutable: A, B and BBt = BB* are read-only.
     ``propagator`` is the one eigendecomposition of A, made at
     construction; the stability metadata was read off it, and it also
-    gives the flows of A* and -A.  ``diagonal`` is true when A and BB*
+    gives the flow of A*.  ``diagonal`` is true when A and BB*
     have no off-diagonal nonzero.  The other factorizations are computed
     on first use and kept on the model, so the spectral norm of A and the
     infinite-horizon Gramian (which carries the reachability space) are
@@ -258,8 +258,8 @@ class Propagator:
     Factors A once, into read-only arrays: a symmetric A by ``eigh``, whose
     orthonormal basis has ``cond`` 1, any other by ``eig``, with ``cond``
     the condition number of its eigenvector basis V.  Above a ``cond`` of
-    1e6 it falls back to per-value Pade exponentials.  ``adjoint()`` and
-    ``reversed()`` give the flows of A* and -A from the same factors.
+    1e6 it falls back to per-value Pade exponentials.  ``adjoint()`` gives
+    the flow of A* from the same factors.
     """
 
     _COND_MAX = 1e6
@@ -285,12 +285,6 @@ class Propagator:
         prop.A = self.A.T
         if self._spectral:
             prop._v, prop._vinv = self._vinv.T, self._v.T
-        return prop
-
-    def reversed(self):
-        """The Propagator of -A = V diag(-w) V^-1: e^{s(-A)} = e^{(-s)A}."""
-        prop = copy.copy(self)
-        prop.A, prop.w = read_only(-self.A), read_only(-self.w)
         return prop
 
     def at(self, ts):

@@ -134,6 +134,16 @@ class TestGramianCommand:
         report = json.loads((tmp_path / "gramian_report.json").read_text())
         assert report["rank"] == 2
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100])
+    def test_overflowing_infinite_gramian_refused(self, scale, model_file, tmp_path):
+        # Q_inf[0, 0] = 1e300 / (2 scale) overflows, and so does its lower
+        # bound max|BB*_ij| / (2 ||A||_2) on ||Q_inf||_2
+        doc = {"type": "dense", "A": [[-scale, 0.0], [scale, -2.0 * scale]],
+               "B": [[1e150], [0.0]]}
+        out = tmp_path / "out"
+        assert run("gramian", "--model", model_file(doc), "--out", out) == 4
+        assert not out.exists()
+
     def test_infinite_horizon_without_t(self, model_file, tmp_path):
         assert run("gramian", "--model", model_file(RANK_DEFICIENT),
                    "--out", tmp_path) == 0
@@ -524,6 +534,22 @@ class TestAuxiliaryCommand:
         report = json.loads((tmp_path / "auxiliary_report.json").read_text())
         assert abs(report["value"] - 1.0) <= 1e-9
         assert report["sandwich_ok"] is True
+        assert report["time_reversal_discrepancy"] <= 1e-6
+
+    @pytest.mark.parametrize("lambdas, target, t", [
+        ([-1.0, -2.0], "0.5,0.5", "20"), ([-1.0, -2.0], "0.5,0.5", "100"),
+        ([-1.0, -2.0], "0.5,0.5", "1000"), ([-1.0, -30.0], "0.5,0.5", "1"),
+        ([-1.0, -40.0], "0.5,0.5", "1"), ([-1.0, -2.0], "1e4,1e4", "1")],
+        ids=["t=20", "t=100", "t=1000", "stiff_30", "stiff_40", "large_target"])
+    def test_time_reversal_gate_reads_rounding(self, lambdas, target, t,
+                                               model_file, tmp_path):
+        # neither a long or stiff horizon nor a large target moves the
+        # panel-wise relative discrepancy off rounding
+        doc = {"type": "spectral", "lambdas": lambdas, "b_diag": [1.0, 1.0]}
+        assert run("auxiliary", "--model", model_file(doc), f"--target={target}",
+                   "--t", t, "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "auxiliary_report.json").read_text())
+        assert report["reversal_ok"] is True
         assert report["time_reversal_discrepancy"] <= 1e-6
 
 

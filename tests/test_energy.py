@@ -6,10 +6,12 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from minenergy import energy
 from minenergy.energy import (
     AuxiliaryCost,
     AuxiliaryFlow,
     ControlSignal,
+    Trajectory,
     auxiliary_flow,
     auxiliary_minimum,
     bcle_residual,
@@ -33,7 +35,7 @@ from minenergy.errors import (
     RankDeficient,
 )
 from minenergy.gramian import gramian_finite, h_basis, h_space, t_max
-from minenergy.operators import expm, make_spectral_model
+from minenergy.operators import expm, make_dense_model, make_spectral_model
 
 from conftest import random_problem, smooth_signal_values
 
@@ -583,6 +585,49 @@ class TestTimeReversal:
                               panel_nodes=grid.nodes_per_panel)
             disc = time_reversal_check(p, AuxiliaryCost(np.eye(3)), z, u)
             assert disc <= 1e-6
+
+    @pytest.mark.parametrize("t", [1.0, 5.0])
+    def test_stiff_dense_auxiliary_run(self, t):
+        """An auxiliary steering run, as the CLI makes it, on a dense
+        symmetric model whose eigenvalues span -0.5 to -32.5: a reversed
+        run over the whole horizon would amplify rounding by e^{32.5 t}."""
+        rng = np.random.default_rng(8)
+        q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        p = make_dense_model((q * np.linspace(-0.5, -32.5, 8)) @ q.T, np.eye(8))
+        cost = AuxiliaryCost(np.eye(8))
+        x = rng.standard_normal(8)
+        z = value_auxiliary(p, cost, t, x).argmin_z
+        grid = default_grid(p, -t, target_points=1024)
+        u = steering_control_finite(p, t, x - p.propagator.at(t)[0] @ z, grid)
+        assert time_reversal_check(p, cost, z, u) <= 1e-12
+
+    def test_moved_panel_boundary_is_seen(self, rng, monkeypatch):
+        p = random_problem(rng, n=3)
+        grid = default_grid(p, -2.0, 0.0, target_points=512)
+        u = panel_signal(grid, smooth_signal_values(rng, grid.points, 3))
+        z = rng.standard_normal(3)
+        simulate = energy.simulate_mild
+
+        def moved(*args):
+            traj = simulate(*args)
+            states = traj.states.copy()
+            boundary = 3 * (u.panel_nodes - 1)
+            states[boundary, 0] += 1e-5 * np.linalg.norm(states, axis=1).max()
+            return Trajectory(grid=traj.grid, states=states)
+
+        monkeypatch.setattr(energy, "simulate_mild", moved)
+        assert time_reversal_check(p, AuxiliaryCost(np.eye(3)), z, u) >= 1e-6
+
+    def test_discrepancy_is_scale_free(self, rng):
+        p = random_problem(rng, n=3)
+        grid = default_grid(p, -2.0, 0.0, target_points=512)
+        vals = smooth_signal_values(rng, grid.points, 3)
+        z = rng.standard_normal(3)
+        cost = AuxiliaryCost(np.eye(3))
+        discs = [time_reversal_check(p, cost, np.ldexp(z, k),
+                                     panel_signal(grid, np.ldexp(vals, k)))
+                 for k in (-30, 0, 30)]
+        assert discs[0] == discs[1] == discs[2] <= 1e-6
 
 
 class TestOptimalityAgainstPerturbations:

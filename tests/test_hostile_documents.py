@@ -190,11 +190,14 @@ def _scaled(a, b):
 
 
 #: (document, what verify's refusal names): scaled two-state models, on
-#: which verify computed a non-finite X-form residual, and a huge A with a
-#: huge Q_inf, whose Lyapunov residual overflowed
+#: which verify computed a non-finite X-form residual or, for a tiny A and
+#: a huge B, a Q_inf that overflows, and a huge A with a huge Q_inf, whose
+#: Lyapunov residual overflowed
 NAN_DOCUMENTS = {
+    **{f"a={a},b={b}": (_scaled(a, b), "infinite-horizon Gramian overflows")
+       for a, b in [(-200, 150), (-100, 150)]},
     **{f"a={a},b={b}": (_scaled(a, b), "certificate.json: canonical.x_form.residual")
-       for a, b in [(-200, 150), (-100, 150), (0, -150), (100, -75), (100, 0),
+       for a, b in [(0, -150), (100, -75), (100, 0),
                     (200, 0), (300, 0), (300, 75), (300, 150)]},
     "huge_a_huge_q": ({"type": "dense", "A": [[-1e300, 0.0], [0.0, -1.0]],
                        "B": [[1e150, 0.0], [0.0, 1e150]]}, "full-rank"),
