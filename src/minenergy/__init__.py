@@ -22,6 +22,7 @@ from .energy import (
     feedback_residual,
     optimal_control_infinite,
     optimal_trajectory_infinite,
+    simulate_endpoint,
     simulate_mild,
     steering_control_finite,
     time_reversal_check,

@@ -25,7 +25,7 @@ from .energy import (
     feedback_residual,
     optimal_control_infinite,
     optimal_trajectory_infinite,
-    simulate_mild,
+    simulate_endpoint,
     steering_control_finite,
     time_reversal_check,
     value_auxiliary,
@@ -235,9 +235,9 @@ def _synthesis(args, problem):
         grid = default_grid(problem, -span)
         u = optimal_control_infinite(problem, x, grid)
         traj = optimal_trajectory_infinite(problem, x, grid)
-        sim = simulate_mild(problem, np.zeros(problem.n), u, -span, 0.0)
+        reached = simulate_endpoint(problem, np.zeros(problem.n), u, -span, 0.0)
         scale = max(x_norm, 1.0)
-        report["endpoint_error"] = float(np.linalg.norm(sim.states[-1] - x) / scale)
+        report["endpoint_error"] = float(np.linalg.norm(reached - x) / scale)
         report["energy"] = energy_of(u)
         report["feedback_residual"] = feedback_residual(problem, traj, u)
         if h_space(problem).full_rank:

@@ -179,12 +179,13 @@ def energy_of(u):
     return 0.5 * float(u.quad_weights @ np.sum(u.values ** 2, axis=1))
 
 
-def _panel_terms(prop, B, pts, values, q):
-    """Per-panel flow E (q, n, n) and forcing F (panels, q, n) of the mild
+def _panel_terms(prop, B, pts, values, q, nodes=slice(None)):
+    """Per-panel flow E (k, n, n) and forcing F (panels, k, n) of the mild
     solution on a uniform grid of Gauss-Lobatto panels of q nodes, the
     control sampled at the grid times pts: a panel that starts at state y
     takes the states E @ y + F[panel] at its nodes.  A decreasing grid has
     a negative panel width and integrates the same dynamics backward.
+    ``nodes`` (a slice or index list) picks the k nodes built, all q by default.
 
     Within each panel the control is represented by its nodal interpolant
     and integrated exactly against the flow via prefix weights, so the
@@ -193,19 +194,19 @@ def _panel_terms(prop, B, pts, values, q):
     panels = (pts.size - 1) // (q - 1)
     width = (pts[-1] - pts[0]) / panels
     x_ref, _ = lobatto_rule(q)
-    w_pref = lobatto_prefix_weights(q) * (width / 2.0)
+    w_pref = lobatto_prefix_weights(q)[nodes] * (width / 2.0)
 
     # reference propagators for intra-panel offsets, reused by every panel
-    offs = (x_ref[:, None] - x_ref[None, :]) * (width / 2.0)
-    e_pair = prop.at(offs.ravel()).reshape(q, q, prop.n, prop.n)
-    ewb = w_pref[:, :, None, None] * (e_pair @ B)        # (q, q, n, m)
-    n, m = B.shape
-    ewb_mat = ewb.transpose(0, 2, 1, 3).reshape(q * n, q * m)  # rows (j, a), cols (k, b)
+    offs = (x_ref[nodes, None] - x_ref[None, :]) * (width / 2.0)
+    e_pair = prop.at(offs.ravel()).reshape(-1, q, prop.n, prop.n)
+    ewb = w_pref[:, :, None, None] * (e_pair @ B)        # (k, q, n, m)
+    k, n, m = len(e_pair), *B.shape
+    ewb_mat = ewb.transpose(0, 2, 1, 3).reshape(k * n, q * m)  # rows (j, a), cols (l, b)
 
     vals = values[: panels * (q - 1) + 1]
     idx = (np.arange(panels)[:, None] * (q - 1)) + np.arange(q)[None, :]
-    u_panels = vals[idx].reshape(panels, q * m)          # rows p, cols (k, b)
-    return e_pair[:, 0], (u_panels @ ewb_mat.T).reshape(panels, q, n)
+    u_panels = vals[idx].reshape(panels, q * m)          # rows p, cols (l, b)
+    return e_pair[:, 0], (u_panels @ ewb_mat.T).reshape(panels, k, n)
 
 
 def _locate(pts, value, what):
@@ -215,34 +216,46 @@ def _locate(pts, value, what):
     return idx
 
 
-def simulate_mild(p, z, u, s, t):
-    """Evaluate the variation-of-constants state path from z at time s
-    under the sampled control u, up to time t.
-
-    Panels are chained with the exact two-point recursion of
-    ``_panel_terms``.  Raises GridMismatch unless the window is made of
-    whole Gauss-Lobatto panels of the control's grid.
-    """
+def _chain(p, z, u, s, t, nodes=slice(None)):
+    """The window [s, t] of the control's grid, its panel-edge states from
+    z (one n x n product per panel) and the ``_panel_terms`` of ``nodes``;
+    GridMismatch unless the window is whole Gauss-Lobatto panels."""
     pts = u.grid
     if pts[0] > s + 1e-9 or pts[-1] < t - 1e-9:
         raise GridMismatch("control grid does not cover the requested window")
-    lo = _locate(pts, s, "start")
-    hi = _locate(pts, t, "end")
+    lo, hi = _locate(pts, s, "start"), _locate(pts, t, "end")
     if hi <= lo:
         raise GridMismatch("window must have positive length")
     q = u.panel_nodes
     if q is None or lo % (q - 1) or (hi - lo) % (q - 1):
-        raise GridMismatch("the simulator needs a window of whole Gauss-Lobatto "
-                           "panels")
+        raise GridMismatch("the simulator needs a window of whole Gauss-Lobatto panels")
     pts = pts[lo:hi + 1]
-    e_from_start, forced = _panel_terms(p.propagator, p.B, pts, u.values[lo:hi + 1], q)
-    states = np.empty((pts.size, p.n))
-    y = np.asarray(z, dtype=float)
-    for pnl, f in enumerate(forced):
-        block = e_from_start @ y + f
-        states[pnl * (q - 1):(pnl + 1) * (q - 1) + 1] = block
-        y = block[-1]
-    return Trajectory(grid=pts, states=states)
+    e, f = _panel_terms(p.propagator, p.B, pts, u.values[lo:hi + 1], q, nodes)
+    edges = [np.asarray(z, dtype=float)]
+    for f_end in f[:, -1]:
+        edges.append(e[-1] @ edges[-1] + f_end)
+    return pts, np.array(edges), e, f
+
+
+def simulate_mild(p, z, u, s, t):
+    """Evaluate the variation-of-constants state path from z at time s
+    under the sampled control u, up to time t.
+
+    Panel edges are chained with the exact two-point recursion of
+    ``_panel_terms``, and interior nodes follow in one batched product.
+    Raises GridMismatch unless the window is made of whole Gauss-Lobatto
+    panels of the control's grid.
+    """
+    pts, edges, e, f = _chain(p, z, u, s, t)
+    inner = (edges[:-1] @ e[1:-1].swapaxes(1, 2)).swapaxes(0, 1) + f[:, 1:-1]
+    rows = np.concatenate([edges[:-1, None], inner], axis=1).reshape(-1, p.n)
+    return Trajectory(grid=pts, states=np.vstack([rows, edges[-1:]]))
+
+
+def simulate_endpoint(p, z, u, s, t):
+    """The state at time t of ``simulate_mild(p, z, u, s, t)``, with its
+    refusals, from the panel-edge chain alone: no interior node is built."""
+    return _chain(p, z, u, s, t, nodes=[-1])[1][-1]
 
 
 def feedback_residual(p, traj, u):
@@ -380,10 +393,10 @@ def time_reversal_check(p, N, z, u):
         raise GridMismatch("steering window must end at time 0")
     states = simulate_mild(p, z, u, float(u.grid[0]), 0.0).states
     q = u.panel_nodes
-    e_from_end, forced = _panel_terms(p.propagator, p.B, u.grid[::-1],
-                                      u.values[::-1], q)
+    e_back, f_back = _panel_terms(p.propagator, p.B, u.grid[::-1],
+                                  u.values[::-1], q, nodes=[-1])
     ends, starts = states[:0:-(q - 1)], states[-q::-(q - 1)]
-    back = ends @ e_from_end[-1].T + forced[:, -1]
+    back = ends @ e_back[0].T + f_back[:, 0]
     tiny = np.finfo(float).tiny
     scale = max(np.linalg.norm(states, axis=1).max(), tiny)
     cost = 0.5 * N.quad(h, z)

@@ -57,8 +57,10 @@ def _write_rows(path, header, rows):
     BLOCK_ROWS rows, cells joined by commas and rows ended by CRLF as
     csv.writer ends them.  Each cell is orjson's spelling of the shortest
     decimal that round-trips its double (``1e16``, ``1e-6``,
-    ``0.00001234``).  orjson writes a non-finite cell as ``null``, so a
-    body that is not all finite is refused before the file is opened."""
+    ``0.00001234``).  One byte mask per block drops every ``[``, and each
+    row's closing ``]`` and the byte after it become CRLF.  orjson writes a
+    non-finite cell as ``null``, so a body that is not all finite is
+    refused before the file is opened."""
     import orjson  # CSV bodies only: kept off the import path
     body = np.ascontiguousarray(rows, dtype=float)
     if not np.isfinite(body).all():
@@ -70,7 +72,11 @@ def _write_rows(path, header, rows):
         for i in range(0, len(body), BLOCK_ROWS):
             text = orjson.dumps(body[i:i + BLOCK_ROWS],
                                 option=orjson.OPT_SERIALIZE_NUMPY)
-            fh.write(text[2:-2].replace(b"],[", b"\r\n") + b"\r\n")
+            raw = np.frombuffer(text, dtype=np.uint8)
+            cells = raw[raw != ord("[")]
+            ends = np.flatnonzero(cells[:-1] == ord("]"))
+            cells[ends], cells[ends + 1] = ord("\r"), ord("\n")
+            fh.write(cells)
 
 
 def matrix_csv(path, matrix):

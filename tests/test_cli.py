@@ -446,6 +446,33 @@ class TestSynthesizeCommand:
         report = json.loads((tmp_path / "synthesis_report.json").read_text())
         assert report["V_inf"] == "+inf"
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non_normal"])
+    def test_dense_32_endpoint_and_determinism(self, symmetric, model_file, tmp_path):
+        # a dense n=32 model with eigenvalues in [-3, -0.3], both ends
+        # attained, and an eigenvector perturbation of norm near 0.57
+        rng = np.random.default_rng(32 + symmetric)
+        lam = -rng.uniform(0.3, 3.0, size=32)
+        lam[0], lam[-1] = -0.3, -3.0
+        if symmetric:
+            v = np.linalg.qr(rng.standard_normal((32, 32)))[0]
+            a = (v * lam) @ v.T
+            a = 0.5 * (a + a.T)
+        else:
+            v = np.eye(32) + 0.05 * rng.standard_normal((32, 32))
+            a = v @ np.diag(lam) @ np.linalg.inv(v)
+        b = np.linalg.qr(rng.standard_normal((32, 32)))[0] * rng.uniform(0.5, 1.5, 32)
+        path = model_file({"type": "dense", "A": a.tolist(), "B": b.tolist()})
+        target = "--target=" + ",".join(repr(float(v)) for v in rng.standard_normal(32))
+        blobs = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert run("synthesize", "--model", path, target, "--out", out) == 0
+            report = json.loads((out / "synthesis_report.json").read_text())
+            assert report["endpoint_error"] <= 1e-12
+            blobs.append([(out / name).read_bytes() for name in
+                          ("control.csv", "trajectory.csv", "synthesis_report.json")])
+        assert blobs[0] == blobs[1]
+
 
 def csv_values(path):
     """The body of a written CSV file as an array, after checking that the

@@ -20,6 +20,7 @@ from minenergy.energy import (
     feedback_residual,
     optimal_control_infinite,
     optimal_trajectory_infinite,
+    simulate_endpoint,
     simulate_mild,
     steering_control_finite,
     time_reversal_check,
@@ -37,7 +38,7 @@ from minenergy.errors import (
 from minenergy.gramian import gramian_finite, h_basis, h_space, t_max
 from minenergy.operators import expm, make_dense_model, make_spectral_model
 
-from conftest import random_problem, smooth_signal_values
+from conftest import pade_problem, random_problem, smooth_signal_values
 
 
 def panel_signal(grid, values):
@@ -247,6 +248,87 @@ class TestSimulateMild:
         traj = simulate_mild(scalar_problem, [0.0], u, 0.0, 1.0)
         oracle, _ = quad(lambda tau: np.exp(-(1.0 - tau)) * np.cos(tau), 0.0, 1.0)
         assert abs(traj.states[-1, 0] - oracle) <= 1e-10
+
+    def test_panel_edges_hold_the_chained_state(self, rng):
+        # each edge row is the chained state itself, not E[0] @ y + F[:, 0]
+        # with a propagator at offset 0 that is the identity only up to
+        # rounding on a non-normal model
+        p = random_problem(rng, n=8, symmetric=False)
+        grid = default_grid(p, -2.0, 0.0, target_points=512)
+        u = panel_signal(grid, smooth_signal_values(rng, grid.points, 8))
+        z = rng.standard_normal(8)
+        states = simulate_mild(p, z, u, -2.0, 0.0).states
+        assert np.array_equal(states[0], z)
+        edges = states[::grid.nodes_per_panel - 1]
+        e, f = energy._panel_terms(p.propagator, p.B, grid.points, u.values,
+                                   grid.nodes_per_panel)
+        for k, f_end in enumerate(f[:, -1]):
+            assert np.array_equal(edges[k + 1], e[-1] @ edges[k] + f_end)
+
+
+REDUCED_MODELS = {
+    "symmetric": lambda: random_problem(np.random.default_rng(1), n=6, symmetric=True),
+    "non_normal": lambda: random_problem(np.random.default_rng(2), n=6, symmetric=False),
+    "pade": pade_problem,
+}
+
+
+def window_cases(p):
+    """Every window the simulator refuses, by name, as (signal, s, t): a
+    window the grid does not cover, a plain grid, windows that cut a
+    panel, a time off the grid, and windows of zero and negative length."""
+    grid = default_grid(p, -1.0, 0.0, target_points=64)
+    u = panel_signal(grid, np.cos(grid.points)[:, None] * np.ones(p.m))
+    plain = np.linspace(-1.0, 0.0, 2001)
+    wts = np.full(plain.size, plain[1] - plain[0])
+    wts[[0, -1]] /= 2.0
+    flat = ControlSignal(grid=plain, values=np.ones((plain.size, p.m)), quad_weights=wts)
+    pts = grid.points
+    return {"uncovered": (u, -2.0, 0.0), "plain_grid": (flat, -1.0, 0.0),
+            "cut_start": (u, pts[1], 0.0), "cut_end": (u, -1.0, pts[-2]),
+            "off_grid": (u, -1.0, 0.5 * (pts[-2] + pts[-1])),
+            "empty": (u, 0.0, 0.0), "reversed": (u, 0.0, -1.0)}
+
+
+class TestReducedPanelTerms:
+    """The terms of the last panel node alone, and the endpoint simulated
+    from them, are those of the full run."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("kind", REDUCED_MODELS)
+    def test_last_node_matches_full_terms(self, kind, reverse, rng):
+        p = REDUCED_MODELS[kind]()
+        grid = default_grid(p, -3.0, 0.0, target_points=256)
+        pts, vals = grid.points, smooth_signal_values(rng, grid.points, p.m)
+        if reverse:
+            pts, vals = pts[::-1], vals[::-1]
+        q = grid.nodes_per_panel
+        e_all, f_all = energy._panel_terms(p.propagator, p.B, pts, vals, q)
+        e, f = energy._panel_terms(p.propagator, p.B, pts, vals, q, nodes=[-1])
+        assert e.shape == (1, p.n, p.n) and f.shape == (f_all.shape[0], 1, p.n)
+        eps = np.finfo(float).eps
+        assert np.abs(e[0] - e_all[-1]).max() <= 16 * eps * np.abs(e_all[-1]).max()
+        assert np.abs(f[:, 0] - f_all[:, -1]).max() <= 16 * eps * np.abs(f_all).max()
+
+    @pytest.mark.parametrize("kind", REDUCED_MODELS)
+    def test_endpoint_is_last_simulated_state(self, kind, rng):
+        p = REDUCED_MODELS[kind]()
+        grid = default_grid(p, -3.0, 0.0, target_points=256)
+        u = panel_signal(grid, smooth_signal_values(rng, grid.points, p.m))
+        z = rng.standard_normal(p.n)
+        for s in (-3.0, grid.points[2 * (grid.nodes_per_panel - 1)]):
+            last = simulate_mild(p, z, u, s, 0.0).states[-1]
+            reached = simulate_endpoint(p, z, u, s, 0.0)
+            assert np.linalg.norm(reached - last) <= 1e-14 * np.linalg.norm(last)
+
+    @pytest.mark.parametrize("case", ["uncovered", "plain_grid", "cut_start", "cut_end",
+                                      "off_grid", "empty", "reversed"])
+    def test_endpoint_refuses_what_the_simulator_refuses(self, case, scalar_problem):
+        u, s, t = window_cases(scalar_problem)[case]
+        with pytest.raises(GridMismatch):
+            simulate_mild(scalar_problem, [0.0], u, s, t)
+        with pytest.raises(GridMismatch):
+            simulate_endpoint(scalar_problem, [0.0], u, s, t)
 
 
 class TestEnergy:

@@ -87,6 +87,14 @@ class TestWriteRows:
     def test_no_rows(self, tmp_path):
         assert_same_bytes(tmp_path, np.empty((0, 3)))
 
+    @pytest.mark.parametrize("cols", [1, 33])
+    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      2 * BLOCK_ROWS + 5])
+    def test_block_boundaries(self, rows, cols, rng, tmp_path):
+        # a last block that is full, one row short, or a single row
+        values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-20, 20, (rows, cols))
+        assert_same_bytes(tmp_path, values)
+
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(any_doubles())
     def test_any_doubles_over_blocks(self, tmp_path, rows):
