@@ -14,14 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    IllConditionedWarning,
-    NotInH,
-    NotReachable,
-    RankDeficient,
-)
-from .gramian import gramian_finite, h_basis, h_inner, h_space
+from .errors import GridMismatch, IllConditionedWarning, RankDeficient
+from .gramian import gramian_finite, h_basis, h_space
 from .operators import read_only, symmetrize
 from .quadrature import PanelGrid, lobatto_prefix_weights, lobatto_rule, panel_grid
 
@@ -81,8 +75,8 @@ class AuxiliaryCost:
         return symmetrize(np.asarray(self.N_H, dtype=float).T @ h.pinv.inverse_on_range)
 
     def quad(self, h, z):
-        z = np.asarray(z, dtype=float)
-        return float(z @ self.form_matrix(h) @ z)
+        """<N z, z>_H, as the metric pairing ``h.inner`` of N z and z."""
+        return float(h.inner(z @ np.asarray(self.N_H, dtype=float).T, z))
 
 
 class AuxiliaryValue(NamedTuple):
@@ -112,6 +106,14 @@ def _grid_arrays(grid):
     return pts, w, None
 
 
+def _value(g, x):
+    """Half the squared metric norm ``g.inner`` of the target x, or of each
+    row of a (k, n) stack, once ``g.member`` lets it in."""
+    x = g.member(x)
+    value = 0.5 * g.inner(x, x)
+    return value if x.ndim > 1 else float(value)
+
+
 def value_finite(p, t, x):
     """Minimum energy that steers rest to x over a horizon of length t.
 
@@ -120,58 +122,47 @@ def value_finite(p, t, x):
     (k, n) stack of targets gives an array of k values and raises if any
     row is unreachable.
     """
-    x = np.asarray(x, dtype=float)
-    g = gramian_finite(p, t)
-    if not np.all(g.pinv.in_range(x)):
-        raise NotReachable("target is outside the reachable set for this horizon")
-    value = 0.5 * np.sum(x.T * g.pinv.apply(x.T), axis=0)
-    return value if x.ndim > 1 else float(value)
+    return _value(gramian_finite(p, t), x)
 
 
 def value_infinite(p, x):
     """Least energy over all horizons: half the reachability-metric norm
-    squared.  Raises NotInH when the target carries infinite energy."""
-    return 0.5 * h_inner(h_space(p), x, x)
+    squared.  Raises NotInH when the target carries infinite energy.  A
+    (k, n) stack gives k values, as in ``value_finite``."""
+    return _value(h_space(p), x)
 
 
-def _range_coordinates(h, x):
-    if not h.pinv.in_range(x):
-        raise NotInH("closed-form synthesis needs the target in the "
-                     "Gramian range")
-    return h.pinv.apply(x)
-
-
-def _adjoint_samples(p, grid, q):
-    """Normalize the grid and sample the adjoint flow e^{-rA*} q at its
-    times r: (points, weights, panel_nodes, rows)."""
+def _adjoint_samples(p, g, x, grid):
+    """Sample e^{-rA*} G^+ x, G the Gramian g, at the grid's times r once
+    ``g.member`` lets x in: (points, weights, panel_nodes, rows)."""
+    q = g.pinv.apply(g.member(x))
     pts, wts, nodes = _grid_arrays(grid)
     return pts, wts, nodes, p.propagator.adjoint().apply(-pts, q)
 
 
-def optimal_control_infinite(p, x, grid):
-    """Sample the optimal steering control u(r) = B* e^{-rA*} Q^{-1} x."""
-    pts, wts, nodes, rows = _adjoint_samples(p, grid, _range_coordinates(h_space(p), x))
+def _control(p, g, x, grid):
+    """The control u(r) = B* e^{-rA*} G^+ x, G the Gramian g, on the grid."""
+    pts, wts, nodes, rows = _adjoint_samples(p, g, x, grid)
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
                          panel_nodes=nodes)
+
+
+def optimal_control_infinite(p, x, grid):
+    """Sample the optimal steering control u(r) = B* e^{-rA*} Q^{-1} x."""
+    return _control(p, h_space(p), x, grid)
 
 
 def optimal_trajectory_infinite(p, x, grid):
     """Sample the optimal arrival path y(r) = Q e^{-rA*} Q^{-1} x."""
     h = h_space(p)
-    pts, _, _, rows = _adjoint_samples(p, grid, _range_coordinates(h, x))
+    pts, _, _, rows = _adjoint_samples(p, h, x, grid)
     return Trajectory(grid=pts, states=rows @ h.matrix)
 
 
 def steering_control_finite(p, t, x, grid):
     """Minimum-energy control reaching x at time 0 from rest at -t,
     sampled on the grid: u(r) = B* e^{-rA*} Q_t^{-1} x."""
-    g = gramian_finite(p, t)
-    x = np.asarray(x, dtype=float)
-    if not g.pinv.in_range(x):
-        raise NotReachable("target is outside the reachable set for this horizon")
-    pts, wts, nodes, rows = _adjoint_samples(p, grid, g.pinv.apply(x))
-    return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
-                         panel_nodes=nodes)
+    return _control(p, gramian_finite(p, t), x, grid)
 
 
 def energy_of(u):
@@ -307,10 +298,8 @@ def auxiliary_flow(p, t, x):
     """The penalty-free stage of ``value_auxiliary`` for the target x, of
     shape (n,), or the (k, n) stack x.  Raises NotInH when a target is
     outside the reachability space."""
-    x = np.asarray(x, dtype=float)
     g, h = gramian_finite(p, t), h_space(p)
-    if not np.all(h.pinv.in_range(x)):
-        raise NotInH("target is outside the reachability space")
+    x = h.member(x)
     theta = h_basis(h)
     e_tilde = theta.T @ p.propagator.at(t)[0] @ theta
     g_tilde = theta.T @ g.pinv.inverse_on_range @ theta

@@ -97,13 +97,13 @@ class GridMismatch(PreconditionError):
 # -- unreachable ---------------------------------------------------------------
 
 class NotReachable(UnreachableError):
-    """Target lies outside the finite-horizon reachable set, range(Q_t);
-    value is +inf."""
+    """Target outside range(Q_t), the finite-horizon reachable set (value
+    +inf): raised by the membership gate ``Gramian.member`` of a horizon t."""
 
 
 class NotInH(UnreachableError):
-    """Vector lies outside the finite-energy reachability space, range(Q_inf):
-    the one test ``h.pinv.in_range`` of every infinite-horizon entry point."""
+    """Vector outside range(Q_inf), the finite-energy reachability space:
+    raised by the membership gate ``Gramian.member`` of the infinite horizon."""
 
 
 # -- domain --------------------------------------------------------------------

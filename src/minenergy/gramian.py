@@ -18,6 +18,7 @@ from .errors import (
     BadParameterError,
     HorizonNotPositive,
     NotInH,
+    NotReachable,
     NotStable,
     PreconditionError,
 )
@@ -124,6 +125,26 @@ class Gramian:
     @cached_property
     def comparison_stages(self):
         return {}
+
+    def member(self, x):
+        """x as a float array, one vector or a (k, n) stack, once every row
+        passes ``pinv.in_range``: the one membership gate of the package.
+        Raises NotInH on the infinite-horizon Gramian, whose range is the
+        reachability space, and NotReachable on a finite horizon's."""
+        x = np.asarray(x, dtype=float)
+        if not np.all(self.pinv.in_range(x)):
+            if self.horizon == np.inf:
+                raise NotInH("target is outside the reachability space")
+            raise NotReachable("target is outside the reachable set for this horizon")
+        return x
+
+    def inner(self, x, y):
+        """The metric pairing sum (v*x)(v*y)/w over the kept eigenpairs
+        (w, v) of ``pinv``, row by row: unlike x @ Q^+ @ y, it keeps its
+        relative accuracy along large eigenvalues.  It tests no membership:
+        a component in the kernel drops out, as it does under Q^+."""
+        v = h_basis(self)
+        return np.sum((x @ v) / self.pinv.eigvals[self.pinv.keep] * (y @ v), axis=-1)
 
 
 def _as_gramian(matrix, horizon):
@@ -324,8 +345,8 @@ def lyapunov_residual(p, g):
 
 def h_space(p):
     """The reachability space, carried by the infinite-horizon Gramian:
-    ``h_space(p) is gramian_infinite(p)``.  Its metric is read from the
-    eigenpairs of ``pinv`` and its membership test is ``pinv.in_range``."""
+    ``h_space(p) is gramian_infinite(p)``.  Its metric is ``Gramian.inner``
+    and its membership gate is ``Gramian.member``."""
     return p.gramian_infinite
 
 
@@ -336,20 +357,9 @@ def h_basis(h):
 
 
 def h_inner(h, x, y):
-    """Reachability-space inner product of two member vectors, as the sum
-    of (v*x)(v*y)/w over the kept eigenpairs (w, v) of ``h.pinv``: unlike
-    x @ Q^+ @ y, it keeps its relative accuracy along large eigenvalues.
-
-    Raises NotInH when either argument is outside the space (see
-    ``PseudoInverse.in_range``).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for name, vec in (("x", x), ("y", y)):
-        if not h.pinv.in_range(vec):
-            raise NotInH(f"{name} is not in the reachability space")
-    v = h_basis(h)
-    return float(((x @ v) / h.pinv.eigvals[h.pinv.keep]) @ (y @ v))
+    """Reachability-space inner product ``h.inner`` of two member vectors.
+    Raises NotInH when either argument is outside the space."""
+    return float(h.inner(h.member(x), h.member(y)))
 
 
 def t_max(p, x_norm):

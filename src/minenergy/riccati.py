@@ -365,7 +365,7 @@ def differential_riccati_residual(p, t, step_h, x, y):
         g = gramian_finite(p, s)
         if g.rank < p.n:
             raise RankDeficient("horizon derivative needs a full-rank Gramian")
-        return float(x @ g.pinv.apply(y))
+        return float(g.inner(x, y))
 
     lhs = (form_at(t + step_h) - form_at(t - step_h)) / (2.0 * step_h)
     g = gramian_finite(p, t).pinv.inverse_on_range

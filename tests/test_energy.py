@@ -35,7 +35,7 @@ from minenergy.errors import (
     NotReachable,
     RankDeficient,
 )
-from minenergy.gramian import gramian_finite, h_basis, h_space, t_max
+from minenergy.gramian import gramian_finite, h_basis, h_inner, h_space, t_max
 from minenergy.operators import expm, make_dense_model, make_spectral_model
 
 from conftest import pade_problem, random_problem, smooth_signal_values
@@ -504,7 +504,9 @@ class TestStackedTargets:
         xs[3] = 0.0
         aux = value_auxiliary(p, cost, t, xs)
         fin = value_finite(p, t, xs)
+        inf = value_infinite(p, xs)
         assert aux.value.shape == (7,) and fin.shape == (7,)
+        assert inf.shape == (7,)
         assert aux.argmin_z.shape == (7, p.n)
         for k, x in enumerate(xs):
             one = value_auxiliary(p, cost, t, x)
@@ -513,6 +515,9 @@ class TestStackedTargets:
             assert one.argmin_z.shape == (p.n,)
             assert abs(aux.value[k] - one.value) <= 1e-12 * (1.0 + abs(one.value))
             assert abs(fin[k] - v) <= 1e-12 * (1.0 + abs(v))
+            v = value_infinite(p, x)
+            assert isinstance(v, float)
+            assert abs(inf[k] - v) <= 1e-12 * (1.0 + abs(v))
             assert_allclose(aux.argmin_z[k], one.argmin_z, rtol=1e-10, atol=1e-12)
 
     def test_one_bad_row_raises(self):
@@ -541,6 +546,7 @@ class TestOneMembershipDecision:
             NotReachable),
         "value_auxiliary": (
             lambda p, x: value_auxiliary(p, AuxiliaryCost(np.eye(3)), 1.0, x), NotInH),
+        "h_inner": (lambda p, x: h_inner(h_space(p), x, x), NotInH),
     }
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -550,6 +556,42 @@ class TestOneMembershipDecision:
         fn(p, np.array([1.0, 1.0, 5e-9 * np.sqrt(2.0)]))
         with pytest.raises(refusal):
             fn(p, np.array([1.0, 1.0, 2e-8 * np.sqrt(2.0)]))
+
+
+#: U = H_4 / 2, an exact symmetric orthogonal matrix with entries +-1/2
+HADAMARD_U = 0.5 * np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                             [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+
+
+class TestTopEigenvectorExactness:
+    """A = U diag(lam) U*, B = U diag(sqrt(b)) with dyadic lam and b >= 2^-26
+    are exact, and so is each column of U: an eigenvector of every Gramian,
+    Q_t = U diag(q(t)) U* with q_k(t) = b_k / (-2 lam_k) (-expm1(2 lam_k t)).
+    Along the top one the values are 1/2 / q_k and the penalty <z, z>_H is
+    1 / q_k(inf), to rounding, although cond(Q_inf) is 2^28."""
+
+    SETS = [
+        ([-1.0, -2.0, -0.5, -4.0], [1.0, 2.0 ** -8, 2.0 ** -16, 2.0 ** -26]),
+        ([-1.0, -0.25, -0.5, -2.0], [2.0 ** -26, 1.0, 2.0 ** -12, 2.0 ** -4]),
+        ([-2.0, -0.125, -1.0, -0.5], [2.0 ** -26, 2.0 ** -2, 2.0 ** -10, 2.0 ** -18]),
+    ]
+
+    @pytest.mark.parametrize("lam, b", SETS)
+    def test_values_along_top_eigenvector(self, lam, b):
+        lam, b = np.array(lam), np.array(b)
+        p = make_dense_model(HADAMARD_U @ np.diag(lam) @ HADAMARD_U.T,
+                             HADAMARD_U @ np.diag(np.sqrt(b)))
+        q_inf = b / (-2.0 * lam)
+        assert h_space(p).full_rank
+        for t in (0.5, 2.0, 8.0):
+            q = q_inf * -np.expm1(2.0 * lam * t)
+            k = int(np.argmax(q))
+            assert abs(value_finite(p, t, HADAMARD_U[:, k]) * 2.0 * q[k] - 1.0) <= 1e-13
+        k = int(np.argmax(q_inf))
+        top = HADAMARD_U[:, k]
+        assert abs(value_infinite(p, top) * 2.0 * q_inf[k] - 1.0) <= 1e-13
+        quad = AuxiliaryCost(np.eye(4)).quad(h_space(p), top)
+        assert abs(quad * q_inf[k] - 1.0) <= 1e-13
 
 
 def cholesky_minimum(flow, form):

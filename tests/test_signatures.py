@@ -1,8 +1,10 @@
 """Functions that take a model read its Gramians and reachability space
-from it, so no public callable takes either as an argument; and none takes
-the membership cutoff, which is fixed."""
+from it, so no public callable takes either as an argument; none takes
+the membership cutoff, which is fixed; and one gate decides membership."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import minenergy
 import minenergy.energy
@@ -44,3 +46,34 @@ def test_no_membership_tolerance_parameter():
     assert {"minenergy.energy.value_finite", "minenergy.gramian.h_inner"} <= {
         name for name, _ in members}
     assert [name for name, params in members if "tol" in params] == []
+
+
+def in_range_sites():
+    """The definitions of ``in_range`` in the package source and the
+    functions that call it, each as "file:Qualified.name"."""
+    defined, calls = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if child.name == "in_range":
+                    defined.append(scope + child.name)
+                visit(child, f"{scope}{child.name}.")
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "in_range"
+                    or isinstance(func, ast.Name) and func.id == "in_range"):
+                calls.append(scope.rstrip("."))
+            visit(child, scope)
+
+    for path in sorted(Path(minenergy.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.name}:")
+    return defined, calls
+
+
+def test_one_membership_gate():
+    # every entry point decides membership through Gramian.member, whose
+    # Gramian picks the exception: NotInH for Q_inf, NotReachable for Q_t
+    defined, calls = in_range_sites()
+    assert defined == ["operators.py:PseudoInverse.in_range"]
+    assert calls == ["gramian.py:Gramian.member"]
