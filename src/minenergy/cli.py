@@ -19,11 +19,11 @@ from .energy import (
     AuxiliaryCost,
     ControlSignal,
     Trajectory,
+    _optimal_pair,
     bcle_residual,
     default_grid,
     energy_of,
     feedback_residual,
-    optimal_control_infinite,
     optimal_trajectory_infinite,
     simulate_endpoint,
     steering_control_finite,
@@ -233,8 +233,7 @@ def _synthesis(args, problem):
         report.update({"V": v_fin, "gap": v_fin - v_inf})
 
         grid = default_grid(problem, -span)
-        u = optimal_control_infinite(problem, x, grid)
-        traj = optimal_trajectory_infinite(problem, x, grid)
+        u, traj = _optimal_pair(problem, x, grid)
         reached = simulate_endpoint(problem, np.zeros(problem.n), u, -span, 0.0)
         scale = max(x_norm, 1.0)
         report["endpoint_error"] = float(np.linalg.norm(reached - x) / scale)

@@ -87,7 +87,7 @@ class AuxiliaryValue(NamedTuple):
 def default_grid(p, t0, t1=0.0, target_points=2048):
     """Quadrature grid on [t0, t1] adapted to the model's time scales, for
     signals of up to max(n, m) floats per point."""
-    width = min(1.0, 1.0 / p.decay_omega, 1.0 / max(p.spectral_radius, 1e-12))
+    width = min(1.0, 1.0 / p.spectral_radius)
     return panel_grid(t0, t1, max_panel_width=width, target_points=target_points,
                       columns=max(p.n, p.m))
 
@@ -132,37 +132,38 @@ def value_infinite(p, x):
     return _value(h_space(p), x)
 
 
-def _adjoint_samples(p, g, x, grid):
-    """Sample e^{-rA*} G^+ x, G the Gramian g, at the grid's times r once
-    ``g.member`` lets x in: (points, weights, panel_nodes, rows)."""
+def _control(p, g, x, grid):
+    """The control u(r) = B* e^{-rA*} G^+ x, G the Gramian g, on the grid
+    once ``g.member`` lets x in, and the samples e^{-rA*} G^+ x it reads."""
     q = g.pinv.apply(g.member(x))
     pts, wts, nodes = _grid_arrays(grid)
-    return pts, wts, nodes, p.propagator.adjoint().apply(-pts, q)
-
-
-def _control(p, g, x, grid):
-    """The control u(r) = B* e^{-rA*} G^+ x, G the Gramian g, on the grid."""
-    pts, wts, nodes, rows = _adjoint_samples(p, g, x, grid)
+    rows = p.propagator.adjoint().apply(-pts, q)
     return ControlSignal(grid=pts, values=rows @ p.B, quad_weights=wts,
-                         panel_nodes=nodes)
+                         panel_nodes=nodes), rows
+
+
+def _optimal_pair(p, x, grid):
+    """The optimal control and arrival path of the target x on the grid,
+    from one sampling of the adjoint flow."""
+    h = h_space(p)
+    u, rows = _control(p, h, x, grid)
+    return u, Trajectory(grid=u.grid, states=rows @ h.matrix)
 
 
 def optimal_control_infinite(p, x, grid):
     """Sample the optimal steering control u(r) = B* e^{-rA*} Q^{-1} x."""
-    return _control(p, h_space(p), x, grid)
+    return _control(p, h_space(p), x, grid)[0]
 
 
 def optimal_trajectory_infinite(p, x, grid):
     """Sample the optimal arrival path y(r) = Q e^{-rA*} Q^{-1} x."""
-    h = h_space(p)
-    pts, _, _, rows = _adjoint_samples(p, h, x, grid)
-    return Trajectory(grid=pts, states=rows @ h.matrix)
+    return _optimal_pair(p, x, grid)[1]
 
 
 def steering_control_finite(p, t, x, grid):
     """Minimum-energy control reaching x at time 0 from rest at -t,
     sampled on the grid: u(r) = B* e^{-rA*} Q_t^{-1} x."""
-    return _control(p, gramian_finite(p, t), x, grid)
+    return _control(p, gramian_finite(p, t), x, grid)[0]
 
 
 def energy_of(u):

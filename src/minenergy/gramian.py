@@ -9,7 +9,7 @@ Gramian stands for it, and its metric is read from Q's eigenpairs.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, frexp
+from math import comb
 
 import numpy as np
 from numpy.polynomial.polynomial import polypow
@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .operators import (
+    binary_exponent,
     exact_diagonal,
     pseudo_inverse,
     read_only,
@@ -172,7 +173,7 @@ def _gramian_quadrature(p, t):
     row blocks sqrt(w_k) X_k*, scaled in place, and numpy evaluates Y Y* as
     a symmetric rank-k update, so Q_D is exactly symmetric.
     """
-    width = min(1.0, 1.0 / p.decay_omega, 4.0 / max(p.spectral_radius, 1e-12))
+    width = min(1.0, 1.0 / p.decay_omega, 4.0 / p.spectral_radius)
     ratio = t / width
     if not np.isfinite(ratio):
         raise BadParameterError(
@@ -330,11 +331,11 @@ def lyapunov_residual(p, g):
     """Relative residual of the Lyapunov equation at the given Gramian.
     A, Q and BB* are scaled exactly by 2**-a, 2**(a - s) and 2**-s, so that
     A Q, BB* and the scale all shrink by 2**-s and no entry exceeds 1: a, q
-    and b are the binary exponents of their largest entries (5e-324's for a
-    zero matrix) and s = max(a + q, b).  Huge entries then do not overflow,
-    nor tiny ones underflow into a residual of 0."""
+    and b are their ``binary_exponent``s and s = max(a + q, b).  Huge
+    entries then do not overflow, nor tiny ones underflow into a residual
+    of 0."""
     A, Q, bbt = p.A, g.matrix, p.BBt
-    a, q, b = (frexp(max(np.abs(m).max(), 5e-324))[1] for m in (A, Q, bbt))
+    a, q, b = (binary_exponent(m) for m in (A, Q, bbt))
     s = max(a + q, b)
     A, Q, bbt = np.ldexp(A, -a), np.ldexp(Q, a - s), np.ldexp(bbt, -s)
     res = np.linalg.norm(A @ Q + Q @ A.T + bbt, "fro")

@@ -117,6 +117,16 @@ class TestGramianCommand:
             assert math.isfinite(report["lyapunov_residual"])
             assert report["lyapunov_residual"] <= 1e-10
 
+    def test_tiny_non_normal_a_accepted(self, model_file, tmp_path):
+        # symmetry is relative: A is not taken for its symmetric part, whose
+        # top eigenvalue +1.05e-13 would make the model unstable
+        doc = {"type": "dense", "A": [[-1e-13, 5e-13], [0.0, -2e-13]], "B": [[0.0], [1.0]]}
+        out = tmp_path / "out"
+        assert run("gramian", "--model", model_file(doc), "--out", out) == 0
+        report = json.loads((out / "gramian_report.json").read_text())
+        assert report["rank"] == 2
+        assert report["lyapunov_residual"] <= 1e-10
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP items 1 and 13: scipy's Lyapunov solve perturbs the "
         "eigenvalue pair whose sum is near zero and returns a wrong Q_inf, "

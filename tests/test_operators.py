@@ -22,10 +22,12 @@ from minenergy.operators import (
     Propagator,
     exact_diagonal,
     expm,
+    is_symmetric,
     make_dense_model,
     make_spectral_model,
     model_from_dict,
     pseudo_inverse,
+    symmetrize,
 )
 
 from conftest import pade_problem, random_problem
@@ -198,6 +200,64 @@ class TestExpm:
                 assert np.array_equal(stack[k], prop.at([t])[0])
 
 
+class TestExactRescaling:
+    """Symmetry and coercivity read their operand scaled by 2**-e, e its
+    binary exponent, so no power-of-two change of units moves an answer."""
+
+    M = np.array([[1.0, 0.5], [0.5, 2.0]])
+
+    @pytest.mark.parametrize("rel, expected", [(None, True), (0.0, True),
+                                               (1e-11, True), (1e-9, False)],
+                             ids=["zero", "symmetric", "asymmetric_1e-11",
+                                  "asymmetric_1e-9"])
+    def test_symmetry_free_of_scale(self, rel, expected):
+        # d added to m[0, 1] gives ||m - m*||_F = sqrt(2) d; every 2**k m
+        # with k in [-1021, 1022] keeps the entries of m normal and finite
+        m = np.zeros((2, 2)) if rel is None else self.M.copy()
+        if rel:
+            m[0, 1] += rel * np.linalg.norm(self.M) / np.sqrt(2.0)
+        answers = {bool(is_symmetric(np.ldexp(m, k))) for k in range(-1021, 1023)}
+        assert answers == {expected}
+
+    @pytest.mark.parametrize("k", [0, -20, -38, -40, -60])
+    def test_flow_free_of_time_unit(self, k):
+        # 2**k M is not symmetric at any k; its flow at 3 * 2**-k is e^{3M}
+        M = np.array([[-1.0, 0.1], [0.0, -2.0]])
+        flow = Propagator(np.ldexp(M, k)).at([3.0 * 2.0 ** -k])[0]
+        ref = sla.expm(3.0 * M)
+        assert np.linalg.norm(flow - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_nearly_symmetric_flow_within_stated_bound(self, rng):
+        # an asymmetry of 1e-13 relative keeps the eigh path on S = (A + A*)/2,
+        # whose flow is off A's by at most t |A - A*|_2 e^{t max eig S} / 2
+        v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        S = symmetrize((v * [-0.5, -1.0, -2.0, -3.0]) @ v.T)
+        K = np.triu(rng.standard_normal((4, 4)), 1)
+        A = S + (K - K.T) * (0.5e-13 * np.linalg.norm(S) / np.linalg.norm(K - K.T))
+        rel = np.linalg.norm(A - A.T) / np.linalg.norm(A)
+        assert 0.9e-13 <= rel <= 1.1e-13
+        prop = Propagator(A)
+        assert prop.cond == 1.0
+        top = np.linalg.eigvalsh(symmetrize(A)).max()
+        for t in (0.5, 2.0, 8.0):
+            bound = t * np.linalg.norm(A - A.T, 2) / 2.0 * np.exp(t * top)
+            assert bound <= 5e-13 * t * np.linalg.norm(A) * np.exp(t * top)
+            err = np.linalg.norm(prop.at([t])[0] - sla.expm(t * A), 2)
+            assert err <= bound + 4e-15
+
+    @pytest.mark.parametrize("B, coercive", [
+        (np.zeros((2, 1)), False), (np.full((2, 2), 1e-160), False),
+        (1e-6 * np.eye(2), False), (1e-4 * np.eye(2), True),
+        (1e154 * np.eye(2), True)],
+        ids=["zero", "subnormal", "1e-12", "1e-8", "huge"])
+    def test_coercivity_keeps_its_floor(self, B, coercive):
+        # min eig > 1e-10 * max(max eig, 1): a zero or subnormal BB* is
+        # decided without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_dense_model(-np.eye(2), B).coercive is coercive
+
+
 class TestPseudoInverse:
     def test_rank_one_diagonal(self):
         pi = pseudo_inverse(np.diag([2.0, 0.0]))
@@ -293,6 +353,11 @@ class TestControlWeight:
             weighted(spectral_problem, np.diag([1.0, 0.0]))
         with pytest.raises(NotSymmetric):
             weighted(spectral_problem, [[1.0, 0.2], [0.0, 1.0]])
+
+    def test_tiny_asymmetric_weight_refused(self, spectral_problem):
+        # symmetry is relative, so a tiny weight is not symmetric either
+        with pytest.raises(NotSymmetric):
+            weighted(spectral_problem, [[2e-12, 1e-12], [0.0, 2e-12]])
 
     @pytest.mark.parametrize("C", [np.eye(2), np.ones((1, 1, 1))], ids=["2x2", "3d"])
     def test_mis_sized_weight(self, C):

@@ -48,21 +48,21 @@ def test_no_membership_tolerance_parameter():
     assert [name for name, params in members if "tol" in params] == []
 
 
-def in_range_sites():
-    """The definitions of ``in_range`` in the package source and the
-    functions that call it, each as "file:Qualified.name"."""
+def sites(name):
+    """The definitions of functions called ``name`` in the package source
+    and the functions that call it, each as "file:Qualified.name"."""
     defined, calls = [], []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                if child.name == "in_range":
+                if child.name == name:
                     defined.append(scope + child.name)
                 visit(child, f"{scope}{child.name}.")
                 continue
             func = child.func if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and func.attr == "in_range"
-                    or isinstance(func, ast.Name) and func.id == "in_range"):
+            if (isinstance(func, ast.Attribute) and func.attr == name
+                    or isinstance(func, ast.Name) and func.id == name):
                 calls.append(scope.rstrip("."))
             visit(child, scope)
 
@@ -74,6 +74,18 @@ def in_range_sites():
 def test_one_membership_gate():
     # every entry point decides membership through Gramian.member, whose
     # Gramian picks the exception: NotInH for Q_inf, NotReachable for Q_t
-    defined, calls = in_range_sites()
+    defined, calls = sites("in_range")
     assert defined == ["operators.py:PseudoInverse.in_range"]
     assert calls == ["gramian.py:Gramian.member"]
+
+
+def test_one_rescaling_rule():
+    # every scale-sensitive test scales its operands exactly by the power
+    # of two that binary_exponent reads, the one frexp of the package
+    assert sites("frexp") == ([], ["operators.py:binary_exponent"])
+    assert sites("binary_exponent") == (
+        ["operators.py:binary_exponent"],
+        ["gramian.py:lyapunov_residual", "operators.py:is_symmetric",
+         "operators.py:_structure_flags"])
+    assert sites("huge_exponent") == ([], [])
+    assert not hasattr(minenergy.operators, "huge_exponent")
