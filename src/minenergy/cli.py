@@ -17,8 +17,6 @@ import numpy as np
 from . import __version__
 from .energy import (
     AuxiliaryCost,
-    ControlSignal,
-    Trajectory,
     _optimal_pair,
     bcle_residual,
     default_grid,
@@ -63,6 +61,7 @@ from .serialize import (
     control_csv,
     matrix_csv,
     model_hash,
+    non_finite,
     profile_csv,
     trajectory_csv,
     write_report,
@@ -90,6 +89,8 @@ def _parse_seed(text):
         raise ParseError(f"seed must be an integer (hex accepted): {exc}")
     if seed < 0:
         raise ParseError(f"seed must be non-negative, got {seed}")
+    if seed >= 2 ** 64:  # reports write it as an unsigned 64-bit integer
+        raise ParseError(f"seed must be at most 2**64 - 1, got {seed}")
     return seed
 
 
@@ -97,29 +98,12 @@ def _provenance(problem, seed):
     return {"version": __version__, "model_hash": model_hash(problem), "seed": seed}
 
 
-def _non_finite(obj, field=""):
-    """The fields of the numbers in ``obj`` that are not finite, in order,
-    through dicts, lists, arrays and the signals the CSV writers take."""
-    if isinstance(obj, (ControlSignal, Trajectory)):
-        obj = vars(obj)
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _non_finite(v, f"{field}.{k}" if field else k)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _non_finite(v, f"{field}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        yield field
-    elif isinstance(obj, np.ndarray) and not np.isfinite(obj).all():
-        yield field
-
-
 def _checked(files, target=None):
     """A stage's ``(writer, name, data...)`` entries, once no number they
     would write is inf or NaN: such a number is the target's fault in a
     stage that reads ``target`` (exit 3), and a refusal (4) otherwise."""
     for _, name, *data in files:
-        field = next((f for datum in data for f in _non_finite(datum)), None)
+        field = next((f for datum in data for f in non_finite(datum)), None)
         if field is not None:
             where = f"{name}: {field or 'a cell'} is not finite"
             if target is None:

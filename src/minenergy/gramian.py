@@ -154,7 +154,8 @@ def _as_gramian(matrix, horizon):
 
 def _gramian_quadrature(p, t):
     """Composite 32-point Gauss-Legendre quadrature of the Gramian integral,
-    with one panel carried across the horizon.
+    with one panel carried across the horizon; the panels are at most
+    min(1/omega, 4/rho) wide, in the model's own time unit.
 
     The P uniform panels of width D = t / P have the nodes jD + s_i, with
     s_i the nodes of the first panel, and e^{(jD + s)A} = F^j e^{sA} with
@@ -173,7 +174,7 @@ def _gramian_quadrature(p, t):
     row blocks sqrt(w_k) X_k*, scaled in place, and numpy evaluates Y Y* as
     a symmetric rank-k update, so Q_D is exactly symmetric.
     """
-    width = min(1.0, 1.0 / p.decay_omega, 4.0 / p.spectral_radius)
+    width = min(1.0 / p.decay_omega, 4.0 / p.spectral_radius)
     ratio = t / width
     if not np.isfinite(ratio):
         raise BadParameterError(
@@ -246,7 +247,7 @@ def _gramian_matrix_ode(p, t):
     R^m(hL) to Q directly drifts about 1e-9 relative from the step-by-step
     iterate over 1e5 steps, while the increment stays within about 1e-11.
     """
-    h_max = RK4_STEP_NORM / max(p.a_norm2, 1e-12)
+    h_max = RK4_STEP_NORM / p.a_norm2
     ratio = t / h_max
     if not ratio <= RK4_MAX_STEPS:
         raise BadParameterError(

@@ -1,13 +1,15 @@
 """Deterministic CSV and JSON emission for reports and plot data.
 
-Each CSV cell is the shortest decimal that round-trips its double, in
-orjson's spelling (``1e16``, ``1e-6``, ``0.00001234``).  JSON reports are
-key-sorted with no timestamps, so identical inputs and seeds produce
-byte-identical files.  A CSV body or a report that holds a number that is
-not finite is refused before its file is opened.
+The one module that decides how a number is written and whether it may
+be.  Every number, in a report or a CSV cell or header, is the shortest
+decimal that round-trips its double, in orjson's spelling (``1e16``,
+``1e-6``, ``0.00001234``), and a file with a number that is not finite is
+refused before it is opened.  Reports are key-sorted with no timestamps,
+so identical inputs and seeds give byte-identical files.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,29 +17,43 @@ import json
 import numpy as np
 
 
-def fmt(x):
-    """Shortest decimal that round-trips the double exactly."""
-    return repr(float(x))
+def non_finite(obj, field=""):
+    """The fields of the numbers in ``obj`` that are not finite, in order,
+    through dicts, lists, arrays and dataclasses such as the signals the
+    CSV writers take."""
+    if dataclasses.is_dataclass(obj):
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from non_finite(v, f"{field}.{k}" if field else k)
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from non_finite(v, f"{field}[{i}]")
+    elif (isinstance(obj, (float, np.floating, np.ndarray))
+          and not np.isfinite(obj).all()):
+        yield field
 
 
 def _plain(obj):
-    """``json.dump``'s hook for the numpy leaves it cannot write (a float64
-    is a float, written by ``float.__repr__``): each becomes Python's."""
-    if isinstance(obj, np.ndarray):
+    """orjson's hook for numpy leaves: each becomes the Python value it
+    equals (a float32 widens exactly)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_report(path, doc):
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_plain, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    """``doc`` as key-sorted JSON indented by two spaces, ended by a
+    newline.  orjson writes NaN as ``null``, so a document with a number
+    that is not finite is refused before the file is opened."""
+    import orjson  # loaded on the first write: kept off the import path
+    field = next(non_finite(doc), None)
+    if field is not None:
+        raise ValueError(f"{path}: {field or 'the report'} is not finite")
+    text = orjson.dumps(doc, default=_plain, option=orjson.OPT_INDENT_2
+                        | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def model_hash(problem):
@@ -55,13 +71,11 @@ BLOCK_ROWS = 64
 def _write_rows(path, header, rows):
     """Header through csv.writer, body through orjson in blocks of
     BLOCK_ROWS rows, cells joined by commas and rows ended by CRLF as
-    csv.writer ends them.  Each cell is orjson's spelling of the shortest
-    decimal that round-trips its double (``1e16``, ``1e-6``,
-    ``0.00001234``).  One byte mask per block drops every ``[``, and each
-    row's closing ``]`` and the byte after it become CRLF.  orjson writes a
-    non-finite cell as ``null``, so a body that is not all finite is
-    refused before the file is opened."""
-    import orjson  # CSV bodies only: kept off the import path
+    csv.writer ends them.  One byte mask per block drops every ``[``, and
+    each row's closing ``]`` and the byte after it become CRLF.  orjson
+    writes a non-finite cell as ``null``, so a body that is not all finite
+    is refused before the file is opened."""
+    import orjson
     body = np.ascontiguousarray(rows, dtype=float)
     if not np.isfinite(body).all():
         raise ValueError(f"{path}: refusing to write non-finite CSV cells")
@@ -100,6 +114,7 @@ def control_csv(path, u):
 
 
 def profile_csv(path, xi, profiles, times):
-    header = ["xi"] + [f"r={fmt(t)}" for t in times]
+    import orjson
+    header = ["xi"] + [f"r={orjson.dumps(float(t)).decode()}" for t in times]
     rows = np.column_stack([xi, profiles.T])
     _write_rows(path, header, rows)

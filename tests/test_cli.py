@@ -868,6 +868,25 @@ class TestExitCodeContract:
             f"error: seed must be non-negative, got {seed}")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["verify", "all"])
+    def test_seed_beyond_64_bits_is_two_and_writes_nothing(self, command, model_file,
+                                                           tmp_path, capsys):
+        # every report writes the seed as an unsigned 64-bit integer
+        out = tmp_path / "out"
+        assert run(command, "--model", model_file(SPECTRAL), "--comparison",
+                   "--seed", hex(2 ** 64), "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: seed must be at most 2**64 - 1, got {2 ** 64}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, report", [("verify", "certificate.json"),
+                                                 ("all", "auxiliary_report.json")])
+    def test_largest_seed_read_back(self, command, report, model_file, tmp_path):
+        out = tmp_path / "out"
+        assert run(command, "--model", model_file(SPECTRAL), "--comparison",
+                   "--seed", str(2 ** 64 - 1), "--out", out) == 0
+        assert json.loads((out / report).read_text())["seed"] == 2 ** 64 - 1
+
     @pytest.mark.parametrize("command", ["synthesize", "auxiliary", "gramian", "all"])
     def test_subnormal_horizon_is_four_without_nan(self, command, model_file,
                                                    tmp_path, capsys):

@@ -75,7 +75,7 @@ def rk4_step_loop(p, t):
 
 def rule_steps(p, t):
     """Step count of the rule h <= 1e-2 / ||A||_2."""
-    return max(1, int(np.ceil(t / (1e-2 / max(np.linalg.norm(p.A, 2), 1e-12)))))
+    return max(1, int(np.ceil(t / (1e-2 / np.linalg.norm(p.A, 2)))))
 
 
 def rk4_steps(p, t):
@@ -230,7 +230,7 @@ class TestBlockTruncation:
 def node_propagators(p, t):
     """Every node's propagator e^{sA} of the composite quadrature on [0, t],
     from a fresh Propagator, and the node weights."""
-    width = min(1.0, 1.0 / p.decay_omega, 4.0 / p.spectral_radius)
+    width = min(1.0 / p.decay_omega, 4.0 / p.spectral_radius)
     pts, wts = legendre_panels(0.0, t, width)
     return Propagator(p.A).at(pts), wts             # (T, n, n), (T,)
 
@@ -247,7 +247,7 @@ def stacked_quadrature(p, t):
 
 
 def panel_count(p, t):
-    width = min(1.0, 1.0 / p.decay_omega, 4.0 / p.spectral_radius)
+    width = min(1.0 / p.decay_omega, 4.0 / p.spectral_radius)
     return legendre_panels(0.0, t, width)[0].size // 32
 
 
@@ -327,12 +327,12 @@ class TestQuadraturePanels:
             assert err <= 1e-14 * np.abs(ref).max()
 
     def test_long_horizon_memory(self, rng):
-        # The stacked sum holds 3,040 propagators here, about 50 MB.
+        # The stacked sum holds 3,072 propagators here, about 50 MB.
         p = random_problem(rng, n=32)
-        assert panel_count(p, 95.0) == 95
+        assert panel_count(p, 128.0) == 96
         tracemalloc.start()
         try:
-            gramian_finite(p, 95.0)
+            gramian_finite(p, 128.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -408,20 +408,20 @@ class TestGramianFinite:
 
 
 class TestTimeUnitLaw:
-    """(A, BB*, t) -> (cA, cBB*, t/c) leaves Q_t unchanged; c = 2**-40 and
-    B -> 2**-20 B are exact."""
+    """(A, BB*, t) -> (cA, cBB*, t/c) leaves Q_t unchanged: both routes
+    count panels or steps in the model's own time unit.  c = 2**-k and
+    B -> 2**(-k/2) B are exact."""
 
-    @pytest.mark.parametrize("method", [
-        "matrix_ode",
-        pytest.param("quadrature", marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 2: the quadrature caps its panels at width 1.0 in "
-            "absolute time, so Q_t/c takes 2**41 panels whose F = e^{DA} "
-            "holds DA to 12 bits; the error is 5.2e-6")))])
-    def test_gramian_free_of_time_unit(self, method):
+    @pytest.mark.parametrize("method, k", [
+        pytest.param("matrix_ode", 40, id="matrix_ode"),
+        pytest.param("quadrature", 40, id="quadrature"),
+        pytest.param("matrix_ode", 60, id="matrix_ode-c=2**-60"),
+        pytest.param("quadrature", 60, id="quadrature-c=2**-60")])
+    def test_gramian_free_of_time_unit(self, method, k):
         A, B = np.array([[-1.0, 0.1], [0.0, -2.0]]), np.array([[1.0], [1.0]])
         ref = gramian_finite(make_dense_model(A, B), 2.0, method).matrix
-        scaled = make_dense_model(np.ldexp(A, -40), np.ldexp(B, -20))
-        got = gramian_finite(scaled, 2.0 * 2.0 ** 40, method).matrix
+        scaled = make_dense_model(np.ldexp(A, -k), np.ldexp(B, -k // 2))
+        got = gramian_finite(scaled, 2.0 * 2.0 ** k, method).matrix
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 

@@ -1,6 +1,6 @@
 """scipy stays off the import path and out of every command on a diagonal
-model, orjson is loaded only to write a CSV file, and no command loads a
-process pool.
+model, orjson is loaded only when a file is written, and no command loads
+a process pool.
 
 pytest itself imports scipy (the ``filterwarnings`` setting names
 ``scipy.linalg.LinAlgWarning``), so each check runs in a fresh interpreter.
@@ -22,15 +22,13 @@ SRC = str(Path(minenergy.__file__).resolve().parents[1])
 WATCHED = ("scipy", "orjson", "multiprocessing", "concurrent.futures")
 
 #: imports the command line, runs main on its arguments if any, and prints
-#: which of WATCHED were loaded
+#: its exit status and which of WATCHED were loaded
 PROBE = f"""
 import json
 import sys
 from minenergy.cli import main
-if sys.argv[1:]:
-    status = main(sys.argv[1:])
-    assert status == 0, status
-print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))
+status = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([status, [m for m in {WATCHED!r} if m in sys.modules]]))
 """
 
 SPECTRAL_8 = {"type": "spectral",
@@ -49,14 +47,17 @@ DENSE_3 = {"type": "dense",
            "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
 
 
-def loaded(workdir, *argv):
-    """Run the probe on argv in workdir; the WATCHED modules it loaded."""
+def loaded(workdir, *argv, status=0):
+    """Run the probe on argv in workdir, which main must end with
+    ``status``; the WATCHED modules it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           cwd=workdir, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    got, modules = json.loads(done.stdout.splitlines()[-1])
+    assert got == status, done.stderr
+    return set(modules)
 
 
 def scipy_loaded(workdir, *argv):
@@ -115,14 +116,17 @@ def test_dense_command_imports_scipy(models):
 
 def test_synthesize_loads_no_process_pool(models):
     # on a dense model scipy.linalg itself imports concurrent.futures, so
-    # only a spectral run can tell; orjson formats the CSV bodies
+    # only a spectral run can tell; orjson writes the files
     assert loaded(models, "synthesize", "--model", "spectral.json",
                   "--target", "1,0,0,0,0,0,0,0", "--out", "out") == {"orjson"}
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["verify", "--model", "spectral.json", "--out", "out"],
-], ids=["import", "verify"])
-def test_orjson_loaded_only_to_write_csv(argv, models):
-    assert "orjson" not in loaded(models, *argv)
+@pytest.mark.parametrize("argv, status, writes", [
+    ([], 0, False),
+    # a comparison on a dense model is refused before --out exists
+    (["verify", "--model", "dense.json", "--comparison", "--out", "out"], 4, False),
+    (["verify", "--model", "spectral.json", "--out", "out"], 0, True),
+], ids=["import", "refused", "verify"])
+def test_orjson_loaded_only_when_a_file_is_written(argv, status, writes, models):
+    assert ("orjson" in loaded(models, *argv, status=status)) == writes
+    assert (models / "out").exists() == writes

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import orjson
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from minenergy.serialize import BLOCK_ROWS, _write_rows, write_report
@@ -129,30 +130,57 @@ def plain_walk(obj):
     return obj
 
 
+#: a number that ``json.dumps`` writes with a fraction or an exponent
+JSON_FLOAT = re.compile(r'(?<![\w."])-?\d+(?:\.\d+(?:e[-+]\d+)?|e[-+]\d+)(?![\w."])')
+
+
+def reference_report(doc):
+    """``json.dumps``'s key order and indentation for the walked document,
+    with each float respelled by orjson on its own (``1e-07`` -> ``1e-7``,
+    ``1e+16`` -> ``1e16``)."""
+    text = json.dumps(plain_walk(doc), sort_keys=True, indent=2) + "\n"
+    return JSON_FLOAT.sub(lambda m: orjson.dumps(float(m[0])).decode(), text).encode()
+
+
+def assert_report(path, doc):
+    """The report at path is the reference bytes, and parses to the walked
+    document with every float's bits, the sign of zero included."""
+    written = path.read_bytes()
+    assert written == reference_report(doc)
+    walked = json.dumps(plain_walk(doc), sort_keys=True)
+    assert repr(json.loads(written)) == repr(json.loads(walked))
+
+
 class TestWriteReport:
-    """Reports are key-sorted JSON with numpy leaves written as the Python
-    values they equal."""
+    """Reports are key-sorted JSON indented by two spaces, every float in
+    orjson's spelling, with numpy leaves written as the Python values they
+    equal."""
 
     NUMPY_DOC = {
-        "b": (np.int8(-3), np.uint64(2 ** 63), np.int64(-5), 3),
+        "b": (np.int8(-3), np.uint64(2 ** 63), np.int64(-5), 3, np.uint64(2 ** 64 - 1)),
         "a": [np.float16(0.1), np.float32(0.1), np.float64(0.1), 2.5, -0.0, 5e-324],
         "c": {"t": np.bool_(True), "f": np.False_, "p": True, "none": None},
         "d": [np.array(1.5), np.array(7), np.array(True),
               np.arange(3, dtype=np.int32).reshape(1, 3)],
+        "e": [1e-7, np.float64(1.5e-9), 1e16, -1.2e-5, 1.7976931348623157e308],
         "f": (1, (np.float32(2.0), "text")),
     }
     PYTHON_DOC = {
-        "b": [-3, 2 ** 63, -5, 3],
+        "b": [-3, 2 ** 63, -5, 3, 2 ** 64 - 1],
         "a": [0.0999755859375, 0.10000000149011612, 0.1, 2.5, -0.0, 5e-324],
         "c": {"t": True, "f": False, "p": True, "none": None},
         "d": [1.5, 7, True, [[0, 1, 2]]],
+        "e": [1e-7, 1.5e-9, 1e16, -1.2e-5, 1.7976931348623157e308],
         "f": [1, [2.0, "text"]],
     }
 
     def test_numpy_leaves_pinned(self, tmp_path):
         write_report(tmp_path / "r.json", self.NUMPY_DOC)
-        expected = json.dumps(self.PYTHON_DOC, sort_keys=True, indent=2) + "\n"
-        assert (tmp_path / "r.json").read_bytes() == expected.encode()
+        assert plain_walk(self.NUMPY_DOC) == self.PYTHON_DOC
+        assert_report(tmp_path / "r.json", self.PYTHON_DOC)
+        # the leaves whose spellings differ from repr's
+        written = (tmp_path / "r.json").read_text()
+        assert "    1e-7,\n    1.5e-9,\n    1e16,\n    -0.000012,\n" in written
 
     def test_matches_whole_document_walk(self, rng, tmp_path):
         # a certificate's shape: 256 solution entries, lists and numpy
@@ -162,12 +190,21 @@ class TestWriteReport:
                               "maximality_gap": float(rng.random()),
                               "comparison_margin": rng.standard_normal(2)[0],
                               "identity_defect": None} for _ in range(256)],
-               "pinned": self.NUMPY_DOC, "values": rng.standard_normal((4, 5))}
+               "pinned": self.NUMPY_DOC, "values": rng.standard_normal((4, 5))
+               * 10.0 ** rng.integers(-9, 17, (4, 5))}
         write_report(tmp_path / "r.json", doc)
-        with open(tmp_path / "ref.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(plain_walk(doc), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        assert (tmp_path / "r.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert_report(tmp_path / "r.json", doc)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from(SPECIAL), max_size=40))
+    @example([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308])
+    def test_any_double_round_trips(self, tmp_path, values):
+        write_report(tmp_path / "r.json", {"values": values})
+        parsed = np.array(json.loads((tmp_path / "r.json").read_bytes())["values"],
+                          dtype=float)
+        assert np.array_equal(parsed.view(np.uint64),
+                              np.array(values, dtype=float).view(np.uint64))
 
     @pytest.mark.parametrize("bad", [math.nan, np.inf, -np.float64(np.inf),
                                      np.float32(np.nan), np.array([1.0, -np.inf])])

@@ -1,6 +1,7 @@
 """Functions that take a model read its Gramians and reachability space
 from it, so no public callable takes either as an argument; none takes
-the membership cutoff, which is fixed; and one gate decides membership."""
+the membership cutoff, which is fixed; one gate decides membership, one
+rule rescales, and one module writes every output file."""
 
 import ast
 import inspect
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import minenergy
 import minenergy.energy
+import minenergy.serialize
 
 PLUMBING = {"gramian", "hspace"}
 
@@ -89,3 +91,17 @@ def test_one_rescaling_rule():
          "operators.py:_structure_flags"])
     assert sites("huge_exponent") == ([], [])
     assert not hasattr(minenergy.operators, "huge_exponent")
+
+
+def test_one_writer():
+    # serialize alone spells numbers, and one walk decides which numbers
+    # may be written: the command line refuses a stage with it before
+    # --out exists, and write_report refuses a report with it
+    assert sites("dumps") == ([], ["serialize.py:write_report", "serialize.py:model_hash",
+                                   "serialize.py:_write_rows", "serialize.py:profile_csv"])
+    defined, calls = sites("non_finite")
+    assert defined == ["serialize.py:non_finite"]
+    assert set(calls) == {"cli.py:_checked", "serialize.py:non_finite",
+                          "serialize.py:write_report"}
+    assert sites("_non_finite") == sites("fmt") == ([], [])
+    assert not hasattr(minenergy.serialize, "fmt")
