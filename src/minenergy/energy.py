@@ -86,9 +86,10 @@ class AuxiliaryValue(NamedTuple):
 
 def default_grid(p, t0, t1=0.0, target_points=2048):
     """Quadrature grid on [t0, t1] adapted to the model's time scales, for
-    signals of up to max(n, m) floats per point."""
-    width = min(1.0, 1.0 / p.spectral_radius)
-    return panel_grid(t0, t1, max_panel_width=width, target_points=target_points,
+    signals of up to max(n, m) floats per point: panels at most 1/rho(A)
+    wide, in the model's own time unit."""
+    return panel_grid(t0, t1, max_panel_width=1.0 / p.spectral_radius,
+                      target_points=target_points,
                       columns=max(p.n, p.m))
 
 

@@ -267,30 +267,58 @@ def _gramian_matrix_ode(p, t):
     return Q
 
 
-def gramian_finite(p, t, method="quadrature"):
+def _eigenbasis_gramian(p, t):
+    """Q_t = V (C_t o M) V* for an exactly symmetric A = V diag(w) V*, from
+    the Propagator's own factors, with M = V* BB* V and the Hadamard factor
+    C_t,ij = expm1(t s_ij)/s_ij, s_ij = w_i + w_j < 0, taken as
+    (1 - e^{t s})/(-s) so that t = inf gives Q_inf = V (M o (-1/s)) V*.
+    V is orthogonal, so nothing grows with cond(V), and expm1 keeps small
+    t accurate; an exactly diagonal A has V = I, and its Q_inf is
+    diag(b / (-2a)) bit for bit.  t s may overflow to -inf at a huge t,
+    where Q_t is Q_inf.  Refused when Q overflows a float."""
+    w, v = p.propagator.eigenbasis
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.add.outer(w, w)
+        x = (v.T @ p.BBt @ v) * -np.expm1(t * s) / -s
+        q = v @ x @ v.T
+        finite = np.isfinite(symmetrize(q)).all()
+    if not finite:
+        what = "infinite-horizon Gramian" if t == np.inf else f"Gramian at horizon {t}"
+        raise PreconditionError(f"{what} overflows a float")
+    return q
+
+
+def gramian_finite(p, t, method=None):
     """Controllability Gramian over the horizon t > 0, computed once per
     model, horizon and route: every call with one model, ``float(t)`` and
-    ``method`` returns one read-only object, kept on the model.
+    route returns one read-only object, kept on the model.
 
-    ``method`` selects composite Gauss-Legendre quadrature of the
+    ``method`` names a route: composite Gauss-Legendre quadrature of the
     defining integral (one panel's sum, carried across the horizon by
     F = e^{DA} with D the panel width) or an RK4 integration of the matrix
     differential equation; the two are independent routes that must agree.
+    Without a name, an exactly symmetric A takes the closed form in its
+    eigenbasis (``_eigenbasis_gramian``), and any other A the quadrature,
+    kept under the same key as a call that names it.
 
     The quadrature is accurate to rounding error but not correctly
     rounded: its last bits depend on the order in which numpy sums the
     nodes, so they can differ between numpy builds.  The guarantees that
     are checked are the 1e-8 relative agreement between the two routes
     and the 1e-10 relative residual of the Lyapunov equation at the
-    infinite-horizon Gramian.  A non-finite horizon is refused: both
-    routes count panels or steps in proportion to t.
+    infinite-horizon Gramian.  A non-finite horizon is refused: the named
+    routes count panels or steps in proportion to t, and the limit is
+    ``gramian_infinite``.
     """
     if not t > 0.0:
         raise HorizonNotPositive(f"horizon must be positive, got {t}")
     if not np.isfinite(t):
         raise BadParameterError(f"horizon must be finite, got {t}")
     routes = {"quadrature": _gramian_quadrature, "matrix_ode": _gramian_matrix_ode}
-    if method not in routes:
+    if method is None:
+        method = "quadrature" if p.propagator.eigenbasis is None else "eigenbasis"
+        routes["eigenbasis"] = _eigenbasis_gramian
+    elif method not in routes:
         raise ValueError(f"unknown method {method!r}")
     key = (float(t), method)
     g = p.gramians.get(key)
@@ -309,16 +337,17 @@ def gramian_infinite(p):
 def _solve_gramian_infinite(p):
     """Solve A Q + Q A* = -B B*.
 
-    A diagonal model's solution is closed-form, Q = diag(b / (-2 a)) with
-    a and b the diagonals of A and BB*.  Any other model's is the
-    Bartels-Stewart solve of ``scipy.linalg``, imported here so that
-    diagonal models never load scipy.  That solve is refused when the lower
-    bound max|BB*_ij| / (2 ||A||_2) on ||Q||_2 overflows.
+    An exactly symmetric A reads Q from its eigenbasis, the closed form
+    ``_eigenbasis_gramian`` at t = inf; a diagonal A is its case V = I.
+    Any other model's is the Bartels-Stewart solve of ``scipy.linalg``,
+    imported here so that symmetric models never load scipy.  That solve
+    is refused when the lower bound max|BB*_ij| / (2 ||A||_2) on ||Q||_2
+    overflows.
     """
     if p.spectral_abscissa >= 0.0:
         raise NotStable("infinite-horizon Gramian needs a stable model")
-    if p.diagonal:
-        return _as_gramian(np.diag(np.diag(p.BBt) / (-2.0 * np.diag(p.A))), np.inf)
+    if p.propagator.eigenbasis is not None:
+        return _as_gramian(_eigenbasis_gramian(p, np.inf), np.inf)
     with np.errstate(over="ignore"):
         floor = np.abs(p.BBt).max() / (2.0 * p.a_norm2)
     if not np.isfinite(floor):

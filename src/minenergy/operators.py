@@ -151,17 +151,17 @@ class PseudoInverse:
         return np.linalg.norm(off, axis=-1) <= MEMBERSHIP_TOL * np.linalg.norm(x, axis=-1)
 
 
-def _structure_flags(A, bbt):
-    """The coercive and diagonal flags of a model, from A and BB*; diagonal
-    is exact: A and BB* have no nonzero off their diagonals.  Coercive is
-    min eig > 1e-10 * max(max eig, 1), read on 2**-e BB*, e its
-    binary_exponent, with min eig scaled back for the floor 1."""
+def _structure_flags(prop, bbt):
+    """The coercive and diagonal flags of a model, from its Propagator and
+    BB*; diagonal is exact: A (as ``prop`` decided) and BB* have no nonzero
+    off their diagonals.  Coercive is min eig > 1e-10 * max(max eig, 1),
+    read on 2**-e BB*, e its binary_exponent, with min eig scaled back for
+    the floor 1."""
     e = binary_exponent(bbt)
     eigs = np.linalg.eigvalsh(symmetrize(np.ldexp(bbt, -e)))
     coercive = bool(eigs.min() > DEFAULT_REL_TOL * eigs.max()
                     and np.ldexp(eigs.min(), e) > DEFAULT_REL_TOL)
-    diagonal = all(exact_diagonal(m) is not None for m in (A, bbt))
-    return coercive, diagonal
+    return coercive, prop.diagonal and exact_diagonal(bbt) is not None
 
 
 def _dense_operators(A, B):
@@ -206,7 +206,7 @@ def make_dense_model(A, B):
         bbt = read_only(B @ B.T)
     if not np.isfinite(bbt).all():
         raise ParseError("control operator's BB* overflows a float")
-    coercive, diagonal = _structure_flags(A, bbt)
+    coercive, diagonal = _structure_flags(prop, bbt)
     return ControlProblem(
         A=A, B=read_only(B), BBt=bbt, n=A.shape[0], m=B.shape[1],
         spectral_abscissa=abscissa, bound_M=max(1.0, prop.cond),
@@ -252,14 +252,18 @@ def expm(A, t):
 class Propagator:
     """Batch evaluator of e^{tA} for many t on a fixed diagonalizable A.
 
-    Factors A once, into read-only arrays: a symmetric A by ``eigh``, whose
-    orthonormal basis has ``cond`` 1, any other by ``eig``, with ``cond``
-    the condition number of its eigenvector basis V.  ``eigh`` factors
-    S = (A + A*)/2 when ``is_symmetric(A, 1e-12)``; by variation of
-    constants the flow of S is off A's by at most t |A - A*|_2 e^{t max eig
-    S}/2 <= 5e-13 t |A|_F e^{t max eig S}.  Above a ``cond`` of
-    1e6 it falls back to per-value Pade exponentials.  ``adjoint()`` gives
-    the flow of A* from the same factors.
+    Factors A once, into read-only arrays.  An exactly diagonal A takes
+    w = diag(A), in its own order, and V = I with no factorization; any
+    other symmetric A is factored by ``eigh``, whose orthonormal basis has
+    ``cond`` 1; any other A by ``eig``, with ``cond`` the condition number
+    of its eigenvector basis V.  ``eigh`` factors S = (A + A*)/2 when
+    ``is_symmetric(A, 1e-12)``; by variation of constants the flow of S is
+    off A's by at most t |A - A*|_2 e^{t max eig S}/2 <= 5e-13 t |A|_F
+    e^{t max eig S}.  Above a ``cond`` of 1e6 it falls back to per-value
+    Pade exponentials.  ``adjoint()`` gives the flow of A* from the same
+    factors.  ``eigenbasis`` is (w, V), A = V diag(w) V*, when A == A* bit
+    for bit, and None otherwise: the Gramians of a nearly symmetric A are
+    not read off its symmetric part's factors.
     """
 
     _COND_MAX = 1e6
@@ -267,8 +271,11 @@ class Propagator:
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
         self.A, self.n = A, A.shape[0]
-        if is_symmetric(A, 1e-12):
-            w, v = np.linalg.eigh(symmetrize(A))
+        d = exact_diagonal(A)
+        self.diagonal = d is not None
+        if self.diagonal or is_symmetric(A, 1e-12):
+            w, v = ((np.array(d), np.eye(self.n)) if self.diagonal
+                    else np.linalg.eigh(symmetrize(A)))
             vinv, self.cond = v.T, 1.0
         else:
             w, v = np.linalg.eig(A)
@@ -278,6 +285,7 @@ class Propagator:
         self._spectral = vinv is not None
         if self._spectral:
             self._v, self._vinv = read_only(v), read_only(vinv)
+        self.eigenbasis = (self.w, self._v) if np.array_equal(A, A.T) else None
 
     def adjoint(self):
         """The Propagator of A* = V^-* diag(w) V*, from the factors of A."""

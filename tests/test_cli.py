@@ -88,10 +88,10 @@ class TestGramianCommand:
         assert rows[0] == ["c1"]
         assert len(rows) == 2 and len(rows[1]) == 1
         cell = rows[1][0]
-        # Q_1 = (1 - e^{-2}) / 2.  The quadrature is accurate to rounding,
-        # not correctly rounded: its last bits follow numpy's summation
-        # order.  1e-14 (about 18 ulps) covers summing 32 positive terms
-        # plus node and exp rounding, far inside the 1e-8 route gate.
+        # Q_1 = (1 - e^{-2}) / 2.  A symmetric A reads it off its eigenbasis,
+        # -expm1(-2) b / 2, accurate to rounding; 1e-14 (about 18 ulps) is
+        # the allowance a quadrature route would also meet, far inside the
+        # 1e-8 route gate.
         assert math.isclose(float(cell), -0.5 * math.expm1(-2.0), rel_tol=1e-14)
         # The CSV must hold the computed double exactly (shortest
         # round-trip decimal); a shorter rendering such as %.15g would pass
@@ -128,9 +128,8 @@ class TestGramianCommand:
         assert report["lyapunov_residual"] <= 1e-10
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP items 1 and 13: scipy's Lyapunov solve perturbs the "
-        "eigenvalue pair whose sum is near zero and returns a wrong Q_inf, "
-        "which the normwise residual (2.2e-16) does not expose"))
+        "ROADMAP item 11: Q_inf is right, but its eigenvalue ratio 1e-300 is "
+        "below the relative 1e-10 rank cutoff, so the rank reads 1"))
     def test_near_zero_eigenvalue_gramian(self, model_file, tmp_path):
         # a fresh interpreter with default warning filters: the run exits
         # 0, as a user sees it
@@ -143,6 +142,55 @@ class TestGramianCommand:
         assert math.isclose(q[0, 0], 5e299, rel_tol=1e-8)
         report = json.loads((tmp_path / "gramian_report.json").read_text())
         assert report["rank"] == 2
+
+    def test_near_zero_eigenvalue_gramian_value(self, model_file, tmp_path):
+        # the symmetric A's Q_inf comes from its eigenbasis, not from a
+        # Lyapunov solve that perturbs the pair whose sum is near zero
+        doc = {"type": "dense", "A": [[-1e-300, 0.0], [0.0, -1.0]],
+               "B": [[1.0], [1.0]]}
+        proc = run_process("gramian", "--model", model_file(doc), "--out", tmp_path)
+        assert proc.returncode == 0 and proc.stderr == ""
+        q = csv_values(tmp_path / "gramian_inf.csv")
+        assert math.isclose(q[0, 0], 5e299, rel_tol=1e-15)
+        assert math.isclose(q[0, 1], 1.0, rel_tol=1e-15) and q[1, 1] == 0.5
+
+    def test_wide_diagonal_spectrum_answered(self, model_file, tmp_path):
+        # the decay rate is read off the diagonal, 1e-300, where an
+        # eigenvalue solver flushes it to -0.0 and the model was refused
+        doc = {"type": "dense", "A": [[-1e300, 0.0], [0.0, -1e-300]],
+               "B": [[1.0], [1.0]]}
+        proc = run_process("gramian", "--model", model_file(doc), "--out", tmp_path)
+        assert proc.returncode == 0 and proc.stderr == ""
+        q = csv_values(tmp_path / "gramian_inf.csv")
+        # b_ij / -(a_i + a_j) on the stored doubles, bit for bit
+        off = 1.0 / (1e300 + 1e-300)
+        assert q.tolist() == [[1.0 / 2e300, off], [off, 1.0 / (2.0 * 1e-300)]]
+        assert np.allclose(q, [[5e-301, 1e-300], [1e-300, 5e299]], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "dense", "A": [[-1e-200, 0.0], [0.0, -1.0]], "B": [[1e150], [0.0]]},
+        {"type": "dense", "A": [[-2e-200, 1e-200], [1e-200, -2e-200]],
+         "B": [[1e150], [0.0]]},
+    ], ids=["diagonal", "symmetric"])
+    def test_overflowing_symmetric_infinite_gramian_refused(self, doc, model_file,
+                                                            tmp_path):
+        # Q_inf of a symmetric A overflows a float in its eigenbasis
+        out = tmp_path / "out"
+        proc = run_process("gramian", "--model", model_file(doc), "--out", out)
+        assert proc.returncode == 4 and not out.exists()
+        assert proc.stderr == "error: infinite-horizon Gramian overflows a float\n"
+
+    def test_huge_horizon_is_the_infinite_gramian(self, model_file, tmp_path):
+        # e^{t s} underflows to 0 at t = 1e308, so Q_t is Q_inf
+        doc = {"type": "dense", "A": [[-2.0, 0.5, 0.0], [0.5, -1.0, 0.3],
+                                      [0.0, 0.3, -3.0]],
+               "B": [[1.0], [0.0], [2.0]]}
+        proc = run_process("gramian", "--model", model_file(doc), "--t", "1e308",
+                           "--out", tmp_path)
+        assert proc.returncode == 0 and proc.stderr == ""
+        q_t = csv_values(tmp_path / "gramian_t.csv")
+        q_inf = csv_values(tmp_path / "gramian_inf.csv")
+        assert np.linalg.norm(q_t - q_inf) <= 1e-15 * np.linalg.norm(q_inf)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-100])
     def test_overflowing_infinite_gramian_refused(self, scale, model_file, tmp_path):
@@ -642,8 +690,9 @@ class TestAllCommand:
     def test_one_load_and_one_gramian_solve(self, model_file, tmp_path,
                                             monkeypatch):
         # the gramian, verify, synthesize and auxiliary stages all read the
-        # model's one Gramian at t = 1
-        counts = {"load_model": 0, "solve": 0, "quadrature": 0}
+        # model's one Gramian at t = 1; the diagonal model reads Q_inf and
+        # Q_1 off its eigenbasis, V = I, and takes no quadrature
+        counts = {"load_model": 0, "solve": 0, "eigenbasis": 0, "quadrature": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -654,11 +703,13 @@ class TestAllCommand:
         monkeypatch.setattr(cli, "load_model", counted("load_model", cli.load_model))
         monkeypatch.setattr(gramian, "_solve_gramian_infinite",
                             counted("solve", gramian._solve_gramian_infinite))
+        monkeypatch.setattr(gramian, "_eigenbasis_gramian",
+                            counted("eigenbasis", gramian._eigenbasis_gramian))
         monkeypatch.setattr(gramian, "_gramian_quadrature",
                             counted("quadrature", gramian._gramian_quadrature))
         assert run("all", "--model", model_file(SPECTRAL_8), "--comparison",
                    "--out", tmp_path) == 0
-        assert counts == {"load_model": 1, "solve": 1, "quadrature": 1}
+        assert counts == {"load_model": 1, "solve": 1, "eigenbasis": 2, "quadrature": 0}
 
     def test_heat_model_battery(self, model_file, tmp_path):
         out = tmp_path / "out"
@@ -720,6 +771,30 @@ class TestDeterminism:
             blobs.append((out / "landau_report.json").read_bytes()
                          + (out / "profile.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestTimeUnit:
+    def test_signal_grid_in_the_models_time_unit(self, model_file, tmp_path):
+        # (A, BB*, t) -> (cA, cBB*, t/c), c = 2^-40: the signal panels are
+        # 1/rho(A) wide in either unit, so the slow model is answered, with
+        # the same values
+        reports = []
+        for k in (0, 40):
+            c = 2.0 ** -k
+            path = model_file({"type": "spectral", "lambdas": [-c, -2.0 * c],
+                               "b_diag": [c, c]}, f"model{k}.json")
+            out = tmp_path / str(k)
+            assert run("synthesize", "--model", path, "--target=1,1", "--out", out) == 0
+            assert run("auxiliary", "--model", path, "--target=1,1", "--t", 2.0 ** k,
+                       "--out", out) == 0
+            reports.append([json.loads((out / name).read_text()) for name in
+                            ("synthesis_report.json", "auxiliary_report.json")])
+        (syn, aux), (syn_slow, aux_slow) = reports
+        assert syn_slow["V"] == 3.0 and math.isclose(syn["V"], 3.0, rel_tol=1e-15)
+        assert syn_slow["endpoint_error"] <= 1e-14
+        for key in ("V", "value"):
+            assert math.isclose(aux_slow[key], aux[key], rel_tol=1e-14)
+        assert aux_slow["sandwich_ok"] and aux_slow["reversal_ok"]
 
 
 class TestExitCodeContract:
@@ -939,17 +1014,32 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("argv", [
         ["gramian"],
-        ["auxiliary", "--target", "1"],
-        ["synthesize", "--target", "1"],
-        ["verify", "--comparison"],
+        ["auxiliary", "--target", "1,0"],
+        ["synthesize", "--target", "1,0"],
     ], ids=lambda argv: argv[0])
     def test_overflowing_horizon_is_three(self, argv, model_file, tmp_path,
                                           capsys):
-        # t / panel width overflows to inf: no panel count exists
-        doc = {"type": "spectral", "lambdas": [-10.0], "b_diag": [1.0]}
+        # t / panel width overflows to inf on the quadrature of a
+        # non-symmetric model: no panel count exists
+        doc = {"type": "dense", "A": [[-10.0, 1.0], [0.0, -20.0]], "B": [[1.0], [1.0]]}
         assert run(*argv, "--model", model_file(doc), "--t", "1e308",
                    "--out", tmp_path) == 3
         assert "overflows the panel count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["gramian"], 0),
+        (["synthesize", "--target", "1"], 0),
+        (["verify", "--comparison"], 0),
+        (["auxiliary", "--target", "1"], 3),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_huge_horizon_of_symmetric_model(self, argv, code, model_file, tmp_path,
+                                             capsys):
+        # a symmetric model's Q_t needs no panel count, so only auxiliary,
+        # which samples its signals over the horizon, overflows one
+        doc = {"type": "spectral", "lambdas": [-10.0], "b_diag": [1.0]}
+        assert run(*argv, "--model", model_file(doc), "--t", "1e308",
+                   "--out", tmp_path / "out") == code
+        assert ("overflows the panel count" in capsys.readouterr().err) == (code == 3)
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])
     @pytest.mark.parametrize("argv", [

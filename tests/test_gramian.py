@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,7 +12,12 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import minenergy.gramian as gramian_module
-from minenergy.errors import BadParameterError, HorizonNotPositive, NotInH
+from minenergy.errors import (
+    BadParameterError,
+    HorizonNotPositive,
+    NotInH,
+    PreconditionError,
+)
 from minenergy.energy import AuxiliaryCost, value_auxiliary, value_finite, value_infinite
 from minenergy.gramian import (
     _BINOM,
@@ -273,7 +279,7 @@ def assert_flow(prop, M, ts=(0.0, 0.5, 2.0)):
 
 def stacked_disagreement(p, t):
     ref = symmetrize(stacked_quadrature(p, t))
-    got = gramian_finite(p, t).matrix
+    got = gramian_finite(p, t, "quadrature").matrix
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
@@ -301,7 +307,7 @@ class TestQuadraturePanels:
         p = quadrature_problem(kind, rng)
         assert panel_count(p, t) == 1
         ref = symmetrize(stacked_quadrature(p, t))
-        assert np.array_equal(gramian_finite(p, t).matrix, ref)
+        assert np.array_equal(gramian_finite(p, t, "quadrature").matrix, ref)
 
     @pytest.mark.parametrize("n", [4, 8, 32])
     @pytest.mark.parametrize("kind", ["symmetric", "non-normal", "pade"])
@@ -323,7 +329,7 @@ class TestQuadraturePanels:
             ref = np.einsum("t,tim,tjm->ij", wts.astype(np.longdouble), X, X)
             panel = _gramian_quadrature(p, t)
             assert np.array_equal(panel, panel.T)
-            err = np.abs(gramian_finite(p, t).matrix - ref).max()
+            err = np.abs(gramian_finite(p, t, "quadrature").matrix - ref).max()
             assert err <= 1e-14 * np.abs(ref).max()
 
     def test_long_horizon_memory(self, rng):
@@ -332,7 +338,7 @@ class TestQuadraturePanels:
         assert panel_count(p, 128.0) == 96
         tracemalloc.start()
         try:
-            gramian_finite(p, 128.0)
+            gramian_finite(p, 128.0, "quadrature")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,10 +377,12 @@ class TestGramianFinite:
 
     def test_panel_count_overflow_refused(self):
         # the panel width is 0.1 here, so 1e308 / width is not a finite
-        # float and no panel count exists
+        # float and no panel count exists; the model's own route, its
+        # eigenbasis, needs none, and there e^{1e308 s} is 0
         p = make_spectral_model([-10.0], [1.0])
         with pytest.raises(BadParameterError, match="overflows the panel count"):
-            gramian_finite(p, 1e308)
+            gramian_finite(p, 1e308, "quadrature")
+        assert np.array_equal(gramian_finite(p, 1e308).matrix, gramian_infinite(p).matrix)
 
     def test_methods_agree(self, rng):
         for _ in range(3):
@@ -423,6 +431,120 @@ class TestTimeUnitLaw:
         scaled = make_dense_model(np.ldexp(A, -k), np.ldexp(B, -k // 2))
         got = gramian_finite(scaled, 2.0 * 2.0 ** k, method).matrix
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("k", [40, 60, -200])
+    def test_default_route_of_symmetric_model(self, k):
+        A, B = np.array([[-1.0, 0.1], [0.1, -2.0]]), np.array([[1.0], [1.0]])
+        p = make_dense_model(A, B)
+        scaled = make_dense_model(np.ldexp(A, -k), np.ldexp(B, -k // 2))
+        assert p.propagator.eigenbasis is not None
+        ref, got = gramian_finite(p, 2.0), gramian_finite(scaled, 2.0 * 2.0 ** k)
+        assert (2.0 * 2.0 ** k, "eigenbasis") in scaled.gramians
+        assert np.linalg.norm(got.matrix - ref.matrix) <= 1e-10 * np.linalg.norm(ref.matrix)
+
+
+def mp_gramians(A, B, t):
+    """Q_t and Q_inf at 50 digits: Q_t = F22* F12 from Van Loan's block
+    exponential e^{tM}, M = [[-A, BB*], [0, A*]], and Q_inf from the
+    Kronecker form (I x A + A x I) vec Q = -vec BB*; both as float arrays."""
+    n = A.shape[0]
+    with mpmath.workdps(50):
+        a, b = mpmath.matrix(A.tolist()), mpmath.matrix(B.tolist())
+        bbt = b * b.T
+        block = mpmath.zeros(2 * n, 2 * n)
+        kron = mpmath.zeros(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j], block[i, n + j], block[n + i, n + j] = -a[i, j], bbt[i, j], a[j, i]
+                for k in range(n):
+                    kron[i * n + j, k * n + j] += a[i, k]
+                    kron[i * n + j, i * n + k] += a[j, k]
+        e = mpmath.expm(block * t)
+        q_t = [[mpmath.fsum(e[n + k, n + i] * e[k, n + j] for k in range(n))
+                for j in range(n)] for i in range(n)]
+        q_inf = mpmath.lu_solve(kron, [-bbt[i, j] for i in range(n) for j in range(n)])
+        return (np.array([[float(v) for v in row] for row in q_t]),
+                np.array([float(v) for v in q_inf]).reshape(n, n))
+
+
+class TestEigenbasisRoute:
+    """An exactly symmetric A = V diag(w) V* reads both Gramians off its
+    Propagator's factors, V (C o V*BB*V) V*, with no solve."""
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 64])
+    def test_agrees_with_quadrature(self, n, rng):
+        p = random_problem(rng, n=n, symmetric=True)
+        for t in (1e-3, 0.1, 1.0, 5.0, 95.0, 1e3):
+            got = gramian_finite(p, t)
+            ref = gramian_finite(p, t, "quadrature")
+            assert got is not ref
+            assert np.linalg.norm(got.matrix - ref.matrix) <= 1e-13 * np.linalg.norm(ref.matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_extended_precision_reference(self, n, rng):
+        # forward errors of both routes against 50-digit values; A is
+        # symmetric, so every condition number here is of order one
+        p = random_problem(rng, n=n, symmetric=True)
+        for t in (1e-3, 0.5, 2.0, 5.0):
+            ref = mp_gramians(p.A, p.B, t)[0]
+            for method in (None, "quadrature"):
+                got = gramian_finite(p, t, method).matrix
+                assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        ref = mp_gramians(p.A, p.B, 1.0)[1]
+        got = gramian_infinite(p).matrix
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_infinite_agrees_with_lyapunov_solve(self, rng, monkeypatch):
+        p = random_problem(rng, n=128, symmetric=True)
+        ref = sla.solve_continuous_lyapunov(p.A, -p.BBt)
+
+        def refused(*args):
+            raise AssertionError("a symmetric model takes no Lyapunov solve")
+        monkeypatch.setattr(sla, "solve_continuous_lyapunov", refused)
+        got = gramian_infinite(p).matrix
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert lyapunov_residual(p, gramian_infinite(p)) <= 1e-14
+
+    def test_diagonal_closed_form_bit_for_bit(self, rng):
+        # V = I: the closed forms b / (-2a) and b (1 - e^{2at}) / (-2a)
+        lambdas, b = -rng.uniform(0.05, 50.0, size=7), rng.uniform(0.0, 4.0, size=7)
+        b[1] = 0.0
+        p = make_spectral_model(lambdas, b)
+        w, v = p.propagator.eigenbasis
+        assert np.array_equal(w, lambdas) and np.array_equal(v, np.eye(7))
+        b = np.diag(p.BBt)
+        assert np.array_equal(gramian_infinite(p).matrix, np.diag(b / (-2.0 * lambdas)))
+        assert np.array_equal(gramian_finite(p, 0.7).matrix,
+                              np.diag(b * -np.expm1(0.7 * (2.0 * lambdas)) / (-2.0 * lambdas)))
+
+    def test_nearly_symmetric_keeps_quadrature(self):
+        # one ulp off symmetric: the flow takes eigh of the symmetric part,
+        # but the Gramians keep the routes of A itself
+        A = np.array([[-1.0, 0.1], [np.nextafter(0.1, 1.0), -2.0]])
+        p = make_dense_model(A, [[1.0], [1.0]])
+        assert p.propagator.cond == 1.0 and p.propagator.eigenbasis is None
+        assert gramian_finite(p, 1.0) is gramian_finite(p, 1.0, "quadrature")
+
+    def test_huge_horizon_is_the_infinite_gramian(self):
+        # t s overflows to -inf without a warning, and e^{t s} is then 0
+        A = 1e200 * np.array([[-2.0, 1.0], [1.0, -2.0]])
+        p = make_dense_model(A, np.eye(2))
+        assert np.array_equal(gramian_finite(p, 1e308).matrix, gramian_infinite(p).matrix)
+
+    @pytest.mark.parametrize("A", [[[-1e-200, 0.0], [0.0, -1.0]],
+                                   [[-2e-200, 1e-200], [1e-200, -2e-200]]],
+                             ids=["diagonal", "symmetric"])
+    def test_overflow_refused(self, A):
+        p = make_dense_model(A, [[1e150], [0.0]])
+        with pytest.raises(PreconditionError, match="infinite-horizon Gramian overflows"):
+            gramian_infinite(p)
+        with pytest.raises(PreconditionError, match="horizon 1e\\+300 overflows"):
+            gramian_finite(p, 1e300)
+
+    def test_no_route_named_eigenbasis(self, rng):
+        p = random_problem(rng, n=3, symmetric=True)
+        with pytest.raises(ValueError, match="unknown method"):
+            gramian_finite(p, 1.0, "eigenbasis")
 
 
 class TestGramianInfinite:
@@ -519,6 +641,8 @@ class TestModelMemo:
             assert set(vars(g)) - {"horizon", "matrix"} <= kept
 
     def test_one_finite_gramian_per_horizon_and_route(self, rng, monkeypatch):
+        # a non-symmetric model's default route is the quadrature, kept
+        # under the key of a call that names it
         calls = {"quadrature": 0, "matrix_ode": 0}
 
         def counted(name):
@@ -531,7 +655,7 @@ class TestModelMemo:
 
         for name in calls:
             monkeypatch.setattr(gramian_module, f"_gramian_{name}", counted(name))
-        p = random_problem(rng, n=4)
+        p = random_problem(rng, n=4, symmetric=False)
         g = gramian_finite(p, 1.0)
         assert gramian_finite(p, 1) is g
         assert gramian_finite(p, 1.0, "quadrature") is g
@@ -549,6 +673,22 @@ class TestModelMemo:
         assert np.array_equal(gramian_finite(fresh, 1.0).matrix, g.matrix)
         assert calls == {"quadrature": 3, "matrix_ode": 1}
 
+    def test_symmetric_default_route_is_the_eigenbasis(self, rng, monkeypatch):
+        calls, fn = [], gramian_module._eigenbasis_gramian
+
+        def counted(p, t):
+            calls.append(t)
+            return fn(p, t)
+
+        monkeypatch.setattr(gramian_module, "_eigenbasis_gramian", counted)
+        p = random_problem(rng, n=4, symmetric=True)
+        g = gramian_finite(p, 1.0)
+        assert gramian_finite(p, 1) is g
+        assert gramian_finite(p, 1.0, "quadrature") is not g
+        assert h_space(p) is gramian_infinite(p)
+        assert sorted(p.gramians) == [(1.0, "eigenbasis"), (1.0, "quadrature")]
+        assert calls == [1.0, np.inf]
+
     def test_one_lyapunov_solve_across_horizons(self, rng, monkeypatch):
         solve, calls = sla.solve_continuous_lyapunov, []
 
@@ -557,7 +697,7 @@ class TestModelMemo:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(sla, "solve_continuous_lyapunov", counted)
-        p = random_problem(rng, n=4)
+        p = random_problem(rng, n=4, symmetric=False)
         for t in (0.1, 1.0, 5.0):
             assert lyapunov_residual(p, gramian_infinite(p)) <= 1e-10
             assert h_space(p).full_rank

@@ -95,16 +95,24 @@ def test_non_number_entries_are_parse_errors(name, tmp_path):
     assert not any(path.is_dir() for path in tmp_path.iterdir())
 
 
+def stiff_pair(rate):
+    """Two modes at rates 1 and ``rate``, weighted so that Q_inf = I: a
+    full-rank reachability space whose horizon is set by the slow mode and
+    whose signal panels by the fast one."""
+    return {"type": "spectral", "lambdas": [-1.0, -rate], "b_diag": [2.0, 2.0 * rate]}
+
+
 @pytest.mark.parametrize("command", ["synthesize", "all"])
 def test_unsampled_horizon_is_bad_parameter(command, tmp_path, capsys):
-    # decay rate 1e-300: the steering horizon is about 2.8e301, and a numpy
-    # array cannot hold its signal grid; nothing large is allocated
+    # decay rate 1e-300 beside a unit rate, which keeps the signal panels at
+    # most 1 wide: the steering horizon is about 2.8e301, and a numpy array
+    # cannot hold its signal grid; nothing large is allocated
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(HOSTILE["tiny_decay"][0]))
+    path.write_text(json.dumps(stiff_pair(1e-300)))
     out = tmp_path / "out"
     tracemalloc.start()
     try:
-        code = main([command, "--model", str(path), "--target", "1", "--out", str(out)])
+        code = main([command, "--model", str(path), "--target", "1,0", "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -115,15 +123,16 @@ def test_unsampled_horizon_is_bad_parameter(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["synthesize", "all"])
 def test_oversized_signal_grid_is_bad_parameter(command, tmp_path, capsys):
-    # decay rate 1e-7: the steering horizon is about 2.8e8, so the signal
-    # grid would hold about 2.5e9 points, 20 GB an array; it is refused
-    # before anything large is allocated
+    # decay rate 1e-7 beside a unit rate: the steering horizon is about
+    # 2.8e8, so the signal grid of panels at most 1 wide would hold about
+    # 2.5e9 points, 40 GB an array; it is refused before anything large is
+    # allocated
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"type": "dense", "A": [[-1e-7]], "B": [[1.0]]}))
+    path.write_text(json.dumps(stiff_pair(1e-7)))
     out = tmp_path / "out"
     tracemalloc.start()
     try:
-        code = main([command, "--model", str(path), "--target", "1", "--out", str(out)])
+        code = main([command, "--model", str(path), "--target", "1,0", "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

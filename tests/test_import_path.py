@@ -1,6 +1,6 @@
 """scipy stays off the import path and out of every command on a diagonal
-model, orjson is loaded only when a file is written, and no command loads
-a process pool.
+model, and out of the Gramian commands on a symmetric one; orjson is
+loaded only when a file is written, and no command loads a process pool.
 
 pytest itself imports scipy (the ``filterwarnings`` setting names
 ``scipy.linalg.LinAlgWarning``), so each check runs in a fresh interpreter.
@@ -19,7 +19,7 @@ import minenergy
 SRC = str(Path(minenergy.__file__).resolve().parents[1])
 
 #: modules whose loading the probe reports
-WATCHED = ("scipy", "orjson", "multiprocessing", "concurrent.futures")
+WATCHED = ("scipy", "scipy.linalg", "orjson", "multiprocessing", "concurrent.futures")
 
 #: imports the command line, runs main on its arguments if any, and prints
 #: its exit status and which of WATCHED were loaded
@@ -45,6 +45,11 @@ DENSE_DIAGONAL = {"type": "dense",
 DENSE_3 = {"type": "dense",
            "A": [[-1.0, 0.3, 0.0], [0.1, -2.0, 0.2], [0.0, 0.4, -1.5]],
            "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+#: an exactly symmetric dense tridiagonal model with two inputs
+SYMMETRIC_8 = {"type": "dense",
+               "A": [[-0.5 * (i + 1) if i == j else 0.25 if abs(i - j) == 1 else 0.0
+                      for j in range(8)] for i in range(8)],
+               "B": [[1.0 if j == i % 2 else 0.0 for j in range(2)] for i in range(8)]}
 
 
 def loaded(workdir, *argv, status=0):
@@ -69,7 +74,7 @@ def scipy_loaded(workdir, *argv):
 def models(tmp_path):
     for name, doc in (("spectral.json", SPECTRAL_8), ("dense.json", DENSE_3),
                       ("weighted.json", WEIGHTED_DIAGONAL),
-                      ("diagonal.json", DENSE_DIAGONAL)):
+                      ("diagonal.json", DENSE_DIAGONAL), ("symmetric.json", SYMMETRIC_8)):
         (tmp_path / name).write_text(json.dumps(doc))
     return tmp_path
 
@@ -106,6 +111,17 @@ def test_spectral_commands_never_import_scipy(argv, models):
 ], ids=[f"{doc}_{cmd}" for doc in ("weighted", "diagonal") for cmd in COMMAND_IDS])
 def test_diagonal_documents_never_import_scipy(argv, models):
     assert not scipy_loaded(models, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gramian", "--t", "1"],
+    ["synthesize", "--target", "1,0,0,0,0,0,0,0"],
+    ["auxiliary", "--target=1,0,0,0,0,0,0,0"],
+], ids=lambda argv: argv[0])
+def test_symmetric_gramians_never_import_scipy_linalg(argv, models):
+    # both Gramians of a symmetric A come from its Propagator's eigh
+    assert "scipy.linalg" not in loaded(models, *argv, "--model", "symmetric.json",
+                                        "--out", "out")
 
 
 def test_dense_command_imports_scipy(models):

@@ -1,15 +1,19 @@
 """Functions that take a model read its Gramians and reachability space
 from it, so no public callable takes either as an argument; none takes
 the membership cutoff, which is fixed; one gate decides membership, one
-rule rescales, and one module writes every output file."""
+rule rescales, one formula gives a symmetric model's Gramians, and one
+module writes every output file."""
 
 import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import minenergy
 import minenergy.energy
 import minenergy.serialize
+from minenergy.operators import Propagator
 
 PLUMBING = {"gramian", "hspace"}
 
@@ -48,6 +52,25 @@ def test_no_membership_tolerance_parameter():
     assert {"minenergy.energy.value_finite", "minenergy.gramian.h_inner"} <= {
         name for name, _ in members}
     assert [name for name, params in members if "tol" in params] == []
+
+
+def references(name):
+    """The functions of the package source that read the name ``name``,
+    called or not, each as "file:Qualified.name"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}{child.name}.")
+                continue
+            if isinstance(child, ast.Name) and child.id == name:
+                found.append(scope.rstrip("."))
+            visit(child, scope)
+
+    for path in sorted(Path(minenergy.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.name}:")
+    return sorted(set(found))
 
 
 def sites(name):
@@ -105,3 +128,32 @@ def test_one_writer():
                           "serialize.py:write_report"}
     assert sites("_non_finite") == sites("fmt") == ([], [])
     assert not hasattr(minenergy.serialize, "fmt")
+
+
+def test_one_symmetric_gramian_formula():
+    # the Hadamard formula of an exactly symmetric A lives in one helper
+    # that both horizons read; scipy's Lyapunov solve serves only the
+    # infinite horizon of any other A
+    assert sites("_eigenbasis_gramian")[0] == ["gramian.py:_eigenbasis_gramian"]
+    assert references("_eigenbasis_gramian") == ["gramian.py:_solve_gramian_infinite",
+                                                 "gramian.py:gramian_finite"]
+    assert sites("expm1") == ([], ["gramian.py:_eigenbasis_gramian"])
+    assert sites("solve_continuous_lyapunov") == ([], ["gramian.py:_solve_gramian_infinite"])
+
+
+def test_diagonal_propagator_factors_nothing(monkeypatch):
+    # an exactly diagonal A is its own eigenbasis, V = I, in its own order
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.shape)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    prop = Propagator(np.diag([-2.0, -1.0, -2.0]))
+    assert calls == []
+    assert prop.w.tolist() == [-2.0, -1.0, -2.0]
+    assert np.array_equal(prop.eigenbasis[1], np.eye(3))
+    Propagator(np.array([[-2.0, 1.0], [1.0, -2.0]]))
+    assert calls == [(2, 2)]
