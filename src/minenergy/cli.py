@@ -224,8 +224,9 @@ def _synthesis(args, problem):
         report["energy"] = energy_of(u)
         report["feedback_residual"] = feedback_residual(problem, traj, u)
         if h_space(problem).full_rank:
-            fd_window = min(2.0, span)
-            fd_grid = np.linspace(-fd_window, 0.0, int(fd_window / 1e-3) + 1)
+            fd_step = 1e-3 / problem.spectral_radius     # in the model's time unit
+            fd_window = min(2000.0 * fd_step, span)
+            fd_grid = np.linspace(-fd_window, 0.0, int(fd_window / fd_step) + 1)
             fd_traj = optimal_trajectory_infinite(problem, x, fd_grid)
             report["bcle_residual"] = bcle_residual(problem, fd_traj)
         else:

@@ -19,7 +19,6 @@ from .errors import (
     HorizonNotPositive,
     NotInH,
     NotReachable,
-    NotStable,
     PreconditionError,
 )
 from .operators import (
@@ -149,7 +148,14 @@ class Gramian:
 
 
 def _as_gramian(matrix, horizon):
-    return Gramian(horizon=float(horizon), matrix=read_only(symmetrize(matrix)))
+    """The kept Gramian of a route's matrix, the one overflow refusal of
+    every route: a sum that stopped being finite is refused."""
+    matrix = symmetrize(matrix)
+    if not np.isfinite(matrix).all():
+        what = ("infinite-horizon Gramian" if horizon == np.inf
+                else f"Gramian at horizon {horizon}")
+        raise PreconditionError(f"{what} overflows a float")
+    return Gramian(horizon=float(horizon), matrix=read_only(matrix))
 
 
 def _gramian_quadrature(p, t):
@@ -168,6 +174,12 @@ def _gramian_quadrature(p, t):
     and F, so the cost is 33 propagators and at most 6 log2(P) matrix
     products, not 32 P propagators; a one-panel horizon is Q_D itself.
 
+    t = inf takes one panel of the widest width and doubles until the
+    added term leaves S bit for bit unchanged, or S stops being finite:
+    the squared Smith iteration for Q_inf = sum_j F^j Q_D F^j*.  The loop
+    does not wait for F^s to vanish: a slow mode's entry of F may round
+    to 1, and an unexcited one then never adds to S.
+
     The weights w_k are positive, so Q_D = sum_k w_k X_k X_k* over the node
     products X_k = e^{s_k A} B is the one product Y Y* of the n-by-32m
     matrix Y = [sqrt(w_1) X_1 ... sqrt(w_32) X_32].  Y* is formed as its 32
@@ -175,27 +187,32 @@ def _gramian_quadrature(p, t):
     a symmetric rank-k update, so Q_D is exactly symmetric.
     """
     width = min(1.0 / p.decay_omega, 4.0 / p.spectral_radius)
-    ratio = t / width
+    ratio = 1.0 if t == np.inf else t / width
     if not np.isfinite(ratio):
         raise BadParameterError(
             f"horizon {t} over panels of width {width:.3g} overflows the "
             "panel count")
     panels = max(1, int(np.ceil(ratio)))
-    delta = t / panels
+    delta = width if t == np.inf else t / panels
     pts, wts = legendre_panels(0.0, delta, delta)
     props = p.propagator.at(np.append(pts, delta))
     F = props[-1]
-    Yt = p.B.T @ props[:-1].transpose(0, 2, 1)     # (32, m, n): the X_k*
-    Yt *= np.sqrt(wts)[:, None, None]
-    Yt = Yt.reshape(-1, p.n)
-    Q = q_panel = Yt.T @ Yt
-    F_s = F
-    for bit in bin(panels)[3:]:
-        Q = Q + F_s @ Q @ F_s.T
-        F_s = F_s @ F_s
-        if bit == "1":
-            Q = q_panel + F @ Q @ F.T
-            F_s = F @ F_s
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _as_gramian
+        Yt = p.B.T @ props[:-1].transpose(0, 2, 1)     # (32, m, n): the X_k*
+        Yt *= np.sqrt(wts)[:, None, None]
+        Yt = Yt.reshape(-1, p.n)
+        Q = q_panel = Yt.T @ Yt
+        F_s = F
+        while t == np.inf:
+            Q, last, F_s = Q + F_s @ Q @ F_s.T, Q, F_s @ F_s
+            if np.array_equal(Q, last) or not np.isfinite(Q).all():
+                return Q
+        for bit in bin(panels)[3:]:
+            Q = Q + F_s @ Q @ F_s.T
+            F_s = F_s @ F_s
+            if bit == "1":
+                Q = q_panel + F @ Q @ F.T
+                F_s = F @ F_s
     return Q
 
 
@@ -275,17 +292,12 @@ def _eigenbasis_gramian(p, t):
     V is orthogonal, so nothing grows with cond(V), and expm1 keeps small
     t accurate; an exactly diagonal A has V = I, and its Q_inf is
     diag(b / (-2a)) bit for bit.  t s may overflow to -inf at a huge t,
-    where Q_t is Q_inf.  Refused when Q overflows a float."""
+    where Q_t is Q_inf."""
     w, v = p.propagator.eigenbasis
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _as_gramian
         s = np.add.outer(w, w)
         x = (v.T @ p.BBt @ v) * -np.expm1(t * s) / -s
-        q = v @ x @ v.T
-        finite = np.isfinite(symmetrize(q)).all()
-    if not finite:
-        what = "infinite-horizon Gramian" if t == np.inf else f"Gramian at horizon {t}"
-        raise PreconditionError(f"{what} overflows a float")
-    return q
+        return v @ x @ v.T
 
 
 def gramian_finite(p, t, method=None):
@@ -335,26 +347,13 @@ def gramian_infinite(p):
 
 
 def _solve_gramian_infinite(p):
-    """Solve A Q + Q A* = -B B*.
-
-    An exactly symmetric A reads Q from its eigenbasis, the closed form
-    ``_eigenbasis_gramian`` at t = inf; a diagonal A is its case V = I.
-    Any other model's is the Bartels-Stewart solve of ``scipy.linalg``,
-    imported here so that symmetric models never load scipy.  That solve
-    is refused when the lower bound max|BB*_ij| / (2 ||A||_2) on ||Q||_2
-    overflows.
-    """
-    if p.spectral_abscissa >= 0.0:
-        raise NotStable("infinite-horizon Gramian needs a stable model")
-    if p.propagator.eigenbasis is not None:
-        return _as_gramian(_eigenbasis_gramian(p, np.inf), np.inf)
-    with np.errstate(over="ignore"):
-        floor = np.abs(p.BBt).max() / (2.0 * p.a_norm2)
-    if not np.isfinite(floor):
-        raise PreconditionError("infinite-horizon Gramian overflows a float")
-    import scipy.linalg
-    Q = scipy.linalg.solve_continuous_lyapunov(p.A, -p.BBt)
-    return _as_gramian(Q, np.inf)
+    """Solve A Q + Q A* = -B B* as the t = inf case of the model's one
+    Gramian routine: the closed form ``_eigenbasis_gramian`` of an exactly
+    symmetric A, a diagonal A its case V = I, and the quadrature's doubling
+    ``_gramian_quadrature`` of any other A; neither loads scipy.  Every
+    model is stable: ``make_dense_model`` refuses any other."""
+    route = _gramian_quadrature if p.propagator.eigenbasis is None else _eigenbasis_gramian
+    return _as_gramian(route(p, np.inf), np.inf)
 
 
 def lyapunov_residual(p, g):
@@ -395,9 +394,7 @@ def h_inner(h, x, y):
 
 def t_max(p, x_norm):
     """Horizon beyond which the energy tail of any steering problem is
-    below TAIL_EPS relative: max(log(max(|x|, TAIL_EPS) * M / TAIL_EPS)
-    / omega, 1), so never shorter than 1."""
+    below TAIL_EPS relative: max(log(max(|x|, TAIL_EPS) * M / TAIL_EPS), 1)
+    / omega, so never shorter than 1/omega, in the model's own time unit."""
     x_norm = max(float(x_norm), TAIL_EPS)
-    t = np.log(x_norm * p.bound_M / TAIL_EPS) / p.decay_omega
-    return float(max(t, 1.0))
-
+    return float(max(np.log(x_norm * p.bound_M / TAIL_EPS), 1.0) / p.decay_omega)

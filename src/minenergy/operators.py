@@ -38,9 +38,10 @@ _DIAGONALIZABLE_COND_MAX = 1e12
 
 
 def symmetrize(m):
-    """Average a matrix with its transpose."""
+    """Average a matrix with its transpose, halving each term first so
+    that no entry of a finite m overflows."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * m + 0.5 * m.T
 
 
 def binary_exponent(m):

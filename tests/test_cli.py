@@ -192,10 +192,17 @@ class TestGramianCommand:
         q_inf = csv_values(tmp_path / "gramian_inf.csv")
         assert np.linalg.norm(q_t - q_inf) <= 1e-15 * np.linalg.norm(q_inf)
 
+    def test_gramian_near_float_max_answered(self, model_file, tmp_path):
+        # Q_inf = b / 1.8 is a float; its symmetric average does not overflow
+        doc = {"type": "spectral", "lambdas": [-0.9], "b_diag": [1.79e308]}
+        proc = run_process("gramian", "--model", model_file(doc), "--out", tmp_path)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert csv_values(tmp_path / "gramian_inf.csv").tolist() == [[1.79e308 / 1.8]]
+
     @pytest.mark.parametrize("scale", [1e-200, 1e-100])
     def test_overflowing_infinite_gramian_refused(self, scale, model_file, tmp_path):
-        # Q_inf[0, 0] = 1e300 / (2 scale) overflows, and so does its lower
-        # bound max|BB*_ij| / (2 ||A||_2) on ||Q_inf||_2
+        # Q_inf[0, 0] = 1e300 / (2 scale) overflows, and so does the
+        # quadrature's first panel
         doc = {"type": "dense", "A": [[-scale, 0.0], [scale, -2.0 * scale]],
                "B": [[1e150], [0.0]]}
         out = tmp_path / "out"
@@ -795,6 +802,25 @@ class TestTimeUnit:
         for key in ("V", "value"):
             assert math.isclose(aux_slow[key], aux[key], rel_tol=1e-14)
         assert aux_slow["sandwich_ok"] and aux_slow["reversal_ok"]
+
+    def test_synthesis_free_of_time_unit(self, model_file, tmp_path):
+        # (A, BB*) -> (cA, cBB*) for c = 2^10 and 2^-40: the steering horizon
+        # scales by 1/c and the closed-loop residual, a time derivative, by
+        # c; the rest, the CSV row count included, does not move, since the
+        # horizon's floor and the residual's difference grid are read in the
+        # model's time unit
+        seen = []
+        for k in (0, 10, -40):
+            c = 2.0 ** k
+            path = model_file({"type": "spectral", "lambdas": [-c, -2.0 * c],
+                               "b_diag": [c, c]}, f"model{k}.json")
+            out = tmp_path / str(k)
+            assert run("synthesize", "--model", path, "--target=1,1", "--out", out) == 0
+            report = json.loads((out / "synthesis_report.json").read_text())
+            rows = len((out / "control.csv").read_text().splitlines())
+            seen.append((report["t"] * c, report["bcle_residual"] / c,
+                         report["endpoint_error"], report["energy"], rows))
+        assert seen[0] == seen[1] == seen[2]
 
 
 class TestExitCodeContract:

@@ -443,28 +443,39 @@ class TestTimeUnitLaw:
         assert np.linalg.norm(got.matrix - ref.matrix) <= 1e-10 * np.linalg.norm(ref.matrix)
 
 
+def mp_lyapunov(A, B):
+    """Q_inf at 50 digits, as a float array, from the Kronecker form
+    (I x A + A x I) vec Q = -vec BB*."""
+    n = A.shape[0]
+    with mpmath.workdps(50):
+        a, b = mpmath.matrix(A.tolist()), mpmath.matrix(B.tolist())
+        bbt = b * b.T
+        kron = mpmath.zeros(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    kron[i * n + j, k * n + j] += a[i, k]
+                    kron[i * n + j, i * n + k] += a[j, k]
+        q_inf = mpmath.lu_solve(kron, [-bbt[i, j] for i in range(n) for j in range(n)])
+        return np.array([float(v) for v in q_inf]).reshape(n, n)
+
+
 def mp_gramians(A, B, t):
     """Q_t and Q_inf at 50 digits: Q_t = F22* F12 from Van Loan's block
-    exponential e^{tM}, M = [[-A, BB*], [0, A*]], and Q_inf from the
-    Kronecker form (I x A + A x I) vec Q = -vec BB*; both as float arrays."""
+    exponential e^{tM}, M = [[-A, BB*], [0, A*]], and Q_inf from
+    ``mp_lyapunov``; both as float arrays."""
     n = A.shape[0]
     with mpmath.workdps(50):
         a, b = mpmath.matrix(A.tolist()), mpmath.matrix(B.tolist())
         bbt = b * b.T
         block = mpmath.zeros(2 * n, 2 * n)
-        kron = mpmath.zeros(n * n, n * n)
         for i in range(n):
             for j in range(n):
                 block[i, j], block[i, n + j], block[n + i, n + j] = -a[i, j], bbt[i, j], a[j, i]
-                for k in range(n):
-                    kron[i * n + j, k * n + j] += a[i, k]
-                    kron[i * n + j, i * n + k] += a[j, k]
         e = mpmath.expm(block * t)
         q_t = [[mpmath.fsum(e[n + k, n + i] * e[k, n + j] for k in range(n))
                 for j in range(n)] for i in range(n)]
-        q_inf = mpmath.lu_solve(kron, [-bbt[i, j] for i in range(n) for j in range(n)])
-        return (np.array([[float(v) for v in row] for row in q_t]),
-                np.array([float(v) for v in q_inf]).reshape(n, n))
+        return (np.array([[float(v) for v in row] for row in q_t]), mp_lyapunov(A, B))
 
 
 class TestEigenbasisRoute:
@@ -545,6 +556,42 @@ class TestEigenbasisRoute:
         p = random_problem(rng, n=3, symmetric=True)
         with pytest.raises(ValueError, match="unknown method"):
             gramian_finite(p, 1.0, "eigenbasis")
+
+
+def stiff_problem(ratio, rng, n=8):
+    """A non-normal A = V diag(w) V^-1, V a mild perturbation of I, with
+    rates w from 1 to ``ratio`` spread geometrically, and two inputs."""
+    v = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    A = v @ np.diag(-np.logspace(0.0, np.log10(ratio), n)) @ np.linalg.inv(v)
+    return make_dense_model(A, rng.standard_normal((n, 2)))
+
+
+class TestInfiniteQuadrature:
+    """Q_inf of a non-symmetric A is the quadrature at t = inf: one panel,
+    doubled until the sum settles (the squared Smith iteration)."""
+
+    @pytest.mark.parametrize("kind, size", [
+        ("stiff", 1e2), ("stiff", 1e4), ("stiff", 1e6),
+        ("non_normal", 1300.0), ("non_normal", 1.25e5),
+    ], ids=["stiff_1e2", "stiff_1e4", "stiff_1e6", "cond_2.6e3", "cond_2.5e5"])
+    def test_extended_precision_reference(self, kind, size, rng):
+        # forward error within 100 u times the larger of the stiffness
+        # ratio rho/omega, which sets the doubling count, and cond(V);
+        # [[-1, a], [0, -2]] has cond(V) = 2a
+        p = (stiff_problem(size, rng) if kind == "stiff"
+             else make_dense_model([[-1.0, size], [0.0, -2.0]], np.eye(2)))
+        assert p.propagator.eigenbasis is None
+        ref = mp_lyapunov(p.A, p.B)
+        got = gramian_infinite(p).matrix
+        bound = 100 * 2.0 ** -53 * max(p.spectral_radius / p.decay_omega, p.propagator.cond)
+        assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+
+    def test_long_horizon_reaches_the_limit(self, rng):
+        # Q_t of the named quadrature at a horizon past the tail is Q_inf
+        p = random_problem(rng, n=6, symmetric=False)
+        q_t = gramian_finite(p, 200.0, "quadrature").matrix
+        q_inf = gramian_infinite(p).matrix
+        assert np.linalg.norm(q_t - q_inf) <= 1e-14 * np.linalg.norm(q_inf)
 
 
 class TestGramianInfinite:
@@ -690,20 +737,22 @@ class TestModelMemo:
         assert calls == [1.0, np.inf]
 
     def test_one_lyapunov_solve_across_horizons(self, rng, monkeypatch):
-        solve, calls = sla.solve_continuous_lyapunov, []
+        # a non-symmetric model's Q_inf is the quadrature at t = inf, run
+        # once per model however many horizons are asked for
+        quadrature, horizons = gramian_module._gramian_quadrature, []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counted(p, t):
+            horizons.append(t)
+            return quadrature(p, t)
 
-        monkeypatch.setattr(sla, "solve_continuous_lyapunov", counted)
+        monkeypatch.setattr(gramian_module, "_gramian_quadrature", counted)
         p = random_problem(rng, n=4, symmetric=False)
         for t in (0.1, 1.0, 5.0):
             assert lyapunov_residual(p, gramian_infinite(p)) <= 1e-10
             assert h_space(p).full_rank
             gramian_finite(p, t, "quadrature")
             gramian_finite(p, t, "matrix_ode")
-        assert len(calls) == 1
+        assert horizons == [np.inf, 0.1, 1.0, 5.0]
 
     def test_pinv_computed_on_first_access(self, spectral_problem):
         g = gramian_finite(spectral_problem, 1.0)

@@ -46,6 +46,12 @@ HOSTILE = {
     "huge_weights": ({"type": "spectral", "lambdas": [-1.0, -2.0],
                       "b_diag": [1e308, 1e308]}, 2),
     "tiny_decay": ({"type": "dense", "A": [[-1e-300]], "B": [[1.0]]}, 1),
+    # a non-symmetric pair of rates 1e-300 and 1; the slow mode is excited,
+    # so Q_inf[0, 0] = 5e299 and its doubling overflows, or it is not
+    "slow_mode_excited": ({"type": "dense", "A": [[-1e-300, 0.0], [1.0, -1.0]],
+                           "B": [[1.0], [1.0]]}, 2),
+    "slow_mode_unexcited": ({"type": "dense", "A": [[-1e-300, 0.0], [1.0, -1.0]],
+                             "B": [[0.0], [1.0]]}, 2),
     "bbt_overflow": ({"type": "dense", "A": [[-1e300]], "B": [[1e300]]}, 1),
     "weighted_b_overflow": ({"type": "dense", "A": [[-1.0]], "B": [[1e200]],
                              "weight_C": [[1e-300]]}, 1),
@@ -93,6 +99,29 @@ def test_non_number_entries_are_parse_errors(name, tmp_path):
     doc, n = HOSTILE[name]
     assert run_all(doc, n, tmp_path) == dict.fromkeys(COMMANDS, 2)
     assert not any(path.is_dir() for path in tmp_path.iterdir())
+
+
+def test_excited_slow_mode_is_refused(tmp_path, capsys):
+    # Q_inf[0, 0] = 5e299, and the doubling of its sum overflows before
+    # the sum settles: a refusal, not a wrong answer
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(HOSTILE["slow_mode_excited"][0]))
+    out = tmp_path / "out"
+    assert main(["gramian", "--model", str(path), "--out", str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: infinite-horizon Gramian overflows a float\n"
+
+
+def test_unexcited_slow_mode_is_answered(tmp_path, capsys):
+    # the slow mode's entry of F = e^{DA} rounds to 1 and never decays, but
+    # it adds nothing to Q_inf = [[0, 0], [0, 1/2]]: the doubling settles
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(HOSTILE["slow_mode_unexcited"][0]))
+    out = tmp_path / "out"
+    assert main(["gramian", "--model", str(path), "--out", str(out)]) == 0
+    q = np.loadtxt(out / "gramian_inf.csv", delimiter=",", skiprows=1)
+    assert np.abs(q - [[0.0, 0.0], [0.0, 0.5]]).max() <= 1e-14
+    assert capsys.readouterr().err == ""
 
 
 def stiff_pair(rate):

@@ -1,6 +1,7 @@
 """scipy stays off the import path and out of every command on a diagonal
-model, and out of the Gramian commands on a symmetric one; orjson is
-loaded only when a file is written, and no command loads a process pool.
+model, and ``scipy.linalg`` out of the Gramian commands on a symmetric or
+a well-conditioned non-symmetric one; orjson is loaded only when a file is
+written, and no command loads a process pool.
 
 pytest itself imports scipy (the ``filterwarnings`` setting names
 ``scipy.linalg.LinAlgWarning``), so each check runs in a fresh interpreter.
@@ -45,6 +46,10 @@ DENSE_DIAGONAL = {"type": "dense",
 DENSE_3 = {"type": "dense",
            "A": [[-1.0, 0.3, 0.0], [0.1, -2.0, 0.2], [0.0, 0.4, -1.5]],
            "B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+#: a non-normal model whose eigenvector basis has cond(V) > 1e6, so that
+#: its flow takes scipy's Pade exponential
+PADE_2 = {"type": "dense", "A": [[-1.0, 1e6], [0.0, -2.0]],
+          "B": [[1.0, 0.0], [0.0, 1.0]]}
 #: an exactly symmetric dense tridiagonal model with two inputs
 SYMMETRIC_8 = {"type": "dense",
                "A": [[-0.5 * (i + 1) if i == j else 0.25 if abs(i - j) == 1 else 0.0
@@ -74,7 +79,8 @@ def scipy_loaded(workdir, *argv):
 def models(tmp_path):
     for name, doc in (("spectral.json", SPECTRAL_8), ("dense.json", DENSE_3),
                       ("weighted.json", WEIGHTED_DIAGONAL),
-                      ("diagonal.json", DENSE_DIAGONAL), ("symmetric.json", SYMMETRIC_8)):
+                      ("diagonal.json", DENSE_DIAGONAL), ("symmetric.json", SYMMETRIC_8),
+                      ("pade.json", PADE_2)):
         (tmp_path / name).write_text(json.dumps(doc))
     return tmp_path
 
@@ -113,26 +119,39 @@ def test_diagonal_documents_never_import_scipy(argv, models):
     assert not scipy_loaded(models, *argv)
 
 
-@pytest.mark.parametrize("argv", [
-    ["gramian", "--t", "1"],
-    ["synthesize", "--target", "1,0,0,0,0,0,0,0"],
-    ["auxiliary", "--target=1,0,0,0,0,0,0,0"],
-], ids=lambda argv: argv[0])
+def gramian_commands(target):
+    """The Gramian subcommands that must not import scipy.linalg."""
+    return [["gramian", "--t", "1"],
+            ["synthesize", "--target", target],
+            ["auxiliary", f"--target={target}"]]
+
+
+@pytest.mark.parametrize("argv", gramian_commands("1,0,0,0,0,0,0,0"),
+                         ids=lambda argv: argv[0])
 def test_symmetric_gramians_never_import_scipy_linalg(argv, models):
     # both Gramians of a symmetric A come from its Propagator's eigh
     assert "scipy.linalg" not in loaded(models, *argv, "--model", "symmetric.json",
                                         "--out", "out")
 
 
+@pytest.mark.parametrize("argv", gramian_commands("1,0,0"), ids=lambda argv: argv[0])
+def test_non_symmetric_gramians_never_import_scipy_linalg(argv, models):
+    # both Gramians of any other A come from the quadrature, on the flow of
+    # its Propagator's eig while cond(V) is at most 1e6
+    assert "scipy.linalg" not in loaded(models, *argv, "--model", "dense.json",
+                                        "--out", "out")
+
+
 def test_dense_command_imports_scipy(models):
-    # the probe sees scipy where a dense kernel needs it
-    assert scipy_loaded(models, "gramian", "--model", "dense.json",
+    # the probe sees scipy where a dense kernel needs it: the Pade
+    # exponential of a flow whose eigenvector basis is ill-conditioned
+    assert scipy_loaded(models, "gramian", "--model", "pade.json",
                         "--out", "out")
 
 
 def test_synthesize_loads_no_process_pool(models):
-    # on a dense model scipy.linalg itself imports concurrent.futures, so
-    # only a spectral run can tell; orjson writes the files
+    # where scipy.linalg is loaded it imports concurrent.futures itself,
+    # so only a spectral run can tell; orjson writes the files
     assert loaded(models, "synthesize", "--model", "spectral.json",
                   "--target", "1,0,0,0,0,0,0,0", "--out", "out") == {"orjson"}
 

@@ -258,6 +258,23 @@ class TestExactRescaling:
             assert make_dense_model(-np.eye(2), B).coercive is coercive
 
 
+class TestSymmetrize:
+    def test_normal_range_unchanged(self, rng):
+        # halving each term first is exact in the normal range, so the
+        # average is 0.5 (m + m*) bit for bit
+        for k in (-1000, -20, 0, 20, 1000):
+            m = np.ldexp(rng.standard_normal((5, 5)), k)
+            assert np.array_equal(symmetrize(m), 0.5 * (m + m.T))
+
+    def test_near_float_max_does_not_overflow(self):
+        big = 2.0 ** 1023
+        m = np.array([[1.5 * big, 1.5 * big], [big, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = symmetrize(m)
+        assert s.tolist() == [[1.5 * big, 1.25 * big], [1.25 * big, 1.0]]
+
+
 class TestPseudoInverse:
     def test_rank_one_diagonal(self):
         pi = pseudo_inverse(np.diag([2.0, 0.0]))

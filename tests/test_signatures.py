@@ -132,13 +132,16 @@ def test_one_writer():
 
 def test_one_symmetric_gramian_formula():
     # the Hadamard formula of an exactly symmetric A lives in one helper
-    # that both horizons read; scipy's Lyapunov solve serves only the
-    # infinite horizon of any other A
+    # that both horizons read, and the quadrature's doubling serves both
+    # horizons of any other A: no Lyapunov solve is left
     assert sites("_eigenbasis_gramian")[0] == ["gramian.py:_eigenbasis_gramian"]
     assert references("_eigenbasis_gramian") == ["gramian.py:_solve_gramian_infinite",
                                                  "gramian.py:gramian_finite"]
+    assert references("_gramian_quadrature") == ["gramian.py:_solve_gramian_infinite",
+                                                 "gramian.py:gramian_finite"]
     assert sites("expm1") == ([], ["gramian.py:_eigenbasis_gramian"])
-    assert sites("solve_continuous_lyapunov") == ([], ["gramian.py:_solve_gramian_infinite"])
+    assert not any("solve_continuous_lyapunov" in path.read_text()
+                   for path in Path(minenergy.__file__).parent.glob("*.py"))
 
 
 def test_diagonal_propagator_factors_nothing(monkeypatch):
