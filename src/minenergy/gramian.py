@@ -176,9 +176,13 @@ def _gramian_quadrature(p, t):
 
     t = inf takes one panel of the widest width and doubles until the
     added term leaves S bit for bit unchanged, or S stops being finite:
-    the squared Smith iteration for Q_inf = sum_j F^j Q_D F^j*.  The loop
-    does not wait for F^s to vanish: a slow mode's entry of F may round
-    to 1, and an unexcited one then never adds to S.
+    the squared Smith iteration for Q_inf = sum_j F^j Q_D F^j*.  Each F^s
+    is read off the Propagator at the time sD, not squared: F's slow
+    entry has a relative error of about u / (omega D), which squaring
+    would carry into Q_inf as u rho / omega, while e^{sDA} keeps the slow
+    rate e^{-omega sD} accurate at any stiffness.  The loop does not wait
+    for F^s to vanish, which an unexcited slow mode's entry may never do,
+    and refuses a sum that has not settled when sD passes the float range.
 
     The weights w_k are positive, so Q_D = sum_k w_k X_k X_k* over the node
     products X_k = e^{s_k A} B is the one product Y Y* of the n-by-32m
@@ -203,10 +207,18 @@ def _gramian_quadrature(p, t):
         Yt = Yt.reshape(-1, p.n)
         Q = q_panel = Yt.T @ Yt
         F_s = F
-        while t == np.inf:
-            Q, last, F_s = Q + F_s @ Q @ F_s.T, Q, F_s @ F_s
-            if np.array_equal(Q, last) or not np.isfinite(Q).all():
-                return Q
+        if t == np.inf:
+            span = delta
+            while np.isfinite(Q).all():
+                last, Q = Q, Q + F_s @ Q @ F_s.T
+                if np.array_equal(Q, last):
+                    return Q
+                span *= 2.0
+                F_s = p.propagator.at(span)[0]
+                if not np.isfinite(F_s).all() or span == np.inf:
+                    raise PreconditionError(
+                        "infinite-horizon Gramian outlasts the float range of time")
+            return Q
         for bit in bin(panels)[3:]:
             Q = Q + F_s @ Q @ F_s.T
             F_s = F_s @ F_s
@@ -397,4 +409,5 @@ def t_max(p, x_norm):
     below TAIL_EPS relative: max(log(max(|x|, TAIL_EPS) * M / TAIL_EPS), 1)
     / omega, so never shorter than 1/omega, in the model's own time unit."""
     x_norm = max(float(x_norm), TAIL_EPS)
-    return float(max(np.log(x_norm * p.bound_M / TAIL_EPS), 1.0) / p.decay_omega)
+    t = max(np.log(x_norm * p.bound_M / TAIL_EPS), 1.0) / p.decay_omega
+    return float(t)

@@ -38,10 +38,14 @@ _DIAGONALIZABLE_COND_MAX = 1e12
 
 
 def symmetrize(m):
-    """Average a matrix with its transpose, halving each term first so
-    that no entry of a finite m overflows."""
+    """Average a matrix with its transpose: 0.5 (m + m*), whose halving is
+    exact, and 0.5 m + 0.5 m* only where m + m* overflows, so that no
+    entry of a finite m overflows and a subnormal one is not rounded."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * m + 0.5 * m.T
+    with np.errstate(over="ignore"):
+        s = m + m.T
+    finite = np.isfinite(s)
+    return 0.5 * s if finite.all() else np.where(finite, 0.5 * s, 0.5 * m + 0.5 * m.T)
 
 
 def binary_exponent(m):

@@ -568,22 +568,32 @@ def stiff_problem(ratio, rng, n=8):
 
 class TestInfiniteQuadrature:
     """Q_inf of a non-symmetric A is the quadrature at t = inf: one panel,
-    doubled until the sum settles (the squared Smith iteration)."""
+    doubled until the sum settles (the squared Smith iteration), with each
+    doubling's propagator read off the Propagator."""
 
-    @pytest.mark.parametrize("kind, size", [
-        ("stiff", 1e2), ("stiff", 1e4), ("stiff", 1e6),
-        ("non_normal", 1300.0), ("non_normal", 1.25e5),
-    ], ids=["stiff_1e2", "stiff_1e4", "stiff_1e6", "cond_2.6e3", "cond_2.5e5"])
-    def test_extended_precision_reference(self, kind, size, rng):
-        # forward error within 100 u times the larger of the stiffness
-        # ratio rho/omega, which sets the doubling count, and cond(V);
-        # [[-1, a], [0, -2]] has cond(V) = 2a
-        p = (stiff_problem(size, rng) if kind == "stiff"
-             else make_dense_model([[-1.0, size], [0.0, -2.0]], np.eye(2)))
+    @pytest.mark.parametrize("kind, size, bound", [
+        ("stiff", 1e2, 1e-13), ("stiff", 1e4, 2e-11), ("stiff", 1e6, 1e-9),
+        ("non_normal", 1300.0, 2e-15), ("non_normal", 1.25e5, 2e-15),
+        ("slow_mode", 1e-12, 1e-14), ("slow_mode", 1e-15, 3e-14),
+        ("slow_mode", 1e-17, 3e-14),
+    ], ids=["stiff_1e2", "stiff_1e4", "stiff_1e6", "cond_2.6e3", "cond_2.5e5",
+            "slow_1e-12", "slow_1e-15", "slow_1e-17"])
+    def test_extended_precision_reference(self, kind, size, bound, rng):
+        # each bound is about ten times the measured forward error, and at
+        # least 2e-15: 1.1e-14, 2.1e-12 and 8e-11 at stiffness rho/omega =
+        # 1e2, 1e4, 1e6 (cond(V) = 16); 4e-19 and 2e-16 at cond(V) = 2a =
+        # 2.6e3, 2.5e5 for [[-1, a], [0, -2]]; 8e-16 to 3e-15 at decay rate
+        # eps of [[-eps, 0], [1, -1]], rho/omega up to 1e17, whose e^{DA}
+        # has a slow entry that rounds to 1 at eps = 1e-17
+        if kind == "stiff":
+            p = stiff_problem(size, rng)
+        elif kind == "non_normal":
+            p = make_dense_model([[-1.0, size], [0.0, -2.0]], np.eye(2))
+        else:
+            p = make_dense_model([[-size, 0.0], [1.0, -1.0]], [[1.0], [1.0]])
         assert p.propagator.eigenbasis is None
         ref = mp_lyapunov(p.A, p.B)
         got = gramian_infinite(p).matrix
-        bound = 100 * 2.0 ** -53 * max(p.spectral_radius / p.decay_omega, p.propagator.cond)
         assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
 
     def test_long_horizon_reaches_the_limit(self, rng):

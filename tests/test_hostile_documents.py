@@ -17,6 +17,12 @@ from minenergy.cli import main
 
 SPECTRAL = {"type": "spectral", "lambdas": [-1.0, -2.0], "b_diag": [1.0, 1.0]}
 
+
+def slow_pair(eps, b):
+    """A = [[-eps, 0], [1, -1]], B = (b, 1)*: a slow mode of rate eps,
+    with input b, feeding a mode of rate 1."""
+    return {"type": "dense", "A": [[-eps, 0.0], [1.0, -1.0]], "B": [[b], [1.0]]}
+
 #: (document, state count for the target)
 HOSTILE = {
     "A_empty": ({"type": "dense", "A": [], "B": []}, 1),
@@ -46,12 +52,12 @@ HOSTILE = {
     "huge_weights": ({"type": "spectral", "lambdas": [-1.0, -2.0],
                       "b_diag": [1e308, 1e308]}, 2),
     "tiny_decay": ({"type": "dense", "A": [[-1e-300]], "B": [[1.0]]}, 1),
-    # a non-symmetric pair of rates 1e-300 and 1; the slow mode is excited,
-    # so Q_inf[0, 0] = 5e299 and its doubling overflows, or it is not
-    "slow_mode_excited": ({"type": "dense", "A": [[-1e-300, 0.0], [1.0, -1.0]],
-                           "B": [[1.0], [1.0]]}, 2),
-    "slow_mode_unexcited": ({"type": "dense", "A": [[-1e-300, 0.0], [1.0, -1.0]],
-                             "B": [[0.0], [1.0]]}, 2),
+    # a non-symmetric pair of rates eps and 1; the slow mode is excited, so
+    # Q_inf[0, 0] = b^2 / (2 eps), or it is not
+    "slow_mode_excited": (slow_pair(1e-300, 1.0), 2),
+    "slow_mode_unexcited": (slow_pair(1e-300, 0.0), 2),
+    "slow_mode_overflow": (slow_pair(1e-300, 1e5), 2),
+    "slow_mode_past_float_time": (slow_pair(1e-307, 1.0), 2),
     "bbt_overflow": ({"type": "dense", "A": [[-1e300]], "B": [[1e300]]}, 1),
     "weighted_b_overflow": ({"type": "dense", "A": [[-1.0]], "B": [[1e200]],
                              "weight_C": [[1e-300]]}, 1),
@@ -101,27 +107,45 @@ def test_non_number_entries_are_parse_errors(name, tmp_path):
     assert not any(path.is_dir() for path in tmp_path.iterdir())
 
 
-def test_excited_slow_mode_is_refused(tmp_path, capsys):
-    # Q_inf[0, 0] = 5e299, and the doubling of its sum overflows before
-    # the sum settles: a refusal, not a wrong answer
+def gramian_run(name, tmp_path):
+    """Exit code of ``gramian`` on the named document, and its output
+    folder."""
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(HOSTILE["slow_mode_excited"][0]))
+    path.write_text(json.dumps(HOSTILE[name][0]))
     out = tmp_path / "out"
-    assert main(["gramian", "--model", str(path), "--out", str(out)]) == 4
-    assert not out.exists()
-    assert capsys.readouterr().err == "error: infinite-horizon Gramian overflows a float\n"
+    return main(["gramian", "--model", str(path), "--out", str(out)]), out
+
+
+def test_excited_slow_mode_is_answered(tmp_path, capsys):
+    # Q_inf = 1/(2 eps) = 5e299 in every cell, to rounding: each doubling
+    # reads e^{sDA} off the Propagator, so the slow rate is not lost to
+    # the rounding of e^{DA}'s slow entry to 1
+    code, out = gramian_run("slow_mode_excited", tmp_path)
+    assert code == 0 and capsys.readouterr().err == ""
+    q = np.loadtxt(out / "gramian_inf.csv", delimiter=",", skiprows=1)
+    assert np.abs(q / 5e299 - 1.0).max() <= 1e-14
 
 
 def test_unexcited_slow_mode_is_answered(tmp_path, capsys):
-    # the slow mode's entry of F = e^{DA} rounds to 1 and never decays, but
-    # it adds nothing to Q_inf = [[0, 0], [0, 1/2]]: the doubling settles
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(HOSTILE["slow_mode_unexcited"][0]))
-    out = tmp_path / "out"
-    assert main(["gramian", "--model", str(path), "--out", str(out)]) == 0
+    # the slow mode adds nothing to Q_inf = [[0, 0], [0, 1/2]]: the
+    # doubling settles without waiting for it to decay
+    code, out = gramian_run("slow_mode_unexcited", tmp_path)
+    assert code == 0 and capsys.readouterr().err == ""
     q = np.loadtxt(out / "gramian_inf.csv", delimiter=",", skiprows=1)
     assert np.abs(q - [[0.0, 0.0], [0.0, 0.5]]).max() <= 1e-14
-    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, error", [
+    ("slow_mode_overflow", "infinite-horizon Gramian overflows a float"),
+    ("slow_mode_past_float_time",
+     "infinite-horizon Gramian outlasts the float range of time"),
+])
+def test_slow_mode_refusals(name, error, tmp_path, capsys):
+    # Q_inf[0, 0] = 5e309 is not a float; at eps = 1e-307 the sum has not
+    # settled when the doubled horizon passes the float range
+    code, out = gramian_run(name, tmp_path)
+    assert code == 4 and not out.exists()
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def stiff_pair(rate):

@@ -260,11 +260,17 @@ class TestExactRescaling:
 
 class TestSymmetrize:
     def test_normal_range_unchanged(self, rng):
-        # halving each term first is exact in the normal range, so the
-        # average is 0.5 (m + m*) bit for bit
+        # a sum that does not overflow is averaged as 0.5 (m + m*), bit
+        # for bit
         for k in (-1000, -20, 0, 20, 1000):
             m = np.ldexp(rng.standard_normal((5, 5)), k)
             assert np.array_equal(symmetrize(m), 0.5 * (m + m.T))
+
+    def test_subnormal_entries_exact(self):
+        # the smallest subnormal on the diagonal is kept, not halved to 0
+        tiny = 5e-324
+        m = np.array([[tiny, 3 * tiny], [tiny, 1.0]])
+        assert symmetrize(m).tolist() == [[tiny, 2 * tiny], [2 * tiny, 1.0]]
 
     def test_near_float_max_does_not_overflow(self):
         big = 2.0 ** 1023
